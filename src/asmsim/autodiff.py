@@ -2,14 +2,16 @@
 
 Every operation records a node in a dynamic graph; calling ``backward()`` on a
 scalar result fills ``grad`` on every reachable tensor created with
-``requires_grad=True``. Kernels take single inputs ([C, L] style) and, where
-noted, an optional leading batch axis. A graph stays in the dtype of its
-leaves: training runs in float32, the gradient-check harness builds float64
-graphs.
+``requires_grad=True``; inner nodes drop their gradient once it has been
+passed on, so a backward pass holds little beyond the forward graph. Sequence kernels take time-major batches
+([B, L, C]); `affine`, `layer_norm` and the elementwise kernels accept any
+leading axes. A graph stays in the dtype of its leaves: training runs in
+float32, the gradient-check harness builds float64 graphs.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from contextlib import contextmanager
 
@@ -18,8 +20,9 @@ from scipy.special import erf
 
 _GRAD_ENABLED = True
 
-INV_SQRT2 = 1.0 / np.sqrt(2.0)
-INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats: a numpy float64 scalar would promote float32 arrays to float64
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
+INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @contextmanager
@@ -102,6 +105,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None  # spent: every consumer ran before this node
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -316,40 +320,6 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
-def max_pool_time(x: Tensor, lengths=None) -> Tensor:
-    """Global max over the last (time) axis.
-
-    x [C, L] -> [C], or [B, C, L] -> [B, C]. `lengths` restricts the pool to the
-    first `lengths[b]` positions of each batch row (int or [B] ints). Gradient
-    flows to the first maximum of each channel.
-    """
-    xd = x.data
-    if xd.ndim not in (2, 3):
-        raise ValueError(f"max_pool_time needs [C, L] or [B, C, L], got {xd.shape}")
-    L = xd.shape[-1]
-    if lengths is None:
-        work = xd
-    else:
-        lens = np.asarray(lengths, dtype=np.int64)
-        if np.any(lens < 1) or np.any(lens > L):
-            raise ValueError(f"pool lengths must be in [1, {L}]")
-        pos = np.arange(L)
-        if xd.ndim == 2:
-            invalid = pos >= int(lens)
-        else:
-            invalid = pos[None, None, :] >= lens.reshape(-1, 1, 1)
-        work = np.where(invalid, -np.inf, xd)
-    idx = work.argmax(axis=-1)
-    out_data = np.take_along_axis(xd, idx[..., None], axis=-1)[..., 0]
-
-    def backward(g):
-        gx = np.zeros_like(xd)
-        np.put_along_axis(gx, idx[..., None], g[..., None], axis=-1)
-        _accum(x, gx)
-
-    return _node(out_data, (x,), backward)
-
-
 def concat(tensors, axis: int) -> Tensor:
     """Concatenate along `axis`; every other extent must match."""
     tensors = list(tensors)
@@ -393,42 +363,6 @@ def transpose(x: Tensor, axes=None) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Slice `length` entries from `start` along `axis`."""
-    if start < 0 or length < 0 or start + length > x.shape[axis]:
-        raise ValueError(f"narrow [{start}:{start + length}] exceeds axis extent {x.shape[axis]}")
-    sl = [slice(None)] * x.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-    out_data = x.data[sl].copy()
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[sl] = g
-        _accum(x, gx)
-
-    return _node(out_data, (x,), backward)
-
-
-def zeropad_axis(x: Tensor, axis: int, after: int) -> Tensor:
-    """Append `after` zeros along `axis`."""
-    if after < 0:
-        raise ValueError("pad amount must be >= 0")
-    if after == 0:
-        return x
-    pad = [(0, 0)] * x.ndim
-    pad[axis] = (0, after)
-    out_data = np.pad(x.data, pad)
-    sl = [slice(None)] * x.ndim
-    sl[axis] = slice(0, x.shape[axis])
-    sl = tuple(sl)
-
-    def backward(g):
-        _accum(x, g[sl])
-
-    return _node(out_data, (x,), backward)
-
-
 def embedding(table: Tensor, ids) -> Tensor:
     """Row lookup: table [V, d], ids int array [...] -> [..., d]."""
     idx = np.asarray(ids)
@@ -452,53 +386,9 @@ def embedding(table: Tensor, ids) -> Tensor:
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Valid (no-pad) cross-correlation, stride 1.
+    """Valid (no-pad) cross-correlation, stride 1, over a time-major batch.
 
-    x [C_in, L] or [B, C_in, L]; w [C_out, C_in, W]; b [C_out]
-    -> [C_out, L - W + 1] (or batched).
-    """
-    if w.ndim != 3:
-        raise ValueError(f"conv1d kernel must be [C_out, C_in, W], got {w.shape}")
-    c_out, c_in, width = w.shape
-    if b.shape != (c_out,):
-        raise ValueError(f"conv1d bias must be length {c_out}")
-    batched = x.ndim == 3
-    x3 = x.data if batched else x.data[None]
-    if x3.shape[1] != c_in:
-        raise ValueError(f"conv1d channel mismatch: input {x3.shape[1]}, kernel {c_in}")
-    bsz, _, L = x3.shape
-    if L < width:
-        raise ValueError(f"conv1d input length {L} < kernel width {width}")
-    l_out = L - width + 1
-    win = np.lib.stride_tricks.sliding_window_view(x3, width, axis=2)  # [B, C_in, L_out, W]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(bsz * l_out, c_in * width)
-    wmat = w.data.reshape(c_out, c_in * width)
-    out2 = cols @ wmat.T  # [B*L_out, C_out]
-    out_data = out2.reshape(bsz, l_out, c_out).transpose(0, 2, 1) + b.data[None, :, None]
-    if not batched:
-        out_data = out_data[0]
-
-    def backward(g):
-        g3 = g if batched else g[None]
-        gflat = np.ascontiguousarray(g3.transpose(0, 2, 1)).reshape(bsz * l_out, c_out)
-        _accum(b, gflat.sum(axis=0))
-        _accum(w, (gflat.T @ cols).reshape(c_out, c_in, width))
-        if x.requires_grad:
-            gcols = gflat @ wmat  # [B*L_out, C_in*W]
-            gwin = gcols.reshape(bsz, l_out, c_in, width)
-            gx = np.zeros_like(x3)
-            for off in range(width):
-                gx[:, :, off:off + l_out] += gwin[:, :, :, off].transpose(0, 2, 1)
-            _accum(x, gx if batched else gx[0])
-
-    return _node(out_data, (x, w, b), backward)
-
-
-def conv1d_tm(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """conv1d for time-major batches: x [B, L, C_in] -> [B, L_out, C_out].
-
-    Same arithmetic as conv1d; this layout skips the channel-major transpose
-    on both sides of the kernel, which matters when L*C_in is large.
+    x [B, L, C_in]; w [C_out, C_in, W]; b [C_out] -> [B, L - W + 1, C_out].
     """
     if w.ndim != 3:
         raise ValueError(f"conv1d kernel must be [C_out, C_in, W], got {w.shape}")
@@ -506,7 +396,7 @@ def conv1d_tm(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (c_out,):
         raise ValueError(f"conv1d bias must be length {c_out}")
     if x.ndim != 3:
-        raise ValueError(f"conv1d_tm input must be [B, L, C_in], got {x.shape}")
+        raise ValueError(f"conv1d input must be [B, L, C_in], got {x.shape}")
     if x.shape[2] != c_in:
         raise ValueError(f"conv1d channel mismatch: input {x.shape[2]}, kernel {c_in}")
     bsz, L, _ = x.shape
@@ -533,7 +423,7 @@ def conv1d_tm(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (x, w, b), backward)
 
 
-def max_pool_time_tm(x: Tensor, lengths=None) -> Tensor:
+def max_pool_time(x: Tensor, lengths=None) -> Tensor:
     """Global max over axis 1 of a time-major batch: [B, L, C] -> [B, C].
 
     `lengths` restricts each row's pool to its first `lengths[b]` steps.
@@ -541,7 +431,7 @@ def max_pool_time_tm(x: Tensor, lengths=None) -> Tensor:
     """
     xd = x.data
     if xd.ndim != 3:
-        raise ValueError(f"max_pool_time_tm needs [B, L, C], got {xd.shape}")
+        raise ValueError(f"max_pool_time needs [B, L, C], got {xd.shape}")
     L = xd.shape[1]
     if lengths is None:
         work = xd

@@ -21,14 +21,12 @@ from .evaluate import (
     descending_order, evaluate_model,
 )
 from .manifest import file_sha256, load_manifest, write_manifest
-from .models import BackboneConfig, load_checkpoint, save_checkpoint
+from .models import VARIANTS, BackboneConfig, load_checkpoint, save_checkpoint
 from .tokenizer import (
     DEFAULT_DELIMITERS, DEFAULT_MIN_FREQ, Vocabulary, build_vocab,
     encode_function,
 )
 from .train import TrainConfig, train, write_loss_csv
-
-BACKBONES = ("textcnn", "lstm", "mixer")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -258,7 +256,7 @@ def build_parser() -> _Parser:
     p.add_argument("vocab")
     p.add_argument("--out", required=True, help="checkpoint file to write")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--backbone", choices=BACKBONES, default="textcnn")
+    p.add_argument("--backbone", choices=VARIANTS, default="textcnn")
     p.add_argument("--config", help="key = value file mirroring training fields")
     p.add_argument("--learning-rate", type=float, dest="learning_rate")
     p.add_argument("--batch-size", type=int, dest="batch_size")

@@ -1,9 +1,12 @@
 """Siamese backbones over instruction grids, plus checkpoint serialization.
 
-Each function encodes to an S x H grid: per instruction, K token vectors and
-one position vector of width d are concatenated, H = d * (K + 1). A backbone
-maps the grid to a fixed-width embedding; both sides of a training pair run
-through the same parameter set.
+A batch of B functions becomes one [B, L, H] grid: per instruction, K token
+vectors and one position vector of width d are concatenated, H = d * (K + 1),
+and shorter functions are padded to L with PAD ids and zero position vectors.
+Every backbone has one forward, `embed_batch`, which runs length-sorted chunks
+of the batch through the variant's head and maps each function to a
+fixed-width embedding; both sides of a training pair run through the same
+parameter set.
 
 The PAD embedding row (id 0) is pinned to zero: it is excluded from the
 parameter count and its gradient is masked before every optimizer step.
@@ -119,23 +122,58 @@ class Backbone:
         if enc.position_ids.size and enc.position_ids.max() >= self.cfg.max_positions:
             raise DataError("position id exceeds the model's position table")
 
-    def lookup_grid(self, enc: EncodedFunction) -> Tensor:
-        """Encoded ids -> [S, H] grid of concatenated token and position vectors."""
-        self._validate_ids(enc)
-        s, k = enc.token_ids.shape
-        tok = ad.embedding(self.params["token_table"], enc.token_ids)       # [S, K, d]
-        tok = ad.reshape(tok, (s, k * self.cfg.embed_dim))
-        pos = ad.embedding(self.params["pos_table"], enc.position_ids)      # [S, d]
-        return ad.concat([tok, pos], axis=1)
+    # functions per forward sub-batch; sorted-by-length chunks keep the padded
+    # grid close to the true token volume
+    CHUNK = 64
 
-    def embed(self, enc: EncodedFunction, training: bool = False,
-              rng: np.random.Generator | None = None) -> Tensor:
+    def _grid(self, encs, length: int) -> Tensor:
+        """[B, length, H] grid of concatenated token and position vectors.
+
+        Functions longer than `length` are cut; rows past a function's end
+        hold PAD ids and a zero position vector.
+        """
+        cfg = self.cfg
+        bsz, k = len(encs), cfg.tokens_per_instruction
+        ids = np.full((bsz, length, k), PAD_ID, dtype=np.int32)
+        pos = np.zeros((bsz, length), dtype=np.int32)
+        mask = np.zeros((bsz, length, 1), dtype=self.dtype)
+        for i, e in enumerate(encs):
+            s = min(e.n_instructions, length)
+            ids[i, :s] = e.token_ids[:s]
+            pos[i, :s] = e.position_ids[:s]
+            mask[i, :s, 0] = 1.0
+        tok = ad.reshape(ad.embedding(self.params["token_table"], ids),
+                         (bsz, length, k * cfg.embed_dim))
+        posv = ad.embedding(self.params["pos_table"], pos) * ad.constant(mask)
+        return ad.concat([tok, posv], axis=2)
+
+    def _head(self, encs, training: bool, rng) -> Tensor:
+        """Length-sorted functions -> [B, F] features, before the `fc` projection."""
         raise NotImplementedError
 
     def embed_batch(self, encs, training: bool = False,
                     rng: np.random.Generator | None = None) -> Tensor:
-        rows = [ad.reshape(self.embed(e, training=training, rng=rng), (1, -1)) for e in encs]
-        return ad.concat(rows, axis=0)
+        """The forward pass: a list of encoded functions -> [B, E], in caller order."""
+        if not encs:
+            raise ValueError("embed_batch needs at least one function")
+        for e in encs:
+            self._validate_ids(e)
+        order = np.argsort([e.n_instructions for e in encs], kind="stable")
+        chunks = [self._head([encs[i] for i in order[s:s + self.CHUNK]], training, rng)
+                  for s in range(0, len(encs), self.CHUNK)]
+        feats = chunks[0] if len(chunks) == 1 else ad.concat(chunks, axis=0)
+        if np.any(order != np.arange(len(encs))):
+            inverse = np.empty(len(encs), dtype=np.int64)
+            inverse[order] = np.arange(len(encs))
+            feats = ad.embedding(feats, inverse)       # restore caller order
+        if "fc.w" not in self.params:                  # the LSTM's state is the embedding
+            return feats
+        return ad.affine(feats, self.params["fc.w"], self.params["fc.b"])
+
+    def embed(self, enc: EncodedFunction, training: bool = False,
+              rng: np.random.Generator | None = None) -> Tensor:
+        """One function's [E] embedding: the single row of embed_batch([enc])."""
+        return ad.reshape(self.embed_batch([enc], training=training, rng=rng), (-1,))
 
     def embed_matrix(self, encs, batch_size: int = 256) -> np.ndarray:
         """Inference embeddings as a plain [N, E] array."""
@@ -191,66 +229,17 @@ class TextCNN(Backbone):
             groups.setdefault(w, []).append(i)
         return groups
 
-    def embed(self, enc, training=False, rng=None):
-        grid = self.lookup_grid(enc)                   # [S, H]
-        s = grid.shape[0]
-        x = ad.transpose(grid)                         # [H, S]
-        s_eff = max(s, max(self.cfg.conv_widths))
-        if s_eff > s:
-            x = ad.zeropad_axis(x, 1, s_eff - s)
+    def _head(self, encs, training, rng):
+        widest = max(self.cfg.conv_widths)
+        eff = np.maximum([e.n_instructions for e in encs], widest)
+        grid = self._grid(encs, int(eff.max()))        # [B, S, H]
         pooled = []
         for width, idxs in self._width_groups().items():
             w = ad.concat([self.params[f"conv{i}.w"] for i in idxs], axis=0)
             b = ad.concat([self.params[f"conv{i}.b"] for i in idxs], axis=0)
-            pooled.append(ad.max_pool_time(ad.relu(ad.conv1d(x, w, b))))
-        feats = ad.concat(pooled, axis=0)              # [channels * n_kernels]
-        return ad.affine(feats, self.params["fc.w"], self.params["fc.b"])
-
-    # functions per conv sub-batch; sorted-by-length chunks keep the padded
-    # grid close to the true token volume
-    CHUNK = 64
-
-    def _pooled_features(self, encs):
-        cfg = self.cfg
-        k = cfg.tokens_per_instruction
-        s_arr = np.array([e.n_instructions for e in encs], dtype=np.int64)
-        s_max = max(int(s_arr.max()), max(cfg.conv_widths))
-        bsz = len(encs)
-        ids = np.full((bsz, s_max, k), PAD_ID, dtype=np.int32)
-        pos = np.zeros((bsz, s_max), dtype=np.int32)
-        mask = np.zeros((bsz, s_max, 1), dtype=self.dtype)
-        for i, e in enumerate(encs):
-            s = e.n_instructions
-            ids[i, :s] = e.token_ids
-            pos[i, :s] = e.position_ids
-            mask[i, :s, 0] = 1.0
-        tok = ad.reshape(ad.embedding(self.params["token_table"], ids),
-                         (bsz, s_max, k * cfg.embed_dim))
-        posv = ad.embedding(self.params["pos_table"], pos) * ad.constant(mask)
-        grid = ad.concat([tok, posv], axis=2)          # [B, S, H]
-        eff = np.maximum(s_arr, max(cfg.conv_widths))
-        pooled = []
-        for width, idxs in self._width_groups().items():
-            w = ad.concat([self.params[f"conv{i}.w"] for i in idxs], axis=0)
-            b = ad.concat([self.params[f"conv{i}.b"] for i in idxs], axis=0)
-            conv = ad.relu(ad.conv1d_tm(grid, w, b))
-            pooled.append(ad.max_pool_time_tm(conv, lengths=eff - (width - 1)))
+            conv = ad.relu(ad.conv1d(grid, w, b))
+            pooled.append(ad.max_pool_time(conv, lengths=eff - (width - 1)))
         return ad.concat(pooled, axis=1)               # [B, channels * n_kernels]
-
-    def embed_batch(self, encs, training=False, rng=None):
-        if not encs:
-            raise ValueError("embed_batch needs at least one function")
-        for e in encs:
-            self._validate_ids(e)
-        order = np.argsort([e.n_instructions for e in encs], kind="stable")
-        chunks = [self._pooled_features([encs[i] for i in order[s:s + self.CHUNK]])
-                  for s in range(0, len(encs), self.CHUNK)]
-        feats = chunks[0] if len(chunks) == 1 else ad.concat(chunks, axis=0)
-        if np.any(order != np.arange(len(encs))):
-            inverse = np.empty(len(encs), dtype=np.int64)
-            inverse[order] = np.arange(len(encs))
-            feats = ad.embedding(feats, inverse)       # restore caller order
-        return ad.affine(feats, self.params["fc.w"], self.params["fc.b"])
 
 
 class LSTMNet(Backbone):
@@ -270,22 +259,37 @@ class LSTMNet(Backbone):
             self._add(f"w_{gate}", _kaiming(rng, (zin, cfg.lstm_hidden), zin, self.dtype))
             self._add(f"b_{gate}", np.zeros(cfg.lstm_hidden, dtype=self.dtype))
 
-    def embed(self, enc, training=False, rng=None):
-        grid = self.lookup_grid(enc)                   # [S, H]
-        s = grid.shape[0]
-        hidden = self.cfg.lstm_hidden
-        h = ad.constant(np.zeros((1, hidden), dtype=self.dtype))
-        c = ad.constant(np.zeros((1, hidden), dtype=self.dtype))
-        for t in range(s):
-            x_t = ad.narrow(grid, 0, t, 1)             # [1, H]
-            z = ad.concat([h, x_t], axis=1)            # [1, hidden + H]
-            i = ad.sigmoid(ad.affine(z, self.params["w_i"], self.params["b_i"]))
-            f = ad.sigmoid(ad.affine(z, self.params["w_f"], self.params["b_f"]))
-            c_tilde = ad.tanh(ad.affine(z, self.params["w_c"], self.params["b_c"]))
-            o = ad.sigmoid(ad.affine(z, self.params["w_o"], self.params["b_o"]))
-            c = f * c + i * c_tilde
-            h = o * ad.tanh(c)
-        return ad.reshape(h, (hidden,))
+    def _head(self, encs, training, rng):
+        hid = self.cfg.lstm_hidden
+        lengths = np.array([e.n_instructions for e in encs])
+        bsz, steps = len(encs), int(lengths.max())
+        grid = self._grid(encs, steps)                 # [B, S, H]
+        # The input side of each gate is one GEMM over all steps; a step is
+        # then a [running rows, hidden] GEMM plus a row gather of its inputs.
+        w_h, x_proj = {}, {}
+        for g in self.GATES:
+            w = self.params[f"w_{g}"]                  # rows: h_{t-1} part, then x_t part
+            w_h[g] = ad.embedding(w, np.arange(hid))
+            w_x = ad.embedding(w, np.arange(hid, w.shape[0]))
+            x_proj[g] = ad.reshape(ad.affine(grid, w_x, self.params[f"b_{g}"]),
+                                   (bsz * steps, hid))
+        # Rows come in ascending length order, so the running rows are a suffix
+        # [done, B). A row drops out once its own length is reached; its state
+        # at that point is its embedding.
+        h = c = ad.constant(np.zeros((bsz, hid), dtype=self.dtype))
+        done, finals = 0, []
+        for t in range(steps):
+            ended = int(np.searchsorted(lengths, t, side="right")) - done
+            if ended:
+                finals.append(ad.embedding(h, np.arange(ended)))
+                rest = np.arange(ended, bsz - done)
+                h, c = ad.embedding(h, rest), ad.embedding(c, rest)
+                done += ended
+            rows = np.arange(done, bsz) * steps + t
+            pre = {g: ad.matmul(h, w_h[g]) + ad.embedding(x_proj[g], rows) for g in self.GATES}
+            c = ad.sigmoid(pre["f"]) * c + ad.sigmoid(pre["i"]) * ad.tanh(pre["c"])
+            h = ad.sigmoid(pre["o"]) * ad.tanh(c)
+        return ad.concat(finals + [h], axis=0)
 
 
 class Mixer(Backbone):
@@ -321,11 +325,9 @@ class Mixer(Backbone):
         self._add("fc.w", _kaiming(rng, (c, cfg.output_dim), c, self.dtype))
         self._add("fc.b", np.zeros(cfg.output_dim, dtype=self.dtype))
 
-    def _resize(self, enc: EncodedFunction) -> EncodedFunction:
-        s_fix = self.cfg.mixer_seq_len
-        if enc.n_instructions <= s_fix:
-            return enc
-        return EncodedFunction(enc.token_ids[:s_fix], enc.position_ids[:s_fix])
+    # every function fills the full mixer_seq_len grid, so a chunk saves no
+    # padding; a small one bounds inference memory at no cost in speed
+    CHUNK = 16
 
     def _drop(self, x, training, rng):
         if not training or self.cfg.mixer_dropout == 0.0:
@@ -334,22 +336,18 @@ class Mixer(Backbone):
             raise ValueError("training-mode mixer needs an RNG for dropout")
         return ad.dropout(x, self.cfg.mixer_dropout, rng)
 
-    def embed(self, enc, training=False, rng=None):
+    def _head(self, encs, training, rng):
         cfg = self.cfg
-        enc = self._resize(enc)
-        grid = self.lookup_grid(enc)                   # [S', C]
-        if grid.shape[0] < cfg.mixer_seq_len:
-            grid = ad.zeropad_axis(grid, 0, cfg.mixer_seq_len - grid.shape[0])
-        x = grid                                       # [S_fixed, C]
+        x = self._grid(encs, cfg.mixer_seq_len)        # [B, S_fixed, C]
         for layer in range(cfg.mixer_layers):
             p = f"layer{layer}."
             u = ad.layer_norm(x, self.params[p + "ln1.g"], self.params[p + "ln1.b"])
-            t = ad.transpose(u)                        # [C, S]
+            t = ad.transpose(u, (0, 2, 1))             # [B, C, S]
             t = ad.gelu(ad.affine(t, self.params[p + "tok.w1"], self.params[p + "tok.b1"]))
             t = self._drop(t, training, rng)
             t = ad.affine(t, self.params[p + "tok.w2"], self.params[p + "tok.b2"])
             t = self._drop(t, training, rng)
-            x = x + ad.transpose(t)
+            x = x + ad.transpose(t, (0, 2, 1))
             v = ad.layer_norm(x, self.params[p + "ln2.g"], self.params[p + "ln2.b"])
             cmix = ad.gelu(ad.affine(v, self.params[p + "ch.w1"], self.params[p + "ch.b1"]))
             cmix = self._drop(cmix, training, rng)
@@ -357,8 +355,7 @@ class Mixer(Backbone):
             cmix = self._drop(cmix, training, rng)
             x = x + cmix
         x = ad.layer_norm(x, self.params["ln_final.g"], self.params["ln_final.b"])
-        pooled = ad.mean_(x, axis=0)                   # [C]
-        return ad.affine(pooled, self.params["fc.w"], self.params["fc.b"])
+        return ad.mean_(x, axis=1)                     # [B, C]
 
 
 _VARIANT_CLASSES = {"textcnn": TextCNN, "lstm": LSTMNet, "mixer": Mixer}

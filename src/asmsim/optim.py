@@ -45,10 +45,6 @@ class Adam:
             v += (1.0 - self.beta2) * (g * g)
             p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
 
 @dataclass
 class ParamCheck:

@@ -21,16 +21,16 @@ def assert_grads_match(f, params, rng, frozen=None):
 # ---------------------------------------------------------------- pinned examples
 
 def test_conv1d_example():
-    x = ad.constant([[1.0, 2.0, 3.0, 4.0]], dtype=np.float64)
+    x = ad.constant([[[1.0], [2.0], [3.0], [4.0]]], dtype=np.float64)   # [B=1, L=4, C=1]
     w = ad.constant([[[1.0, 0.0, -1.0]]], dtype=np.float64)
     b = ad.constant([0.0], dtype=np.float64)
     out = ad.conv1d(x, w, b)
-    np.testing.assert_array_equal(out.data, [[-2.0, -2.0]])
+    np.testing.assert_array_equal(out.data, [[[-2.0], [-2.0]]])
 
 
 def test_conv1d_impulse_identity():
     rng = np.random.default_rng(1)
-    x = ad.constant(rng.standard_normal((1, 9)), dtype=np.float64)
+    x = ad.constant(rng.standard_normal((2, 9, 1)), dtype=np.float64)
     w = ad.constant([[[1.0]]], dtype=np.float64)
     b = ad.constant([0.0], dtype=np.float64)
     np.testing.assert_array_equal(ad.conv1d(x, w, b).data, x.data)
@@ -38,14 +38,14 @@ def test_conv1d_impulse_identity():
 
 def test_conv1d_full_width_gives_length_one():
     rng = np.random.default_rng(2)
-    x = ad.constant(rng.standard_normal((3, 5)), dtype=np.float64)
+    x = ad.constant(rng.standard_normal((1, 5, 3)), dtype=np.float64)
     w = ad.constant(rng.standard_normal((2, 3, 5)), dtype=np.float64)
     b = ad.constant(np.zeros(2), dtype=np.float64)
-    assert ad.conv1d(x, w, b).shape == (2, 1)
+    assert ad.conv1d(x, w, b).shape == (1, 1, 2)
 
 
 def test_conv1d_shape_errors():
-    x = ad.constant(np.ones((3, 4)))
+    x = ad.constant(np.ones((1, 4, 3)))
     w = ad.constant(np.ones((2, 5, 3)))
     b = ad.constant(np.zeros(2))
     with pytest.raises(ValueError, match="channel"):
@@ -53,15 +53,17 @@ def test_conv1d_shape_errors():
     w2 = ad.constant(np.ones((2, 3, 6)))
     with pytest.raises(ValueError, match="length"):
         ad.conv1d(x, w2, b)
+    with pytest.raises(ValueError, match=r"\[B, L, C_in\]"):
+        ad.conv1d(ad.constant(np.ones((4, 3))), ad.constant(np.ones((2, 3, 2))), b)
 
 
 def test_max_pool_example():
-    out = ad.max_pool_time(ad.constant([[1.0, 7.0, 3.0]]))
-    np.testing.assert_array_equal(out.data, [7.0])
+    out = ad.max_pool_time(ad.constant([[[1.0], [7.0], [3.0]]]))   # [B=1, L=3, C=1]
+    np.testing.assert_array_equal(out.data, [[7.0]])
 
 
 def test_max_pool_respects_lengths():
-    x = ad.constant([[[1.0, 9.0], [0.0, 5.0]], [[2.0, -1.0], [3.0, 8.0]]])
+    x = ad.constant([[[1.0, 0.0], [9.0, 5.0]], [[2.0, 3.0], [-1.0, 8.0]]])   # [B, L, C]
     out = ad.max_pool_time(x, lengths=[1, 2])
     np.testing.assert_array_equal(out.data, [[1.0, 0.0], [2.0, 8.0]])
 
@@ -142,6 +144,17 @@ def test_deep_graph_backward_is_iterative():
     np.testing.assert_array_equal(x.grad, [1.0])
 
 
+def test_backward_frees_inner_gradients():
+    x = ad.parameter([1.0, -2.0], dtype=np.float64)
+    y = ad.tanh(x)
+    z = ad.sum_(y * y)
+    z.backward()
+    assert y.grad is None and z.grad is None
+    np.testing.assert_allclose(x.grad, 2 * np.tanh(x.data) * (1 - np.tanh(x.data) ** 2))
+    z.backward()  # a second pass accumulates into the leaf, not into stale inner gradients
+    np.testing.assert_allclose(x.grad, 4 * np.tanh(x.data) * (1 - np.tanh(x.data) ** 2))
+
+
 def test_no_grad_builds_no_graph():
     x = ad.parameter(np.ones(3))
     with ad.no_grad():
@@ -150,12 +163,51 @@ def test_no_grad_builds_no_graph():
     assert out._parents == ()
 
 
+def _saved_float_dtypes(node):
+    """dtypes of the float arrays a node's backward closure keeps alive."""
+    out = set()
+    for cell in node._backward.__closure__ or ():
+        v = cell.cell_contents
+        arrays = v if isinstance(v, (list, tuple)) else [v]
+        for a in arrays:
+            a = a.data if isinstance(a, ad.Tensor) else a
+            if isinstance(a, np.ndarray) and a.dtype.kind == "f":
+                out.add(a.dtype)
+    return out
+
+
 def test_float32_stays_float32():
-    x = ad.parameter(np.ones((2, 3), dtype=np.float32))
-    w = ad.parameter(np.ones((3, 4), dtype=np.float32))
-    b = ad.parameter(np.zeros(4, dtype=np.float32))
-    out = ad.gelu(ad.affine(x, w, b) * 0.5 + 1.0)
-    assert out.dtype == np.float32
+    rng = np.random.default_rng(4)
+
+    def p32(*shape):
+        return ad.parameter(rng.standard_normal(shape), dtype=np.float32)
+
+    x, w, b = p32(2, 5, 3), p32(3, 4), p32(4)
+    kernels = {
+        "add": lambda: ad.add(x, 1.0),
+        "mul": lambda: ad.mul(x, 0.5),
+        "matmul": lambda: ad.matmul(p32(2, 3), w),
+        "affine": lambda: ad.affine(x, w, b),
+        "relu": lambda: ad.relu(x),
+        "sigmoid": lambda: ad.sigmoid(x),
+        "tanh": lambda: ad.tanh(x),
+        "gelu": lambda: ad.gelu(x),
+        "layer_norm": lambda: ad.layer_norm(x, p32(3), p32(3)),
+        "dropout": lambda: ad.dropout(x, 0.3, np.random.default_rng(0)),
+        "concat": lambda: ad.concat([x, x], axis=2),
+        "reshape": lambda: ad.reshape(x, (10, 3)),
+        "transpose": lambda: ad.transpose(x, (0, 2, 1)),
+        "embedding": lambda: ad.embedding(w, np.array([0, 2])),
+        "conv1d": lambda: ad.conv1d(x, p32(4, 3, 2), b),
+        "max_pool_time": lambda: ad.max_pool_time(x, lengths=[2, 5]),
+        "sum_": lambda: ad.sum_(x, axis=1),
+        "mean_": lambda: ad.mean_(x, axis=1),
+        "pairwise_cosine": lambda: ad.pairwise_cosine(p32(2, 3), p32(2, 3)),
+    }
+    for name, make in kernels.items():
+        out = make()
+        assert out.dtype == np.float32, name
+        assert _saved_float_dtypes(out) <= {np.dtype(np.float32)}, name
 
 
 # ---------------------------------------------------------------- gradient trials
@@ -217,10 +269,10 @@ def test_max_pool_gradients():
     rng = np.random.default_rng(15)
     for _ in range(TRIALS):
         c, length = rng.integers(1, 5), rng.integers(2, 7)
-        raw = rng.standard_normal((c, length))
-        raw += np.arange(length) * 1e-2  # break near-ties so FD keeps the same argmax
+        raw = rng.standard_normal((1, length, c))
+        raw += np.arange(length)[:, None] * 1e-2  # break near-ties so FD keeps the same argmax
         x = ad.parameter(raw, dtype=np.float64)
-        proj = rng.standard_normal(c)
+        proj = rng.standard_normal((1, c))
         assert_grads_match(lambda: ad.sum_(ad.max_pool_time(x) * proj), {"x": x}, rng)
 
 
@@ -228,7 +280,7 @@ def test_max_pool_batched_masked_gradients():
     rng = np.random.default_rng(16)
     for _ in range(TRIALS):
         b, c, length = rng.integers(1, 4), rng.integers(1, 4), rng.integers(3, 7)
-        raw = rng.standard_normal((b, c, length)) + np.arange(length) * 1e-2
+        raw = rng.standard_normal((b, length, c)) + np.arange(length)[:, None] * 1e-2
         x = ad.parameter(raw, dtype=np.float64)
         lens = rng.integers(1, length + 1, size=b)
         proj = rng.standard_normal((b, c))
@@ -264,16 +316,12 @@ def test_embedding_gradients():
 
 def test_conv1d_gradients():
     rng = np.random.default_rng(19)
-    for trial in range(TRIALS):
+    for _ in range(TRIALS):
         c_in, c_out = rng.integers(1, 4), rng.integers(1, 4)
         width = int(rng.integers(1, 4))
         length = int(rng.integers(width, width + 4))
-        if trial % 2:
-            x = p64(rng, int(rng.integers(1, 3)), c_in, length)
-            proj = rng.standard_normal((x.shape[0], c_out, length - width + 1))
-        else:
-            x = p64(rng, c_in, length)
-            proj = rng.standard_normal((c_out, length - width + 1))
+        x = p64(rng, int(rng.integers(1, 3)), length, c_in)
+        proj = rng.standard_normal((x.shape[0], length - width + 1, c_out))
         w = p64(rng, c_out, c_in, width)
         b = p64(rng, c_out)
         assert_grads_match(lambda: ad.sum_(ad.conv1d(x, w, b) * proj), {"x": x, "w": w, "b": b}, rng)
@@ -309,15 +357,13 @@ def test_shape_op_gradients():
     rng = np.random.default_rng(22)
     for _ in range(TRIALS):
         x = p64(rng, 3, 4, 2)
-        proj = rng.standard_normal((2, 2, 3))
+        proj = rng.standard_normal((2, 3, 4))
 
         def f():
             t = ad.transpose(x, (2, 1, 0))          # [2, 4, 3]
-            t = ad.narrow(t, 1, 1, 2)               # [2, 2, 3]
-            t = ad.zeropad_axis(t, 0, 1)            # [3, 2, 3]
-            t = ad.narrow(t, 0, 0, 2)               # [2, 2, 3]
-            t = ad.reshape(t, (4, 3))
-            t = ad.reshape(t, (2, 2, 3))
+            t = ad.transpose(t, (0, 2, 1))          # [2, 3, 4]
+            t = ad.reshape(t, (6, 4))
+            t = ad.reshape(t, (2, 3, 4))
             return ad.sum_(t * proj) + ad.mean_(x)
 
         assert_grads_match(f, {"x": x}, rng)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from scipy.special import erf
+
 import asmsim.autodiff as ad
 from asmsim.errors import DataError
 from asmsim.models import (
@@ -33,39 +35,52 @@ def tiny_vocab(n_extra=9):
     return Vocabulary(toks, [0] * len(toks), min_freq=32)
 
 
-# ------------------------------------------------------------------ grid lookup
+# ------------------------------------------------------------------ grid
+
+def ref_grid(p, e, length):
+    """float64 [length, H] grid: token vectors then the position vector, zero rows past the end."""
+    s = min(e.n_instructions, length)
+    rows = np.concatenate([p["token_table"][e.token_ids[:s]].reshape(s, -1),
+                           p["pos_table"][e.position_ids[:s]]], axis=1)
+    return np.vstack([rows, np.zeros((length - s, rows.shape[1]))])
+
 
 def test_lookup_grid_shape_and_content():
     cfg = small_cfg("textcnn")
     model = build_backbone(cfg, seed=1)
     rng = np.random.default_rng(0)
-    e = enc(rng, 4, cfg)
-    grid = model.lookup_grid(e)
-    assert grid.shape == (4, cfg.grid_width)
+    encs = [enc(rng, 4, cfg), enc(rng, 2, cfg), enc(rng, 7, cfg)]
+    grid = model._grid(encs, 5)
+    assert grid.shape == (3, 5, cfg.grid_width)
     tok_tab = model.params["token_table"].data
     pos_tab = model.params["pos_table"].data
     d = cfg.embed_dim
-    row = grid.data[2]
+    row = grid.data[0, 2]
     for j in range(cfg.tokens_per_instruction):
-        np.testing.assert_array_equal(row[j * d:(j + 1) * d], tok_tab[e.token_ids[2, j]])
-    np.testing.assert_array_equal(row[-d:], pos_tab[e.position_ids[2]])
+        np.testing.assert_array_equal(row[j * d:(j + 1) * d], tok_tab[encs[0].token_ids[2, j]])
+    np.testing.assert_array_equal(row[-d:], pos_tab[encs[0].position_ids[2]])
+    p = {k: v.data for k, v in model.params.items()}
+    for e, g in zip(encs, grid.data):   # rows past the end are zero; the 7-row function is cut
+        np.testing.assert_array_equal(g, ref_grid(p, e, 5))
 
 
 def test_lookup_grid_pad_row_is_zero():
     cfg = small_cfg("textcnn")
     model = build_backbone(cfg, seed=1)
     e = EncodedFunction(np.full((2, 3), PAD_ID, dtype=np.int32), np.array([0, 1], dtype=np.int32))
-    grid = model.lookup_grid(e)
+    grid = model._grid([e], 4)
     d = cfg.embed_dim
-    np.testing.assert_array_equal(grid.data[:, :3 * d], 0.0)
+    np.testing.assert_array_equal(grid.data[0, :, :3 * d], 0.0)
+    np.testing.assert_array_equal(grid.data[0, 2:], 0.0)       # padding: PAD ids, zero position
 
 
 def test_lookup_grid_id_out_of_bounds():
     cfg = small_cfg("textcnn")
     model = build_backbone(cfg, seed=1)
+    rng = np.random.default_rng(0)
     bad = EncodedFunction(np.array([[0, 1, 99]], dtype=np.int32), np.array([0], dtype=np.int32))
     with pytest.raises(DataError, match="mismatch"):
-        model.lookup_grid(bad)
+        model.embed_batch([enc(rng, 3, cfg), bad])
 
 
 # ------------------------------------------------------------------ param counts
@@ -183,32 +198,96 @@ def test_lstm_zero_weights_give_zero_embedding():
     np.testing.assert_array_equal(out.data, 0.0)
 
 
-def test_lstm_matches_manual_recurrence():
-    cfg = small_cfg("lstm")
-    model = build_backbone(cfg, seed=9)
-    rng = np.random.default_rng(8)
-    e = enc(rng, 6, cfg)
-    out = model.embed(e).data
+def sig(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
-    def sig(x):
-        return 1.0 / (1.0 + np.exp(-x))
 
-    grid = np.concatenate([
-        model.params["token_table"].data[e.token_ids].reshape(6, -1),
-        model.params["pos_table"].data[e.position_ids],
-    ], axis=1)
-    h = np.zeros(cfg.lstm_hidden, dtype=np.float32)
-    c = np.zeros(cfg.lstm_hidden, dtype=np.float32)
-    p = {k: v.data for k, v in model.params.items()}
-    for t in range(6):
-        z = np.concatenate([h, grid[t]])
+def gelu(x):
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def layer_norm(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    return g * (x - mu) / np.sqrt(var + 1e-5) + b
+
+
+def ref_textcnn(p, cfg, e):
+    """Windowed loop over one function's grid, zero-padded to the widest kernel."""
+    grid = ref_grid(p, e, max(e.n_instructions, max(cfg.conv_widths)))
+    feats = []
+    for i, width in enumerate(cfg.conv_widths):   # widths in small_cfg come grouped in index order
+        w, b = p[f"conv{i}.w"], p[f"conv{i}.b"]
+        outs = [np.einsum("chw,wh->c", w, grid[t:t + width]) + b
+                for t in range(len(grid) - width + 1)]
+        feats.append(np.maximum(np.max(outs, axis=0), 0.0))
+    return np.concatenate(feats) @ p["fc.w"] + p["fc.b"]
+
+
+def ref_lstm(p, cfg, e):
+    """The coupled-gate recurrence on z = [h_{t-1}, x_t], one instruction at a time."""
+    grid = ref_grid(p, e, e.n_instructions)
+    h = np.zeros(cfg.lstm_hidden)
+    c = np.zeros(cfg.lstm_hidden)
+    for x_t in grid:
+        z = np.concatenate([h, x_t])
         i = sig(z @ p["w_i"] + p["b_i"])
         f = sig(z @ p["w_f"] + p["b_f"])
         c_t = np.tanh(z @ p["w_c"] + p["b_c"])
         o = sig(z @ p["w_o"] + p["b_o"])
         c = f * c + i * c_t
         h = o * np.tanh(c)
-    np.testing.assert_allclose(out, h, rtol=1e-5, atol=1e-6)
+    return h
+
+
+def ref_mixer(p, cfg, e):
+    """Token- and channel-mixing MLPs on the grid cut or zero-padded to mixer_seq_len."""
+    x = ref_grid(p, e, cfg.mixer_seq_len)          # [S, C]
+    for layer in range(cfg.mixer_layers):
+        q = {k[len(f"layer{layer}."):]: v for k, v in p.items() if k.startswith(f"layer{layer}.")}
+        u = layer_norm(x, q["ln1.g"], q["ln1.b"]).T  # [C, S]
+        x = x + (gelu(u @ q["tok.w1"] + q["tok.b1"]) @ q["tok.w2"] + q["tok.b2"]).T
+        v = layer_norm(x, q["ln2.g"], q["ln2.b"])
+        x = x + gelu(v @ q["ch.w1"] + q["ch.b1"]) @ q["ch.w2"] + q["ch.b2"]
+    x = layer_norm(x, p["ln_final.g"], p["ln_final.b"])
+    return x.mean(axis=0) @ p["fc.w"] + p["fc.b"]
+
+
+REFERENCES = {"textcnn": ref_textcnn, "lstm": ref_lstm, "mixer": ref_mixer}
+
+# 1, below the widest conv (3), mixer_seq_len (6), mixer_seq_len + 5, 40
+MIXED_LENGTHS = (40, 6, 1, 11, 2)
+
+
+def perturbed(model, rng):
+    """Random nonzero biases and norm scales, so every parameter reaches the output."""
+    for p in model.params.values():
+        p.data += (0.1 * rng.standard_normal(p.shape)).astype(p.dtype)
+    model.params["token_table"].data[PAD_ID] = 0.0
+    return model
+
+
+@pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 1e-10, 1e-12),
+                                               (np.float32, 2e-4, 2e-6)])
+def test_embed_batch_matches_float64_reference(dtype, rtol, atol):
+    rng = np.random.default_rng(8)
+    for cfg in all_variants():
+        model = perturbed(build_backbone(cfg, seed=9, dtype=dtype), rng)
+        encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
+        out = model.embed_batch(encs).data
+        p = {k: v.data.astype(np.float64) for k, v in model.params.items()}
+        expected = np.stack([REFERENCES[cfg.variant](p, cfg, e) for e in encs])
+        np.testing.assert_allclose(out, expected, rtol=rtol, atol=atol, err_msg=cfg.variant)
+
+
+def test_lstm_matches_manual_recurrence():
+    cfg = small_cfg("lstm")
+    model = build_backbone(cfg, seed=9)
+    rng = np.random.default_rng(8)
+    e = enc(rng, 6, cfg)
+    out = model.embed(e).data
+    p = {k: v.data.astype(np.float64) for k, v in model.params.items()}
+    np.testing.assert_allclose(out, ref_lstm(p, cfg, e), rtol=1e-5, atol=1e-6)
 
 
 def test_mixer_zero_mlps_reduce_to_skip_path():
@@ -324,16 +403,20 @@ def test_checkpoint_vocab_size_cross_check(tmp_path):
 # ------------------------------------------------------------------ gradients
 
 def test_backbone_gradients_match_finite_differences():
+    """Through embed_batch on a mixed-length batch, so padded rows, the pool
+    mask, frozen LSTM rows and mixer truncation are all on the path; the
+    mixer runs in training mode with the same dropout draws on every call."""
     from asmsim.optim import finite_diff_check
 
     rng = np.random.default_rng(31)
     for cfg in all_variants():
-        model = build_backbone(cfg, seed=32, dtype=np.float64)
-        e = enc(rng, 4, cfg)
-        proj = rng.standard_normal(cfg.output_dim)
+        model = perturbed(build_backbone(cfg, seed=32, dtype=np.float64), rng)
+        encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
+        proj = rng.standard_normal((len(encs), cfg.output_dim))
 
         def f():
-            return ad.sum_(model.embed(e) * proj)
+            out = model.embed_batch(encs, training=True, rng=np.random.default_rng(33))
+            return ad.sum_(out * proj)
 
         report = finite_diff_check(
             f, model.params, rel_tolerance=1e-4, rng=rng,
