@@ -78,9 +78,6 @@ class Tensor:
     def _not_scalar(self):
         raise ValueError(f"item() needs a scalar, got shape {self.data.shape}")
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         """Backpropagate from a scalar result through the recorded graph."""
         if self.data.size != 1:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 
@@ -206,8 +205,7 @@ def cmd_search(args) -> int:
     backbone, vocab = load_checkpoint(args.checkpoint)
     if args.vocab:
         external = Vocabulary.load(args.vocab)
-        if hashlib.sha256(external.file_bytes()).hexdigest() != \
-                hashlib.sha256(vocab.file_bytes()).hexdigest():
+        if external.file_bytes() != vocab.file_bytes():
             _warn(f"{args.vocab} differs from the vocabulary embedded in "
                   f"{args.checkpoint}; using the embedded one")
     queries = load_dataset(args.query).records

@@ -132,21 +132,24 @@ class PairSample:
 
 
 class PairStream:
-    """Deterministic shuffled stream over pair indices; records stay shared."""
+    """Deterministic shuffled stream over pair indices; records stay shared.
+
+    `anchor` and `other` index the records and `labels` holds +1/-1, in stream order.
+    """
 
     def __init__(self, records, anchor_idx, other_idx, labels):
         self._records = records
-        self._anchor = anchor_idx
-        self._other = other_idx
-        self._labels = labels
+        self.anchor = anchor_idx
+        self.other = other_idx
+        self.labels = labels
         self.n_positive = int((labels > 0).sum())
         self.n_negative = int((labels < 0).sum())
 
     def __len__(self) -> int:
-        return self._labels.size
+        return self.labels.size
 
     def __iter__(self):
-        for a, o, y in zip(self._anchor, self._other, self._labels):
+        for a, o, y in zip(self.anchor, self.other, self.labels):
             yield PairSample(self._records[a], self._records[o], int(y))
 
 

@@ -14,6 +14,7 @@ parameter count and its gradient is masked before every optimizer step.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
@@ -83,7 +84,7 @@ class BackboneConfig:
         return cls(**d)
 
 
-def _kaiming(rng, shape, fan_in, dtype):
+def _kaiming(rng, shape, dtype, fan_in):
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
@@ -92,26 +93,38 @@ def _embedding_init(rng, shape, dtype):
     return rng.normal(0.0, 0.02, size=shape).astype(dtype)
 
 
+def _uniform(fan_in):
+    return functools.partial(_kaiming, fan_in=fan_in)
+
+
 class Backbone:
     """Shared embedding tables plus a variant-specific head."""
 
-    def __init__(self, cfg: BackboneConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: BackboneConfig, rng: np.random.Generator | None,
+                 dtype=np.float32, data: dict[str, np.ndarray] | None = None):
+        """Parameters are drawn from `rng` in layout order, or, when `data`
+        (name -> array) is given, taken from it as they are, drawing nothing."""
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Tensor] = {}
-        token = _embedding_init(rng, (cfg.vocab_size, cfg.embed_dim), self.dtype)
-        token[PAD_ID] = 0.0
-        self._add("token_table", token)
-        self._add("pos_table", _embedding_init(rng, (cfg.max_positions, cfg.embed_dim), self.dtype))
-        self._init_head(rng)
+        for name, shape, init in self.layout(cfg):
+            if data is not None:
+                value = data[name]
+            elif callable(init):
+                value = init(rng, shape, self.dtype)
+            else:
+                value = np.full(shape, init, dtype=self.dtype)
+            self.params[name] = Tensor(value, requires_grad=True)
+        if data is None:
+            self.params["token_table"].data[PAD_ID] = 0.0
 
-    def _add(self, name: str, data: np.ndarray) -> Tensor:
-        t = Tensor(data, requires_grad=True)
-        self.params[name] = t
-        return t
-
-    def _init_head(self, rng):
-        raise NotImplementedError
+    @classmethod
+    def layout(cls, cfg: BackboneConfig) -> list[tuple]:
+        """(name, shape, init) per parameter, in draw and checkpoint order.
+        init is a constant fill or init(rng, shape, dtype) -> array; a
+        variant extends this list with its head."""
+        return [("token_table", (cfg.vocab_size, cfg.embed_dim), _embedding_init),
+                ("pos_table", (cfg.max_positions, cfg.embed_dim), _embedding_init)]
 
     def _validate_ids(self, enc: EncodedFunction):
         if enc.token_ids.size and enc.token_ids.max() >= self.cfg.vocab_size:
@@ -213,15 +226,16 @@ class Backbone:
 class TextCNN(Backbone):
     """Width-5 and width-3 convolution banks, global max-pool, one projection."""
 
-    def _init_head(self, rng):
-        cfg = self.cfg
+    @classmethod
+    def layout(cls, cfg):
         h = cfg.grid_width
+        out = super().layout(cfg)
         for i, w in enumerate(cfg.conv_widths):
-            self._add(f"conv{i}.w", _kaiming(rng, (cfg.conv_channels, h, w), h * w, self.dtype))
-            self._add(f"conv{i}.b", np.zeros(cfg.conv_channels, dtype=self.dtype))
+            out += [(f"conv{i}.w", (cfg.conv_channels, h, w), _uniform(h * w)),
+                    (f"conv{i}.b", (cfg.conv_channels,), 0.0)]
         pooled = cfg.conv_channels * len(cfg.conv_widths)
-        self._add("fc.w", _kaiming(rng, (pooled, cfg.output_dim), pooled, self.dtype))
-        self._add("fc.b", np.zeros(cfg.output_dim, dtype=self.dtype))
+        return out + [("fc.w", (pooled, cfg.output_dim), _uniform(pooled)),
+                      ("fc.b", (cfg.output_dim,), 0.0)]
 
     def _width_groups(self):
         groups: dict[int, list[int]] = {}
@@ -252,12 +266,14 @@ class LSTMNet(Backbone):
 
     GATES = ("i", "f", "c", "o")
 
-    def _init_head(self, rng):
-        cfg = self.cfg
+    @classmethod
+    def layout(cls, cfg):
         zin = cfg.lstm_hidden + cfg.grid_width
-        for gate in self.GATES:
-            self._add(f"w_{gate}", _kaiming(rng, (zin, cfg.lstm_hidden), zin, self.dtype))
-            self._add(f"b_{gate}", np.zeros(cfg.lstm_hidden, dtype=self.dtype))
+        out = super().layout(cfg)
+        for gate in cls.GATES:
+            out += [(f"w_{gate}", (zin, cfg.lstm_hidden), _uniform(zin)),
+                    (f"b_{gate}", (cfg.lstm_hidden,), 0.0)]
+        return out
 
     def _head(self, encs, training, rng):
         hid = self.cfg.lstm_hidden
@@ -300,30 +316,22 @@ class Mixer(Backbone):
     token sequence. Dropout applies inside the MLPs on training passes only.
     """
 
-    def _init_head(self, rng):
-        cfg = self.cfg
-        c = cfg.grid_width
-        s = cfg.mixer_seq_len
+    @classmethod
+    def layout(cls, cfg):
+        c, s = cfg.grid_width, cfg.mixer_seq_len
+        th, ch = cfg.mixer_token_hidden, cfg.mixer_channel_hidden
+        out = super().layout(cfg)
         for layer in range(cfg.mixer_layers):
             p = f"layer{layer}."
-            self._add(p + "ln1.g", np.ones(c, dtype=self.dtype))
-            self._add(p + "ln1.b", np.zeros(c, dtype=self.dtype))
-            self._add(p + "tok.w1", _kaiming(rng, (s, cfg.mixer_token_hidden), s, self.dtype))
-            self._add(p + "tok.b1", np.zeros(cfg.mixer_token_hidden, dtype=self.dtype))
-            self._add(p + "tok.w2", _kaiming(rng, (cfg.mixer_token_hidden, s),
-                                             cfg.mixer_token_hidden, self.dtype))
-            self._add(p + "tok.b2", np.zeros(s, dtype=self.dtype))
-            self._add(p + "ln2.g", np.ones(c, dtype=self.dtype))
-            self._add(p + "ln2.b", np.zeros(c, dtype=self.dtype))
-            self._add(p + "ch.w1", _kaiming(rng, (c, cfg.mixer_channel_hidden), c, self.dtype))
-            self._add(p + "ch.b1", np.zeros(cfg.mixer_channel_hidden, dtype=self.dtype))
-            self._add(p + "ch.w2", _kaiming(rng, (cfg.mixer_channel_hidden, c),
-                                            cfg.mixer_channel_hidden, self.dtype))
-            self._add(p + "ch.b2", np.zeros(c, dtype=self.dtype))
-        self._add("ln_final.g", np.ones(c, dtype=self.dtype))
-        self._add("ln_final.b", np.zeros(c, dtype=self.dtype))
-        self._add("fc.w", _kaiming(rng, (c, cfg.output_dim), c, self.dtype))
-        self._add("fc.b", np.zeros(cfg.output_dim, dtype=self.dtype))
+            out += [(p + "ln1.g", (c,), 1.0), (p + "ln1.b", (c,), 0.0),
+                    (p + "tok.w1", (s, th), _uniform(s)), (p + "tok.b1", (th,), 0.0),
+                    (p + "tok.w2", (th, s), _uniform(th)), (p + "tok.b2", (s,), 0.0),
+                    (p + "ln2.g", (c,), 1.0), (p + "ln2.b", (c,), 0.0),
+                    (p + "ch.w1", (c, ch), _uniform(c)), (p + "ch.b1", (ch,), 0.0),
+                    (p + "ch.w2", (ch, c), _uniform(ch)), (p + "ch.b2", (c,), 0.0)]
+        return out + [("ln_final.g", (c,), 1.0), ("ln_final.b", (c,), 0.0),
+                      ("fc.w", (c, cfg.output_dim), _uniform(c)),
+                      ("fc.b", (cfg.output_dim,), 0.0)]
 
     # every function fills the full mixer_seq_len grid, so a chunk saves no
     # padding; a small one bounds inference memory at no cost in speed
@@ -435,21 +443,21 @@ def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
     vocab = Vocabulary.from_bytes(r.take(r.unpack("<Q")), where=str(path))
     if vocab.size != cfg.vocab_size:
         raise DataError(f"{path}: vocabulary size {vocab.size} != config {cfg.vocab_size}")
-    backbone = build_backbone(cfg, seed=0)
+    cls = _VARIANT_CLASSES[cfg.variant]
+    expected = {name: shape for name, shape, _ in cls.layout(cfg)}
     n_params = r.unpack("<I")
-    if n_params != len(backbone.params):
-        raise DataError(f"{path}: expected {len(backbone.params)} parameter blocks, found {n_params}")
+    if n_params != len(expected):
+        raise DataError(f"{path}: expected {len(expected)} parameter blocks, found {n_params}")
+    blocks = {}
     for _ in range(n_params):
         name = r.take(r.unpack("<H")).decode("utf-8")
-        if name not in backbone.params:
+        if name not in expected or name in blocks:
             raise DataError(f"{path}: unexpected parameter block '{name}'")
         ndim = r.unpack("<B")
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
-        target = backbone.params[name]
-        if tuple(shape) != target.data.shape:
+        if shape != expected[name]:
             raise DataError(f"{path}: parameter '{name}' has shape {shape}, "
-                            f"expected {target.data.shape}")
+                            f"expected {expected[name]}")
         count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
-        target.data = data.astype(np.float32).copy()
-    return backbone, vocab
+        blocks[name] = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape).astype(np.float32)
+    return cls(cfg, None, data=blocks), vocab

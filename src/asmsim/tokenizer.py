@@ -9,6 +9,7 @@ frequency reaches the threshold, and everything else encodes as UNK.
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 import warnings
 from dataclasses import dataclass
@@ -27,8 +28,12 @@ UNK_TOKEN = "<UNK>"
 PAD_ID = 0
 UNK_ID = 1
 
+# v2 ends with the delimiter set as a non-empty JSON string, so tab, space and
+# quotes survive; a v1 header has none and reads with DEFAULT_DELIMITERS
+_JSON_CHAR = r'(?:[^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9a-fA-F]{4})'
 _HEADER_RE = re.compile(
-    r"^# asmsim vocab v1 pad=(?P<pad>\S+) unk=(?P<unk>\S+) min_freq=(?P<minfreq>\d+)$"
+    r"^# asmsim vocab (?:v1|(?P<v2>v2)) pad=(?P<pad>\S+) unk=(?P<unk>\S+) min_freq=(?P<minfreq>\d+)"
+    rf'(?(v2) delimiters=(?P<delimiters>"{_JSON_CHAR}+"))$'
 )
 
 
@@ -78,7 +83,8 @@ class Vocabulary:
         body = self._body_bytes()
         digest = hashlib.sha256(body).hexdigest()
         header = (
-            f"# asmsim vocab v1 pad={PAD_TOKEN} unk={UNK_TOKEN} min_freq={self.min_freq}\n"
+            f"# asmsim vocab v2 pad={PAD_TOKEN} unk={UNK_TOKEN} min_freq={self.min_freq}"
+            f" delimiters={json.dumps(self.delimiters)}\n"
             f"# sha256={digest}\n"
         )
         return header.encode("utf-8") + body
@@ -121,7 +127,9 @@ class Vocabulary:
             id_to_token.append(tok)
         if m.group("pad") != PAD_TOKEN or m.group("unk") != UNK_TOKEN:
             raise DataError(f"{where}: unsupported reserved-token names in header")
-        return cls(id_to_token, frequencies, min_freq=int(m.group("minfreq")))
+        delimiters = m.group("delimiters")
+        return cls(id_to_token, frequencies, min_freq=int(m.group("minfreq")),
+                   delimiters=DEFAULT_DELIMITERS if delimiters is None else json.loads(delimiters))
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

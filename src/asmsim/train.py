@@ -80,13 +80,17 @@ def cosine_pair_loss_batch(e1: Tensor, e2: Tensor, labels, margin: float = DEFAU
 class TrainResult:
     backbone: Backbone
     losses: list[float] = field(default_factory=list)
-    n_batches: int = 0
+
+    @property
+    def n_batches(self) -> int:
+        return len(self.losses)
 
 
 def train(corpus: CorpusIndex, vocab: Vocabulary, backbone_cfg: BackboneConfig,
-          cfg: TrainConfig, checkpoint_cb=None, log=None) -> TrainResult:
+          cfg: TrainConfig, checkpoint_cb=None) -> TrainResult:
     """Run the siamese loop; returns the trained backbone and per-batch losses.
 
+    Records are encoded once; batch k holds stream pairs [k*B, (k+1)*B).
     `checkpoint_cb(backbone, batch_index, reason)` fires every
     `checkpoint_every` batches ("interval") and at each epoch end ("epoch").
     Identical seeds reproduce the stream, the updates, and the loss trace.
@@ -98,60 +102,35 @@ def train(corpus: CorpusIndex, vocab: Vocabulary, backbone_cfg: BackboneConfig,
     backbone = build_backbone(backbone_cfg, seed=np.random.default_rng(init_ss))
     dropout_rng = np.random.default_rng(dropout_ss)
     opt = Adam(backbone.params, lr=cfg.learning_rate)
-
-    encoded: dict[int, object] = {}
-
-    def enc_of(rec):
-        key = id(rec)
-        if key not in encoded:
-            encoded[key] = encode_function(
-                vocab, rec,
-                k_tokens=backbone_cfg.tokens_per_instruction,
-                max_positions=backbone_cfg.max_positions,
-            )
-        return encoded[key]
+    encs = [encode_function(vocab, rec, k_tokens=backbone_cfg.tokens_per_instruction,
+                            max_positions=backbone_cfg.max_positions)
+            for rec in corpus.records]
 
     result = TrainResult(backbone=backbone)
-    batch_index = 0
     for epoch in range(cfg.epochs):
         stream = make_pairs(corpus, R=cfg.negatives, seed=epoch_ss[epoch])
         if len(stream) == 0:
             raise DataError("corpus yields no training pairs (identical variants or one family)")
-        anchors, others, labels = [], [], []
-
-        def run_batch():
-            nonlocal batch_index
-            e1 = backbone.embed_batch([enc_of(r) for r in anchors],
+        for start in range(0, len(stream), cfg.batch_size):
+            batch = slice(start, start + cfg.batch_size)
+            e1 = backbone.embed_batch([encs[i] for i in stream.anchor[batch]],
                                       training=True, rng=dropout_rng)
-            e2 = backbone.embed_batch([enc_of(r) for r in others],
+            e2 = backbone.embed_batch([encs[i] for i in stream.other[batch]],
                                       training=True, rng=dropout_rng)
-            loss = cosine_pair_loss_batch(e1, e2, labels, margin=cfg.margin)
+            loss = cosine_pair_loss_batch(e1, e2, stream.labels[batch], margin=cfg.margin)
             value = loss.item()
             if not np.isfinite(value):
-                raise NumericError(f"non-finite loss at batch {batch_index}")
+                raise NumericError(f"non-finite loss at batch {result.n_batches}")
             backbone.zero_grad()
             loss.backward()
             backbone.mask_frozen_grads()
             opt.step()
+            del e1, e2, loss  # this batch's graph must not live through the next forward
             result.losses.append(value)
-            batch_index += 1
-            if log is not None:
-                log(batch_index, value)
-            if checkpoint_cb is not None and batch_index % cfg.checkpoint_every == 0:
-                checkpoint_cb(backbone, batch_index, "interval")
-
-        for pair in stream:
-            anchors.append(pair.anchor)
-            others.append(pair.other)
-            labels.append(pair.label)
-            if len(labels) == cfg.batch_size:
-                run_batch()
-                anchors, others, labels = [], [], []
-        if labels:
-            run_batch()
+            if checkpoint_cb is not None and result.n_batches % cfg.checkpoint_every == 0:
+                checkpoint_cb(backbone, result.n_batches, "interval")
         if checkpoint_cb is not None:
-            checkpoint_cb(backbone, batch_index, "epoch")
-    result.n_batches = batch_index
+            checkpoint_cb(backbone, result.n_batches, "epoch")
     return result
 
 

@@ -1,5 +1,6 @@
 """End-to-end command behavior: artifacts, exit codes, warnings."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from asmsim.cli import main, read_config_file
 from asmsim.corpus import save_dataset
 from asmsim.models import load_checkpoint
 from asmsim.synthetic import SynthConfig, generate
-from asmsim.tokenizer import Vocabulary
+from asmsim.tokenizer import UNK_ID, Vocabulary, encode_function, split_instruction
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +31,8 @@ def workdir(tmp_path_factory):
 
 def test_vocab_writes_header_and_manifest(workdir):
     lines = (workdir / "vocab.txt").read_text().splitlines()
-    assert lines[0] == "# asmsim vocab v1 pad=<PAD> unk=<UNK> min_freq=4"
+    assert lines[0] == ('# asmsim vocab v2 pad=<PAD> unk=<UNK> min_freq=4 '
+                        'delimiters=" \\t+-*:,;[]()"')
     assert lines[1].startswith("# sha256=")
     doc = json.loads((workdir / "vocab.txt.manifest.json").read_text())
     assert doc["command"] == "vocab"
@@ -52,6 +54,23 @@ def test_vocab_missing_input_names_path(tmp_path, capsys):
     code = main(["vocab", str(missing), "--out", str(tmp_path / "v.txt")])
     assert code == 2
     assert str(missing) in capsys.readouterr().err
+
+
+def test_vocab_delimiters_survive_train_and_embed(tmp_path):
+    records = [dataclasses.replace(r, instructions=tuple(
+                   ".".join(split_instruction(ins)) for ins in r.instructions))
+               for r in generate(SynthConfig(n_families=4, seed=3))]
+    data, vocab_path, ckpt = tmp_path / "dot.jsonl", tmp_path / "vocab.txt", tmp_path / "m.ckpt"
+    save_dataset(records, data)
+    assert main(["vocab", str(data), "--out", str(vocab_path), "--min-freq", "1",
+                 "--delimiters", "."]) == 0
+    assert main(["train", str(data), str(vocab_path), "--out", str(ckpt), "--seed", "1",
+                 "--epochs", "1", "--batch-size", "64", "--negatives", "1"]) == 0
+    assert main(["embed", str(data), str(ckpt), "--out", str(tmp_path / "e.jsonl")]) == 0
+    _, vocab = load_checkpoint(ckpt)
+    assert vocab.delimiters == "."
+    assert vocab.file_bytes() == vocab_path.read_bytes()
+    assert (encode_function(vocab, records[0]).token_ids[:, 0] != UNK_ID).all()
 
 
 # ------------------------------------------------------------------ train

@@ -1,5 +1,8 @@
 """Backbone shapes, parameter counts, architecture traces, and checkpoints."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -369,6 +372,44 @@ def test_checkpoint_round_trip(tmp_path):
     path2 = tmp_path / "model2.ckpt"
     save_checkpoint(path2, loaded, loaded_vocab)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_load_draws_no_initialisation(tmp_path, monkeypatch):
+    import asmsim.models as models
+
+    vocab = tiny_vocab()
+    for cfg in all_variants():
+        model = build_backbone(cfg, seed=24)
+        path = tmp_path / f"{cfg.variant}.ckpt"
+        save_checkpoint(path, model, vocab)
+        with monkeypatch.context() as m:
+            for init in ("_kaiming", "_embedding_init"):
+                m.setattr(models, init, lambda *a, **k: pytest.fail("load drew an initialisation"))
+            loaded, _ = load_checkpoint(path)
+        assert loaded.fingerprint() == model.fingerprint()
+        assert all(p.data.flags.writeable and p.data.dtype == np.float32
+                   for p in loaded.params.values())
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p.pop("fc.b"), "expected 8 parameter blocks, found 7"),
+    (lambda p: p.__setitem__("bogus", p.pop("fc.b")), "unexpected parameter block 'bogus'"),
+    (lambda p: p.__setitem__("fc.b", ad.parameter(np.zeros(7))), "'fc.b' has shape"),
+    ("duplicate", "unexpected parameter block 'conv0.b'"),
+])
+def test_checkpoint_rejects_bad_blocks(tmp_path, edit, message):
+    cfg = small_cfg("textcnn")
+    model = build_backbone(cfg, seed=25)
+    path = tmp_path / "model.ckpt"
+    if edit == "duplicate":                    # same name twice: conv1.b's slot says conv0.b
+        save_checkpoint(path, model, tiny_vocab())
+        body = path.read_bytes()[:-32].replace(b"conv1.b", b"conv0.b")
+        path.write_bytes(body + hashlib.sha256(body).digest())    # a valid trailer
+    else:                                      # save_checkpoint seals whatever params hold
+        edit(model.params)
+        save_checkpoint(path, model, tiny_vocab())
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_checkpoint(path)
 
 
 def test_checkpoint_detects_corruption(tmp_path):

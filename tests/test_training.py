@@ -1,5 +1,8 @@
 """Pair-loss contract, siamese loop behavior, and run-to-run determinism."""
 
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from asmsim.corpus import CorpusIndex, FunctionRecord
 from asmsim.errors import DataError, NumericError
 from asmsim.models import BackboneConfig
 from asmsim.optim import finite_diff_check
-from asmsim.tokenizer import build_vocab
+from asmsim.tokenizer import build_vocab, encode_function
 from asmsim.train import (
     TrainConfig, cosine_pair_loss, cosine_pair_loss_batch, train, write_loss_csv,
 )
@@ -123,6 +126,78 @@ def test_train_runs_and_counts_batches():
     assert result.n_batches == int(np.ceil(stream_len / 8))
     assert len(result.losses) == result.n_batches
     assert all(np.isfinite(v) for v in result.losses)
+
+
+def test_batches_are_consecutive_stream_slices(monkeypatch):
+    """Batch k embeds and scores exactly the stream's pairs [k*B, (k+1)*B),
+    in stream order, with a short last batch in each epoch."""
+    from asmsim.models import Backbone
+
+    train_mod = importlib.import_module("asmsim.train")  # the package re-exports train()
+
+    corpus, vocab, bcfg = setup()
+    batch = 8
+    streams, embedded, scored = [], [], []
+    orig_pairs, orig_embed, orig_loss = (train_mod.make_pairs, Backbone.embed_batch,
+                                         train_mod.cosine_pair_loss_batch)
+
+    def spy_pairs(*args, **kwargs):
+        streams.append(orig_pairs(*args, **kwargs))
+        return streams[-1]
+
+    def spy_embed(self, encs, training=False, rng=None):
+        embedded.append([e.token_ids for e in encs])
+        return orig_embed(self, encs, training=training, rng=rng)
+
+    def spy_loss(e1, e2, labels, margin):
+        scored.append(list(labels))
+        return orig_loss(e1, e2, labels, margin=margin)
+
+    monkeypatch.setattr(train_mod, "make_pairs", spy_pairs)
+    monkeypatch.setattr(Backbone, "embed_batch", spy_embed)
+    monkeypatch.setattr(train_mod, "cosine_pair_loss_batch", spy_loss)
+    train(corpus, vocab, bcfg, TrainConfig(seed=13, batch_size=batch, epochs=2, negatives=2))
+
+    ids = [encode_function(vocab, r, k_tokens=bcfg.tokens_per_instruction,
+                           max_positions=bcfg.max_positions).token_ids for r in corpus.records]
+    expected = []
+    for stream in streams:
+        assert len(stream) % batch != 0
+        pairs = list(stream)
+        expected += [pairs[s:s + batch] for s in range(0, len(pairs), batch)]
+    assert len(streams) == 2 and len(scored) == len(expected) and len(embedded) == 2 * len(expected)
+    for k, pairs in enumerate(expected):
+        for side, got in zip(("anchor", "other"), embedded[2 * k:2 * k + 2]):
+            want = [ids[corpus.records.index(getattr(p, side))] for p in pairs]
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (k, side)
+        assert scored[k] == [p.label for p in pairs]
+    assert len(expected[-1]) < batch
+
+
+def test_batch_graph_freed_before_next_forward(monkeypatch):
+    """A batch's graph (its embeddings and loss, and with them every array
+    the backward closures keep) is released before the next forward starts."""
+    from asmsim.models import Backbone
+
+    train_mod = importlib.import_module("asmsim.train")
+    corpus, vocab, bcfg = setup()
+    graph, alive_at_forward = [], []
+    orig_embed, orig_loss = Backbone.embed_batch, train_mod.cosine_pair_loss_batch
+
+    def spy_embed(self, encs, training=False, rng=None):
+        alive_at_forward.append(any(ref() is not None for ref in graph))
+        return orig_embed(self, encs, training=training, rng=rng)
+
+    def spy_loss(e1, e2, labels, margin):
+        out = orig_loss(e1, e2, labels, margin=margin)
+        graph.extend(weakref.ref(t.data) for t in (e1, e2, out))
+        return out
+
+    monkeypatch.setattr(Backbone, "embed_batch", spy_embed)
+    monkeypatch.setattr(train_mod, "cosine_pair_loss_batch", spy_loss)
+    train(corpus, vocab, bcfg, TrainConfig(seed=17, batch_size=8, epochs=1, negatives=2))
+    assert len(graph) == 3 * 4 and not any(alive_at_forward)
 
 
 def test_train_deterministic_same_seed():
