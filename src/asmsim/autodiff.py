@@ -3,10 +3,12 @@
 Every operation records a node in a dynamic graph; calling ``backward()`` on a
 scalar result fills ``grad`` on every reachable tensor created with
 ``requires_grad=True``; inner nodes drop their gradient once it has been
-passed on, so a backward pass holds little beyond the forward graph. Sequence kernels take time-major batches
-([B, L, C]); `affine`, `layer_norm` and the elementwise kernels accept any
-leading axes. A graph stays in the dtype of its leaves: training runs in
-float32, the gradient-check harness builds float64 graphs.
+passed on, so a backward pass holds little beyond the forward graph.
+Sequence kernels take time-major batches ([B, L, C]); `token_conv` reads its
+[B, L, K] token and [B, L] position ids instead of a built [B, L, C] input.
+`affine`, `layer_norm` and the elementwise kernels accept any leading axes.
+A graph stays in the dtype of its leaves: training runs in float32, the
+gradient-check harness builds float64 graphs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import warnings
 from contextlib import contextmanager
 
 import numpy as np
+from scipy import sparse
 from scipy.special import erf
 
 _GRAD_ENABLED = True
@@ -382,42 +385,89 @@ def embedding(table: Tensor, ids) -> Tensor:
     return _node(out_data, (table,), backward)
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Valid (no-pad) cross-correlation, stride 1, over a time-major batch.
+def token_conv(table: Tensor, pos_table: Tensor, ids, pos, w: Tensor, b: Tensor) -> Tensor:
+    """Valid, stride-1 convolution over rows assembled from table lookups.
 
-    x [B, L, C_in]; w [C_out, C_in, W]; b [C_out] -> [B, L - W + 1, C_out].
+    Input row (n, t) is the concatenation of table[ids[n, t, 0]], ...,
+    table[ids[n, t, K-1]] and pos_table[pos[n, t]], with a zero position
+    vector where pos is -1 (padding). The rows are never built: each of the
+    K + 1 slots projects its distinct ids through its slice of the kernel
+    once, and each output sums its (K + 1) * W projected rows in one sparse
+    product.
+
+    table [V, d], pos_table [P, d], ids int [B, L, K], pos int [B, L],
+    w [C_out, (K + 1) * d, W], b [C_out] -> [B, L - W + 1, C_out].
     """
+    ids, pos = np.asarray(ids), np.asarray(pos)
+    if ids.dtype.kind not in "iu" or pos.dtype.kind not in "iu":
+        raise TypeError("token_conv ids and positions must be integers")
+    if ids.ndim != 3 or pos.shape != ids.shape[:2]:
+        raise ValueError(f"token_conv needs ids [B, L, K] and pos [B, L], "
+                         f"got {ids.shape} and {pos.shape}")
     if w.ndim != 3:
-        raise ValueError(f"conv1d kernel must be [C_out, C_in, W], got {w.shape}")
+        raise ValueError(f"token_conv kernel must be [C_out, C_in, W], got {w.shape}")
     c_out, c_in, width = w.shape
+    bsz, L, k = ids.shape
+    d = table.shape[1]
+    if pos_table.shape[1] != d or c_in != (k + 1) * d:
+        raise ValueError(f"token_conv channel mismatch: {k} tokens and a position of width "
+                         f"{d} against a kernel of {c_in} input channels")
     if b.shape != (c_out,):
-        raise ValueError(f"conv1d bias must be length {c_out}")
-    if x.ndim != 3:
-        raise ValueError(f"conv1d input must be [B, L, C_in], got {x.shape}")
-    if x.shape[2] != c_in:
-        raise ValueError(f"conv1d channel mismatch: input {x.shape[2]}, kernel {c_in}")
-    bsz, L, _ = x.shape
+        raise ValueError(f"token_conv bias must be length {c_out}")
     if L < width:
-        raise ValueError(f"conv1d input length {L} < kernel width {width}")
+        raise ValueError(f"token_conv input length {L} < kernel width {width}")
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise ValueError(f"token id out of range [0, {table.shape[0]})")
+    if pos.size and (pos.min() < -1 or pos.max() >= pos_table.shape[0]):
+        raise ValueError(f"position out of range [-1, {pos_table.shape[0]})")
     l_out = L - width + 1
-    win = np.lib.stride_tricks.sliding_window_view(x.data, width, axis=1)  # [B, L_out, C_in, W]
-    cols = np.ascontiguousarray(win).reshape(bsz * l_out, c_in * width)
-    wmat = w.data.reshape(c_out, c_in * width)
-    out2 = cols @ wmat.T
-    out_data = out2.reshape(bsz, l_out, c_out) + b.data[None, None, :]
+    slots = [(table, ids[:, :, s]) for s in range(k)] + [(pos_table, pos)]
+    uniqs, vecs, projs, cols = [], [], [], []
+    n_proj = 0
+    for s, (tab, sid) in enumerate(slots):
+        uniq, inv = np.unique(sid, return_inverse=True)
+        inv = inv.reshape(sid.shape)       # numpy releases disagree on the inverse's shape
+        v = tab.data[uniq]
+        v[uniq < 0] = 0.0                  # pos -1: padding
+        # projected rows (id, offset), each a C_out vector
+        projs.append((v @ _slot_kernel(w.data, s, d)).reshape(-1, c_out))
+        win = np.lib.stride_tricks.sliding_window_view(n_proj + inv * width, width, axis=1)
+        cols.append((win + np.arange(width)).astype(np.int32))   # [B, L_out, W]
+        uniqs.append(uniq)
+        vecs.append(v)
+        n_proj += uniq.size * width
+    n_rows, per_row = bsz * l_out, (k + 1) * width
+    proj = np.concatenate(projs)
+    picks = sparse.csr_matrix(        # output row -> the projected rows it sums
+        (np.ones(n_rows * per_row, dtype=proj.dtype), np.concatenate(cols, axis=2).reshape(-1),
+         np.arange(0, n_rows * per_row + 1, per_row, dtype=np.int32)),
+        shape=(n_rows, n_proj))
+    out_data = (picks @ proj + b.data).reshape(bsz, l_out, c_out)
 
     def backward(g):
-        gflat = np.ascontiguousarray(g).reshape(bsz * l_out, c_out)
-        _accum(b, gflat.sum(axis=0))
-        _accum(w, (gflat.T @ cols).reshape(c_out, c_in, width))
-        if x.requires_grad:
-            gwin = (gflat @ wmat).reshape(bsz, l_out, c_in, width)
-            gx = np.zeros_like(x.data)
-            for off in range(width):
-                gx[:, off:off + l_out, :] += gwin[:, :, :, off]
-            _accum(x, gx)
+        g2 = g.reshape(n_rows, c_out)
+        _accum(b, g2.sum(axis=0))
+        gproj = picks.T @ g2
+        gw = np.empty((c_in, width, c_out), dtype=gproj.dtype)   # w's gradient, axes rolled
+        lo = 0
+        for s, ((tab, _), uniq, v) in enumerate(zip(slots, uniqs, vecs)):
+            gp = gproj[lo:lo + uniq.size * width].reshape(uniq.size, width * c_out)
+            lo += uniq.size * width
+            np.matmul(v.T, gp, out=gw[s * d:(s + 1) * d].reshape(d, width * c_out))
+            if tab.requires_grad:
+                if tab.grad is None:
+                    tab.grad = np.zeros_like(tab.data)
+                live = uniq >= 0
+                tab.grad[uniq[live]] += (gp @ _slot_kernel(w.data, s, d).T)[live]
+        _accum(w, gw.transpose(2, 0, 1))
 
-    return _node(out_data, (x, w, b), backward)
+    return _node(out_data, (table, pos_table, w, b), backward)
+
+
+def _slot_kernel(w: np.ndarray, slot: int, d: int) -> np.ndarray:
+    """Input channels [slot * d, (slot + 1) * d) of w [C_out, C_in, W] as [d, W * C_out]."""
+    c_out, _, width = w.shape
+    return w[:, slot * d:(slot + 1) * d, :].transpose(1, 2, 0).reshape(d, width * c_out)
 
 
 def max_pool_time(x: Tensor, lengths=None) -> Tensor:

@@ -98,8 +98,11 @@ def _merge_train_config(args) -> TrainConfig:
 
 def cmd_vocab(args) -> int:
     corpus = load_dataset(args.dataset)
-    vocab = build_vocab(corpus.records, min_freq=args.min_freq,
-                        delimiters=args.delimiters)
+    try:
+        vocab = build_vocab(corpus.records, min_freq=args.min_freq,
+                            delimiters=args.delimiters)
+    except ValueError as exc:              # --min-freq below 1, empty --delimiters
+        raise DataError(str(exc)) from exc
     vocab.save(args.out)
     write_manifest(args.out, command="vocab",
                    config={"min_freq": args.min_freq, "delimiters": args.delimiters},

@@ -1,8 +1,11 @@
 """Siamese backbones over instruction grids, plus checkpoint serialization.
 
-A batch of B functions becomes one [B, L, H] grid: per instruction, K token
-vectors and one position vector of width d are concatenated, H = d * (K + 1),
-and shorter functions are padded to L with PAD ids and zero position vectors.
+Per instruction, K token vectors and one position vector of width d
+concatenate into one row of width H = d * (K + 1). A batch of B functions is
+padded to L instructions with PAD ids and position -1 (a zero position
+vector). The lstm and the mixer run on the [B, L, H] grid of those rows; the
+textcnn never builds it, its convolution reads the [B, L, K] token ids and
+[B, L] positions and applies each kernel slice once per distinct token.
 Every backbone has one forward, `embed_batch`, which runs length-sorted chunks
 of the batch through the variant's head and maps each function to a
 fixed-width embedding; both sides of a training pair run through the same
@@ -139,25 +142,28 @@ class Backbone:
     # grid close to the true token volume
     CHUNK = 64
 
-    def _grid(self, encs, length: int) -> Tensor:
-        """[B, length, H] grid of concatenated token and position vectors.
+    def _lookups(self, encs, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """[B, length, K] token ids and [B, length] positions.
 
         Functions longer than `length` are cut; rows past a function's end
-        hold PAD ids and a zero position vector.
+        hold PAD ids and position -1.
         """
-        cfg = self.cfg
-        bsz, k = len(encs), cfg.tokens_per_instruction
+        bsz, k = len(encs), self.cfg.tokens_per_instruction
         ids = np.full((bsz, length, k), PAD_ID, dtype=np.int32)
-        pos = np.zeros((bsz, length), dtype=np.int32)
-        mask = np.zeros((bsz, length, 1), dtype=self.dtype)
+        pos = np.full((bsz, length), -1, dtype=np.int32)
         for i, e in enumerate(encs):
             s = min(e.n_instructions, length)
             ids[i, :s] = e.token_ids[:s]
             pos[i, :s] = e.position_ids[:s]
-            mask[i, :s, 0] = 1.0
-        tok = ad.reshape(ad.embedding(self.params["token_table"], ids),
-                         (bsz, length, k * cfg.embed_dim))
-        posv = ad.embedding(self.params["pos_table"], pos) * ad.constant(mask)
+        return ids, pos
+
+    def _grid(self, encs, length: int) -> Tensor:
+        """[B, length, H] grid of concatenated token and position vectors,
+        with a zero position vector past each function's end."""
+        ids, pos = self._lookups(encs, length)
+        tok = ad.reshape(ad.embedding(self.params["token_table"], ids), (len(encs), length, -1))
+        mask = (pos >= 0).astype(self.dtype)[:, :, None]
+        posv = ad.embedding(self.params["pos_table"], np.maximum(pos, 0)) * ad.constant(mask)
         return ad.concat([tok, posv], axis=2)
 
     def _head(self, encs, training: bool, rng) -> Tensor:
@@ -194,7 +200,9 @@ class Backbone:
         with ad.no_grad():
             for start in range(0, len(encs), batch_size):
                 out.append(self.embed_batch(encs[start:start + batch_size]).data)
-        return np.concatenate(out, axis=0) if out else np.zeros((0, self.cfg.output_dim))
+        if not out:
+            return np.zeros((0, self.cfg.output_dim), dtype=self.dtype)
+        return np.concatenate(out, axis=0)
 
     def param_count(self) -> int:
         """Trainable scalars; the frozen PAD row does not count."""
@@ -224,7 +232,10 @@ class Backbone:
 
 
 class TextCNN(Backbone):
-    """Width-5 and width-3 convolution banks, global max-pool, one projection."""
+    """Width-5 and width-3 convolution banks, global max-pool, one projection.
+
+    Each bank is one `token_conv` over the token and position ids.
+    """
 
     @classmethod
     def layout(cls, cfg):
@@ -237,22 +248,16 @@ class TextCNN(Backbone):
         return out + [("fc.w", (pooled, cfg.output_dim), _uniform(pooled)),
                       ("fc.b", (cfg.output_dim,), 0.0)]
 
-    def _width_groups(self):
-        groups: dict[int, list[int]] = {}
-        for i, w in enumerate(self.cfg.conv_widths):
-            groups.setdefault(w, []).append(i)
-        return groups
-
     def _head(self, encs, training, rng):
         widest = max(self.cfg.conv_widths)
         eff = np.maximum([e.n_instructions for e in encs], widest)
-        grid = self._grid(encs, int(eff.max()))        # [B, S, H]
+        ids, pos = self._lookups(encs, int(eff.max()))  # [B, S, K], [B, S]
+        tables = self.params["token_table"], self.params["pos_table"]
         pooled = []
-        for width, idxs in self._width_groups().items():
-            w = ad.concat([self.params[f"conv{i}.w"] for i in idxs], axis=0)
-            b = ad.concat([self.params[f"conv{i}.b"] for i in idxs], axis=0)
-            conv = ad.relu(ad.conv1d(grid, w, b))
-            pooled.append(ad.max_pool_time(conv, lengths=eff - (width - 1)))
+        for i, width in enumerate(self.cfg.conv_widths):
+            conv = ad.token_conv(*tables, ids, pos,
+                                 self.params[f"conv{i}.w"], self.params[f"conv{i}.b"])
+            pooled.append(ad.max_pool_time(ad.relu(conv), lengths=eff - (width - 1)))
         return ad.concat(pooled, axis=1)               # [B, channels * n_kernels]
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import asmsim.autodiff as ad
 from asmsim.optim import finite_diff_check
@@ -20,41 +21,142 @@ def assert_grads_match(f, params, rng, frozen=None):
 
 # ---------------------------------------------------------------- pinned examples
 
+def lookup_grid(table, pos_table, ids, pos):
+    """float64 [B, L, H] rows: the K token vectors, then the position vector,
+    a zero vector where pos is -1."""
+    table, pos_table = np.asarray(table, np.float64), np.asarray(pos_table, np.float64)
+    posv = np.where((pos >= 0)[..., None], pos_table[np.maximum(pos, 0)], 0.0)
+    return np.concatenate([table[ids].reshape(*ids.shape[:2], -1), posv], axis=2)
+
+
+def ref_token_conv(table, pos_table, ids, pos, w, b):
+    """float64 windowed loop over the explicit grid."""
+    grid = lookup_grid(table, pos_table, ids, pos)
+    w, b = np.asarray(w, np.float64), np.asarray(b, np.float64)
+    bsz, length, _ = grid.shape
+    width = w.shape[2]
+    out = np.empty((bsz, length - width + 1, w.shape[0]))
+    for n in range(bsz):
+        for t in range(length - width + 1):
+            out[n, t] = np.einsum("chw,wh->c", w, grid[n, t:t + width]) + b
+    return out
+
+
+def c64(a):
+    return ad.constant(np.asarray(a, dtype=np.float64))
+
+
 def test_conv1d_example():
-    x = ad.constant([[[1.0], [2.0], [3.0], [4.0]]], dtype=np.float64)   # [B=1, L=4, C=1]
-    w = ad.constant([[[1.0, 0.0, -1.0]]], dtype=np.float64)
-    b = ad.constant([0.0], dtype=np.float64)
-    out = ad.conv1d(x, w, b)
-    np.testing.assert_array_equal(out.data, [[[-2.0], [-2.0]]])
+    """token_conv: d = 1, one token per row; the position tap reads pos 2, then pos -1 (zero)."""
+    table = c64([[0.0], [1.0], [2.0], [3.0], [4.0]])
+    pos_table = c64([[10.0], [20.0], [30.0], [40.0]])
+    ids = np.array([[[1], [2], [3], [4]]])                  # [B=1, L=4, K=1]
+    pos = np.array([[0, 1, 2, -1]])
+    w = c64([[[1.0, 0.0, -1.0], [0.0, 0.0, 1.0]]])          # [C_out=1, (K+1)*d=2, W=3]
+    out = ad.token_conv(table, pos_table, ids, pos, w, c64([0.5]))
+    np.testing.assert_array_equal(out.data, [[[28.5], [-1.5]]])
 
 
 def test_conv1d_impulse_identity():
+    """token_conv with an identity width-1 kernel returns the grid it never builds."""
     rng = np.random.default_rng(1)
-    x = ad.constant(rng.standard_normal((2, 9, 1)), dtype=np.float64)
-    w = ad.constant([[[1.0]]], dtype=np.float64)
-    b = ad.constant([0.0], dtype=np.float64)
-    np.testing.assert_array_equal(ad.conv1d(x, w, b).data, x.data)
+    d, k = 2, 2
+    table, pos_table = rng.standard_normal((6, d)), rng.standard_normal((9, d))
+    ids = rng.integers(0, 6, size=(2, 9, k))
+    pos = np.tile(np.arange(9), (2, 1))
+    pos[1, 6:] = -1
+    h = (k + 1) * d
+    out = ad.token_conv(c64(table), c64(pos_table), ids, pos,
+                        c64(np.eye(h)[:, :, None]), c64(np.zeros(h)))
+    np.testing.assert_array_equal(out.data, lookup_grid(table, pos_table, ids, pos))
 
 
 def test_conv1d_full_width_gives_length_one():
+    """token_conv over exactly W rows gives one output row."""
     rng = np.random.default_rng(2)
-    x = ad.constant(rng.standard_normal((1, 5, 3)), dtype=np.float64)
-    w = ad.constant(rng.standard_normal((2, 3, 5)), dtype=np.float64)
-    b = ad.constant(np.zeros(2), dtype=np.float64)
-    assert ad.conv1d(x, w, b).shape == (1, 1, 2)
+    ids = rng.integers(0, 4, size=(1, 5, 2))
+    out = ad.token_conv(c64(rng.standard_normal((4, 1))), c64(rng.standard_normal((5, 1))),
+                        ids, np.arange(5)[None], c64(rng.standard_normal((2, 3, 5))),
+                        c64(np.zeros(2)))
+    assert out.shape == (1, 1, 2)
 
 
 def test_conv1d_shape_errors():
-    x = ad.constant(np.ones((1, 4, 3)))
-    w = ad.constant(np.ones((2, 5, 3)))
-    b = ad.constant(np.zeros(2))
+    """token_conv rejects mismatched shapes, short inputs and out-of-range lookups."""
+    table, pos_table = c64(np.ones((5, 2))), c64(np.ones((4, 2)))
+    ids, pos = np.ones((1, 4, 2), dtype=np.int64), np.arange(4)[None]
+    w, b = c64(np.ones((3, 6, 2))), c64(np.zeros(3))
+
+    def call(ids=ids, pos=pos, w=w, b=b, pos_table=pos_table):
+        return ad.token_conv(table, pos_table, ids, pos, w, b)
+
+    call()
     with pytest.raises(ValueError, match="channel"):
-        ad.conv1d(x, w, b)
-    w2 = ad.constant(np.ones((2, 3, 6)))
+        call(w=c64(np.ones((3, 4, 2))))
+    with pytest.raises(ValueError, match="channel"):
+        call(pos_table=c64(np.ones((4, 3))))
     with pytest.raises(ValueError, match="length"):
-        ad.conv1d(x, w2, b)
-    with pytest.raises(ValueError, match=r"\[B, L, C_in\]"):
-        ad.conv1d(ad.constant(np.ones((4, 3))), ad.constant(np.ones((2, 3, 2))), b)
+        call(w=c64(np.ones((3, 6, 5))))
+    with pytest.raises(ValueError, match="bias"):
+        call(b=c64(np.zeros(2)))
+    with pytest.raises(ValueError, match=r"\[B, L, K\]"):
+        call(ids=ids[0])
+    with pytest.raises(ValueError, match=r"\[B, L\]"):
+        call(pos=pos[:, :3])
+    with pytest.raises(ValueError, match="token id out of range"):
+        call(ids=np.full((1, 4, 2), 5))
+    with pytest.raises(ValueError, match="position out of range"):
+        call(pos=np.array([[0, 1, -2, 3]]))
+    with pytest.raises(ValueError, match="position out of range"):
+        call(pos=np.array([[0, 1, 2, 4]]))
+    with pytest.raises(TypeError, match="integers"):
+        call(ids=ids.astype(np.float64))
+
+
+def _lookup_case(rng, kind):
+    """(ids [B, L, K], pos [B, L]) over a 7-token table and 6 positions."""
+    k, width = 3, 4
+    if kind == "random":
+        ids = rng.integers(0, 7, size=(3, 9, k))
+        pos = np.tile(np.minimum(np.arange(9), 5), (3, 1))
+    elif kind == "pad_heavy":          # lengths 1, 2 and 9; the rest PAD ids and pos -1
+        ids = np.zeros((3, 9, k), dtype=np.int64)
+        pos = np.full((3, 9), -1)
+        for n, length in enumerate((1, 2, 9)):
+            ids[n, :length] = rng.integers(0, 7, size=(length, k))
+            pos[n, :length] = np.minimum(np.arange(length), 5)
+        ids[2, 4:, 1:] = 0             # PAD slots inside a live row too
+    elif kind == "shorter_than_width":  # 2 instructions padded to the width
+        ids = np.zeros((1, width, k), dtype=np.int64)
+        ids[0, :2] = rng.integers(1, 7, size=(2, k))
+        pos = np.array([[0, 1, -1, -1]])
+    elif kind == "repeated_token":     # one token fills every slot
+        ids = np.full((2, 6, k), 3)
+        pos = np.tile(np.arange(6), (2, 1))
+        pos[1, 4:] = -1
+    elif kind == "long":               # 2,048 instructions, positions clamped
+        ids = rng.integers(0, 7, size=(1, 2048, k))
+        pos = np.minimum(np.arange(2048), 5)[None]
+    return ids, pos, k, width
+
+
+TOKEN_CONV_CASES = ("random", "pad_heavy", "shorter_than_width", "repeated_token", "long")
+
+
+@pytest.mark.parametrize("kind", TOKEN_CONV_CASES)
+@pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 1e-10, 1e-12),
+                                               (np.float32, 2e-4, 2e-6)])
+def test_token_conv_matches_grid_reference(kind, dtype, rtol, atol):
+    rng = np.random.default_rng(TOKEN_CONV_CASES.index(kind))
+    ids, pos, k, width = _lookup_case(rng, kind)
+    d, c_out = 2, 5
+    arrays = [rng.standard_normal(s).astype(dtype)
+              for s in ((7, d), (6, d), (c_out, (k + 1) * d, width), (c_out,))]
+    out = ad.token_conv(*(ad.constant(a) for a in arrays[:2]), ids, pos,
+                        *(ad.constant(a) for a in arrays[2:]))
+    assert out.dtype == dtype
+    np.testing.assert_allclose(out.data, ref_token_conv(*arrays[:2], ids, pos, *arrays[2:]),
+                               rtol=rtol, atol=atol)
 
 
 def test_max_pool_example():
@@ -170,7 +272,7 @@ def _saved_float_dtypes(node):
         v = cell.cell_contents
         arrays = v if isinstance(v, (list, tuple)) else [v]
         for a in arrays:
-            a = a.data if isinstance(a, ad.Tensor) else a
+            a = a.data if isinstance(a, ad.Tensor) or sparse.issparse(a) else a
             if isinstance(a, np.ndarray) and a.dtype.kind == "f":
                 out.add(a.dtype)
     return out
@@ -198,7 +300,9 @@ def test_float32_stays_float32():
         "reshape": lambda: ad.reshape(x, (10, 3)),
         "transpose": lambda: ad.transpose(x, (0, 2, 1)),
         "embedding": lambda: ad.embedding(w, np.array([0, 2])),
-        "conv1d": lambda: ad.conv1d(x, p32(4, 3, 2), b),
+        "token_conv": lambda: ad.token_conv(p32(6, 1), p32(5, 1), rng.integers(0, 6, (2, 5, 2)),
+                                            np.array([[0, 1, 2, -1, -1], [0, 1, 2, 3, 4]]),
+                                            p32(4, 3, 2), b),
         "max_pool_time": lambda: ad.max_pool_time(x, lengths=[2, 5]),
         "sum_": lambda: ad.sum_(x, axis=1),
         "mean_": lambda: ad.mean_(x, axis=1),
@@ -315,16 +419,18 @@ def test_embedding_gradients():
 
 
 def test_conv1d_gradients():
+    """token_conv: every case above, ids drawn from 7 tokens, so slots and rows share them."""
     rng = np.random.default_rng(19)
-    for _ in range(TRIALS):
-        c_in, c_out = rng.integers(1, 4), rng.integers(1, 4)
-        width = int(rng.integers(1, 4))
-        length = int(rng.integers(width, width + 4))
-        x = p64(rng, int(rng.integers(1, 3)), length, c_in)
-        proj = rng.standard_normal((x.shape[0], length - width + 1, c_out))
-        w = p64(rng, c_out, c_in, width)
-        b = p64(rng, c_out)
-        assert_grads_match(lambda: ad.sum_(ad.conv1d(x, w, b) * proj), {"x": x, "w": w, "b": b}, rng)
+    for kind in TOKEN_CONV_CASES[:-1]:
+        for _ in range(TRIALS // 4):
+            ids, pos, k, width = _lookup_case(rng, kind)
+            d, c_out = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            params = {"table": p64(rng, 7, d), "pos_table": p64(rng, 6, d),
+                      "w": p64(rng, c_out, (k + 1) * d, width), "b": p64(rng, c_out)}
+            proj = rng.standard_normal((ids.shape[0], ids.shape[1] - width + 1, c_out))
+            assert_grads_match(lambda: ad.sum_(ad.token_conv(
+                params["table"], params["pos_table"], ids, pos, params["w"], params["b"]) * proj),
+                params, rng)
 
 
 def test_cosine_gradients():

@@ -56,6 +56,18 @@ def test_vocab_missing_input_names_path(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, message", [(["--min-freq", "0"], "frequency threshold"),
+                                             (["--delimiters", ""], "delimiter set")])
+def test_vocab_bad_option_value_is_data_error(tmp_path, capsys, option, message):
+    data = tmp_path / "data.jsonl"
+    save_dataset(generate(SynthConfig(n_families=2, seed=3)), data)
+    out = tmp_path / "v.txt"
+    assert main(["vocab", str(data), "--out", str(out)] + option) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_vocab_delimiters_survive_train_and_embed(tmp_path):
     records = [dataclasses.replace(r, instructions=tuple(
                    ".".join(split_instruction(ins)) for ins in r.instructions))

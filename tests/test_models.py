@@ -11,7 +11,7 @@ from scipy.special import erf
 import asmsim.autodiff as ad
 from asmsim.errors import DataError
 from asmsim.models import (
-    BackboneConfig, build_backbone, load_checkpoint, save_checkpoint,
+    Backbone, BackboneConfig, build_backbone, load_checkpoint, save_checkpoint,
 )
 from asmsim.tokenizer import EncodedFunction, PAD_ID, Vocabulary
 
@@ -354,6 +354,31 @@ def test_long_function_embeds_finite():
     rng = np.random.default_rng(15)
     out = model.embed(enc(rng, 2048, cfg))
     assert np.all(np.isfinite(out.data))
+
+
+def test_embed_matrix_keeps_model_dtype():
+    rng = np.random.default_rng(16)
+    for dtype in (np.float32, np.float64):
+        model = build_backbone(small_cfg("textcnn"), seed=17, dtype=dtype)
+        assert model.embed_matrix([]).dtype == dtype
+        assert model.embed_matrix([]).shape == (0, model.cfg.output_dim)
+        assert model.embed_matrix([enc(rng, 4, model.cfg)]).dtype == dtype
+
+
+def test_textcnn_never_builds_the_grid(monkeypatch):
+    """The convolution reads token and position ids; the dense [B, L, H] grid is
+    for the lstm and the mixer only."""
+    def no_grid(self, encs, length):
+        raise AssertionError("textcnn built the dense grid")
+
+    monkeypatch.setattr(Backbone, "_grid", no_grid)
+    cfg = small_cfg("textcnn")
+    model = build_backbone(cfg, seed=18)
+    rng = np.random.default_rng(19)
+    encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
+    ad.sum_(model.embed_batch(encs, training=True, rng=rng)).backward()
+    assert model.params["conv0.w"].grad is not None
+    assert model.embed_matrix(encs).shape == (len(encs), cfg.output_dim)
 
 
 # ------------------------------------------------------------------ checkpoints
