@@ -156,8 +156,10 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, g)        # a copy, not g itself: `add` passes one g to both parents
+    else:
+        t.grad += g
 
 
 def _node(data: np.ndarray, parents, backward) -> Tensor:
@@ -273,11 +275,11 @@ def gelu(x: Tensor) -> Tensor:
     """Exact GELU: 0.5 x (1 + erf(x / sqrt(2)))."""
     xd = x.data
     cdf = 0.5 * (1.0 + erf(xd * INV_SQRT2))
-    out_data = (xd * cdf).astype(xd.dtype)
+    out_data = xd * cdf
 
     def backward(g):
         pdf = INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
-        _accum(x, (g * (cdf + xd * pdf)).astype(xd.dtype))
+        _accum(x, g * (cdf + xd * pdf))
 
     return _node(out_data, (x,), backward)
 
@@ -385,8 +387,8 @@ def embedding(table: Tensor, ids) -> Tensor:
     return _node(out_data, (table,), backward)
 
 
-def token_conv(table: Tensor, pos_table: Tensor, ids, pos, w: Tensor, b: Tensor) -> Tensor:
-    """Valid, stride-1 convolution over rows assembled from table lookups.
+def token_conv(table: Tensor, pos_table: Tensor, ids, pos, w: Tensor) -> Tensor:
+    """Valid, stride-1, bias-free convolution over rows assembled from table lookups.
 
     Input row (n, t) is the concatenation of table[ids[n, t, 0]], ...,
     table[ids[n, t, K-1]] and pos_table[pos[n, t]], with a zero position
@@ -396,7 +398,7 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, w: Tensor, b: Tensor)
     product.
 
     table [V, d], pos_table [P, d], ids int [B, L, K], pos int [B, L],
-    w [C_out, (K + 1) * d, W], b [C_out] -> [B, L - W + 1, C_out].
+    w [C_out, (K + 1) * d, W] -> [B, L - W + 1, C_out].
     """
     ids, pos = np.asarray(ids), np.asarray(pos)
     if ids.dtype.kind not in "iu" or pos.dtype.kind not in "iu":
@@ -412,8 +414,6 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, w: Tensor, b: Tensor)
     if pos_table.shape[1] != d or c_in != (k + 1) * d:
         raise ValueError(f"token_conv channel mismatch: {k} tokens and a position of width "
                          f"{d} against a kernel of {c_in} input channels")
-    if b.shape != (c_out,):
-        raise ValueError(f"token_conv bias must be length {c_out}")
     if L < width:
         raise ValueError(f"token_conv input length {L} < kernel width {width}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
@@ -442,12 +442,10 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, w: Tensor, b: Tensor)
         (np.ones(n_rows * per_row, dtype=proj.dtype), np.concatenate(cols, axis=2).reshape(-1),
          np.arange(0, n_rows * per_row + 1, per_row, dtype=np.int32)),
         shape=(n_rows, n_proj))
-    out_data = (picks @ proj + b.data).reshape(bsz, l_out, c_out)
+    out_data = (picks @ proj).reshape(bsz, l_out, c_out)
 
     def backward(g):
-        g2 = g.reshape(n_rows, c_out)
-        _accum(b, g2.sum(axis=0))
-        gproj = picks.T @ g2
+        gproj = picks.T @ g.reshape(n_rows, c_out)
         gw = np.empty((c_in, width, c_out), dtype=gproj.dtype)   # w's gradient, axes rolled
         lo = 0
         for s, ((tab, _), uniq, v) in enumerate(zip(slots, uniqs, vecs)):
@@ -461,7 +459,7 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, w: Tensor, b: Tensor)
                 tab.grad[uniq[live]] += (gp @ _slot_kernel(w.data, s, d).T)[live]
         _accum(w, gw.transpose(2, 0, 1))
 
-    return _node(out_data, (table, pos_table, w, b), backward)
+    return _node(out_data, (table, pos_table, w), backward)
 
 
 def _slot_kernel(w: np.ndarray, slot: int, d: int) -> np.ndarray:
@@ -504,9 +502,9 @@ def sum_(x: Tensor, axis=None) -> Tensor:
 
     def backward(g):
         if axis is None:
-            _accum(x, np.broadcast_to(g, x.data.shape).copy())
+            _accum(x, np.broadcast_to(g, x.data.shape))
         else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
+            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
 
     return _node(np.asarray(out_data), (x,), backward)
 

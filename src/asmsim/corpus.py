@@ -167,24 +167,25 @@ def make_pairs(corpus: CorpusIndex, R: int = 30, seed=0) -> PairStream:
     n = len(records)
     fam_ids = np.empty(n, dtype=np.int64)
     fam_index = {key: i for i, key in enumerate(corpus.families)}
-    rec_pos = {id(rec): i for i, rec in enumerate(records)}
+    fam_members: list[list[int]] = [[] for _ in corpus.families]
     for i, rec in enumerate(records):
-        fam_ids[i] = fam_index[rec.family_key]
+        fam_ids[i] = f = fam_index[rec.family_key]
+        fam_members[f].append(i)
 
     anchors: list[int] = []
     others: list[int] = []
     labels: list[int] = []
 
     level_rank = {lvl: i for i, lvl in enumerate(OPT_LEVELS)}
-    for fam in corpus.families.values():
-        members = sorted(fam.members.values(), key=lambda r: level_rank[r.opt_level])
+    for members in fam_members:
+        members.sort(key=lambda i: level_rank[records[i].opt_level])
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                a, b = members[i], members[j]
+                a, b = records[members[i]], records[members[j]]
                 if normalize_text(a.instructions) == normalize_text(b.instructions):
                     continue
-                anchors.append(rec_pos[id(a)])
-                others.append(rec_pos[id(b)])
+                anchors.append(members[i])
+                others.append(members[j])
                 labels.append(1)
 
     if R > 0:

@@ -194,15 +194,12 @@ class Backbone:
         """One function's [E] embedding: the single row of embed_batch([enc])."""
         return ad.reshape(self.embed_batch([enc], training=training, rng=rng), (-1,))
 
-    def embed_matrix(self, encs, batch_size: int = 256) -> np.ndarray:
+    def embed_matrix(self, encs) -> np.ndarray:
         """Inference embeddings as a plain [N, E] array."""
-        out = []
-        with ad.no_grad():
-            for start in range(0, len(encs), batch_size):
-                out.append(self.embed_batch(encs[start:start + batch_size]).data)
-        if not out:
+        if not encs:
             return np.zeros((0, self.cfg.output_dim), dtype=self.dtype)
-        return np.concatenate(out, axis=0)
+        with ad.no_grad():
+            return self.embed_batch(encs).data
 
     def param_count(self) -> int:
         """Trainable scalars; the frozen PAD row does not count."""
@@ -234,7 +231,9 @@ class Backbone:
 class TextCNN(Backbone):
     """Width-5 and width-3 convolution banks, global max-pool, one projection.
 
-    Each bank is one `token_conv` over the token and position ids.
+    Each bank is one bias-free `token_conv` over the token and position ids.
+    Its bias and ReLU are non-decreasing, so they commute with the max-pool,
+    rounding included: they run after it, on [B, C], not on every position.
     """
 
     @classmethod
@@ -255,9 +254,9 @@ class TextCNN(Backbone):
         tables = self.params["token_table"], self.params["pos_table"]
         pooled = []
         for i, width in enumerate(self.cfg.conv_widths):
-            conv = ad.token_conv(*tables, ids, pos,
-                                 self.params[f"conv{i}.w"], self.params[f"conv{i}.b"])
-            pooled.append(ad.max_pool_time(ad.relu(conv), lengths=eff - (width - 1)))
+            conv = ad.token_conv(*tables, ids, pos, self.params[f"conv{i}.w"])
+            peak = ad.max_pool_time(conv, lengths=eff - (width - 1))
+            pooled.append(ad.relu(peak + self.params[f"conv{i}.b"]))
         return ad.concat(pooled, axis=1)               # [B, channels * n_kernels]
 
 

@@ -29,16 +29,16 @@ def lookup_grid(table, pos_table, ids, pos):
     return np.concatenate([table[ids].reshape(*ids.shape[:2], -1), posv], axis=2)
 
 
-def ref_token_conv(table, pos_table, ids, pos, w, b):
+def ref_token_conv(table, pos_table, ids, pos, w):
     """float64 windowed loop over the explicit grid."""
     grid = lookup_grid(table, pos_table, ids, pos)
-    w, b = np.asarray(w, np.float64), np.asarray(b, np.float64)
+    w = np.asarray(w, np.float64)
     bsz, length, _ = grid.shape
     width = w.shape[2]
     out = np.empty((bsz, length - width + 1, w.shape[0]))
     for n in range(bsz):
         for t in range(length - width + 1):
-            out[n, t] = np.einsum("chw,wh->c", w, grid[n, t:t + width]) + b
+            out[n, t] = np.einsum("chw,wh->c", w, grid[n, t:t + width])
     return out
 
 
@@ -53,8 +53,8 @@ def test_conv1d_example():
     ids = np.array([[[1], [2], [3], [4]]])                  # [B=1, L=4, K=1]
     pos = np.array([[0, 1, 2, -1]])
     w = c64([[[1.0, 0.0, -1.0], [0.0, 0.0, 1.0]]])          # [C_out=1, (K+1)*d=2, W=3]
-    out = ad.token_conv(table, pos_table, ids, pos, w, c64([0.5]))
-    np.testing.assert_array_equal(out.data, [[[28.5], [-1.5]]])
+    out = ad.token_conv(table, pos_table, ids, pos, w)
+    np.testing.assert_array_equal(out.data, [[[28.0], [-2.0]]])
 
 
 def test_conv1d_impulse_identity():
@@ -66,8 +66,7 @@ def test_conv1d_impulse_identity():
     pos = np.tile(np.arange(9), (2, 1))
     pos[1, 6:] = -1
     h = (k + 1) * d
-    out = ad.token_conv(c64(table), c64(pos_table), ids, pos,
-                        c64(np.eye(h)[:, :, None]), c64(np.zeros(h)))
+    out = ad.token_conv(c64(table), c64(pos_table), ids, pos, c64(np.eye(h)[:, :, None]))
     np.testing.assert_array_equal(out.data, lookup_grid(table, pos_table, ids, pos))
 
 
@@ -76,8 +75,7 @@ def test_conv1d_full_width_gives_length_one():
     rng = np.random.default_rng(2)
     ids = rng.integers(0, 4, size=(1, 5, 2))
     out = ad.token_conv(c64(rng.standard_normal((4, 1))), c64(rng.standard_normal((5, 1))),
-                        ids, np.arange(5)[None], c64(rng.standard_normal((2, 3, 5))),
-                        c64(np.zeros(2)))
+                        ids, np.arange(5)[None], c64(rng.standard_normal((2, 3, 5))))
     assert out.shape == (1, 1, 2)
 
 
@@ -85,10 +83,10 @@ def test_conv1d_shape_errors():
     """token_conv rejects mismatched shapes, short inputs and out-of-range lookups."""
     table, pos_table = c64(np.ones((5, 2))), c64(np.ones((4, 2)))
     ids, pos = np.ones((1, 4, 2), dtype=np.int64), np.arange(4)[None]
-    w, b = c64(np.ones((3, 6, 2))), c64(np.zeros(3))
+    w = c64(np.ones((3, 6, 2)))
 
-    def call(ids=ids, pos=pos, w=w, b=b, pos_table=pos_table):
-        return ad.token_conv(table, pos_table, ids, pos, w, b)
+    def call(ids=ids, pos=pos, w=w, pos_table=pos_table):
+        return ad.token_conv(table, pos_table, ids, pos, w)
 
     call()
     with pytest.raises(ValueError, match="channel"):
@@ -97,8 +95,6 @@ def test_conv1d_shape_errors():
         call(pos_table=c64(np.ones((4, 3))))
     with pytest.raises(ValueError, match="length"):
         call(w=c64(np.ones((3, 6, 5))))
-    with pytest.raises(ValueError, match="bias"):
-        call(b=c64(np.zeros(2)))
     with pytest.raises(ValueError, match=r"\[B, L, K\]"):
         call(ids=ids[0])
     with pytest.raises(ValueError, match=r"\[B, L\]"):
@@ -151,11 +147,11 @@ def test_token_conv_matches_grid_reference(kind, dtype, rtol, atol):
     ids, pos, k, width = _lookup_case(rng, kind)
     d, c_out = 2, 5
     arrays = [rng.standard_normal(s).astype(dtype)
-              for s in ((7, d), (6, d), (c_out, (k + 1) * d, width), (c_out,))]
-    out = ad.token_conv(*(ad.constant(a) for a in arrays[:2]), ids, pos,
-                        *(ad.constant(a) for a in arrays[2:]))
+              for s in ((7, d), (6, d), (c_out, (k + 1) * d, width))]
+    table, pos_table, w = (ad.constant(a) for a in arrays)
+    out = ad.token_conv(table, pos_table, ids, pos, w)
     assert out.dtype == dtype
-    np.testing.assert_allclose(out.data, ref_token_conv(*arrays[:2], ids, pos, *arrays[2:]),
+    np.testing.assert_allclose(out.data, ref_token_conv(*arrays[:2], ids, pos, arrays[2]),
                                rtol=rtol, atol=atol)
 
 
@@ -302,7 +298,7 @@ def test_float32_stays_float32():
         "embedding": lambda: ad.embedding(w, np.array([0, 2])),
         "token_conv": lambda: ad.token_conv(p32(6, 1), p32(5, 1), rng.integers(0, 6, (2, 5, 2)),
                                             np.array([[0, 1, 2, -1, -1], [0, 1, 2, 3, 4]]),
-                                            p32(4, 3, 2), b),
+                                            p32(4, 3, 2)),
         "max_pool_time": lambda: ad.max_pool_time(x, lengths=[2, 5]),
         "sum_": lambda: ad.sum_(x, axis=1),
         "mean_": lambda: ad.mean_(x, axis=1),
@@ -426,10 +422,10 @@ def test_conv1d_gradients():
             ids, pos, k, width = _lookup_case(rng, kind)
             d, c_out = int(rng.integers(1, 3)), int(rng.integers(1, 4))
             params = {"table": p64(rng, 7, d), "pos_table": p64(rng, 6, d),
-                      "w": p64(rng, c_out, (k + 1) * d, width), "b": p64(rng, c_out)}
+                      "w": p64(rng, c_out, (k + 1) * d, width)}
             proj = rng.standard_normal((ids.shape[0], ids.shape[1] - width + 1, c_out))
             assert_grads_match(lambda: ad.sum_(ad.token_conv(
-                params["table"], params["pos_table"], ids, pos, params["w"], params["b"]) * proj),
+                params["table"], params["pos_table"], ids, pos, params["w"]) * proj),
                 params, rng)
 
 

@@ -381,6 +381,26 @@ def test_textcnn_never_builds_the_grid(monkeypatch):
     assert model.embed_matrix(encs).shape == (len(encs), cfg.output_dim)
 
 
+def test_textcnn_relu_runs_on_pooled_features(monkeypatch):
+    """The bias and ReLU apply to the [B, C] pooled features, never to a
+    bank's [B, L_out, C] output positions."""
+    relu = ad.relu
+
+    def pooled_only(x):
+        if x.ndim != 2:
+            raise AssertionError(f"relu over {x.shape}, not over pooled [B, C] features")
+        return relu(x)
+
+    monkeypatch.setattr(ad, "relu", pooled_only)
+    cfg = small_cfg("textcnn")
+    model = build_backbone(cfg, seed=18)
+    rng = np.random.default_rng(19)
+    encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
+    ad.sum_(model.embed_batch(encs, training=True, rng=rng)).backward()
+    assert model.params["conv0.b"].grad is not None
+    assert model.embed_matrix(encs).shape == (len(encs), cfg.output_dim)
+
+
 # ------------------------------------------------------------------ checkpoints
 
 def test_checkpoint_round_trip(tmp_path):
