@@ -3,6 +3,11 @@
 Every command is one process run producing files plus a manifest sidecar;
 identical inputs and seed give byte-identical artifacts (timestamps live
 only in manifests). Exit codes: 0 success, 1 usage, 2 data, 3 numeric.
+
+`search` also keeps `<index>.embcache` next to its index: the index's
+embeddings under that checkpoint, reused by the next search of the pair (see
+`embcache`). It is a cache, not an artifact, so it carries no manifest; a
+search that cannot write it warns and still answers.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import dataclasses
 import json
 import sys
 
-from . import __version__
+from . import __version__, embcache
 from .corpus import OPT_LEVELS, load_dataset
 from .errors import DataError, NumericError
 from .evaluate import (
@@ -205,6 +210,11 @@ def cmd_embed(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.top_k < 1:
+        raise DataError("--top-k must be >= 1")
+    # the sidecar key is taken before and after the files are read, so it
+    # describes the bytes this call loaded or it is not used
+    key = embcache.cache_key(args.checkpoint, args.index)
     backbone, vocab = load_checkpoint(args.checkpoint)
     if args.vocab:
         external = Vocabulary.load(args.vocab)
@@ -219,10 +229,19 @@ def cmd_search(args) -> int:
     if not index:
         _warn("search index is empty; no results")
         return 0
-    if args.top_k < 1:
-        raise DataError("--top-k must be >= 1")
+    if key != embcache.cache_key(args.checkpoint, args.index):
+        key = None
     q = backbone.embed_matrix(_encode_all(backbone, vocab, queries))
-    t = backbone.embed_matrix(_encode_all(backbone, vocab, index))
+    cache = embcache.sidecar_path(args.index)
+    t = embcache.load_rows(cache, key, len(index), backbone.cfg.output_dim) if key else None
+    if t is None:
+        t = backbone.embed_matrix(_encode_all(backbone, vocab, index))
+        if key is not None:
+            try:
+                embcache.save_rows(cache, key, t)
+            except OSError as exc:
+                _warn(f"could not write the index embedding cache {cache}: "
+                      f"{exc.strerror or exc}")
     scores = cosine_matrix(q, t)[0]
     order = descending_order(scores)[:min(args.top_k, len(index))]
     for rank, idx in enumerate(order, start=1):

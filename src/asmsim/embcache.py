@@ -1,0 +1,84 @@
+"""Index embedding sidecars: the rows `asmsim search` reuses across calls.
+
+`<index>.embcache` holds the [N, E] float32 rows `Backbone.embed_matrix`
+returned for an index dataset under one checkpoint, so a later search of the
+same index with the same checkpoint embeds only its query. It is a cache, not
+an artifact: it carries no manifest, a search rewrites it whenever it does not
+match, and deleting it costs the next search one full index embed.
+
+Layout: magic, version, the checkpoint's SHA-256 trailer (which covers its
+config, vocabulary and weights), the SHA-256 of the index file's bytes, N and
+E, the rows as little-endian row-major float32, and a SHA-256 trailer over
+everything before it. A sidecar that is missing, unreadable, short, corrupt,
+of another version or under another key is a miss, never an error. The rows
+are what the writing code computed, so a change to how embeddings are
+computed must bump VERSION.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import os
+import secrets
+import struct
+
+import numpy as np
+
+from .manifest import file_sha256
+
+MAGIC = b"ASMSIMX1"
+VERSION = 1
+_HEADER = struct.Struct("<8sI32s32sQI")     # magic, version, checkpoint, index, N, E
+_DIGEST = 32
+
+
+def sidecar_path(index_path) -> str:
+    return f"{index_path}.embcache"
+
+
+def cache_key(checkpoint_path, index_path) -> tuple[bytes, bytes] | None:
+    """(checkpoint SHA-256 trailer, index file SHA-256), or None when either
+    file cannot be read; the loads that follow report why."""
+    try:
+        with open(checkpoint_path, "rb") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            fh.seek(max(size - _DIGEST, 0))
+            trailer = fh.read()
+        return trailer, bytes.fromhex(file_sha256(index_path))
+    except OSError:
+        return None
+
+
+def load_rows(path, key: tuple[bytes, bytes], n: int, width: int) -> np.ndarray | None:
+    """The cached [n, width] rows (read-only) stored under `key`, or None on any mismatch."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError:
+        return None
+    if len(raw) != _HEADER.size + 4 * n * width + _DIGEST:
+        return None
+    if hashlib.sha256(memoryview(raw)[:-_DIGEST]).digest() != raw[-_DIGEST:]:
+        return None
+    if _HEADER.unpack_from(raw) != (MAGIC, VERSION, *key, n, width):
+        return None
+    return np.frombuffer(raw, dtype="<f4", count=n * width,
+                         offset=_HEADER.size).reshape(n, width)
+
+
+def save_rows(path, key: tuple[bytes, bytes], rows: np.ndarray):
+    """Write the sidecar atomically: a temp file in the same directory, then
+    `os.replace`. Raises OSError if it cannot; no temp file is left behind."""
+    rows = np.ascontiguousarray(rows, dtype="<f4")
+    out = _HEADER.pack(MAGIC, VERSION, *key, *rows.shape) + rows.tobytes()
+    out += hashlib.sha256(out).digest()
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(out)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

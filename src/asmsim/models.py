@@ -412,12 +412,14 @@ def save_checkpoint(path, backbone: Backbone, vocab: Vocabulary):
 
 
 class _Reader:
-    def __init__(self, buf: bytes, where: str):
+    """Reads a checkpoint body through a memoryview, so taking a block copies nothing."""
+
+    def __init__(self, buf: memoryview, where: str):
         self.buf = buf
         self.off = 0
         self.where = where
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.off + n > len(self.buf):
             raise DataError(f"{self.where}: truncated checkpoint")
         piece = self.buf[self.off:self.off + n]
@@ -434,8 +436,8 @@ def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
         raw = fh.read()
     if len(raw) < len(CHECKPOINT_MAGIC) + 32:
         raise DataError(f"{path}: truncated checkpoint")
-    body, digest = raw[:-32], raw[-32:]
-    if hashlib.sha256(body).digest() != digest:
+    body = memoryview(raw)[:-32]
+    if hashlib.sha256(body).digest() != raw[-32:]:
         raise DataError(f"{path}: checkpoint checksum mismatch (file corrupted?)")
     r = _Reader(body, str(path))
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
@@ -443,8 +445,8 @@ def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
     version = r.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    cfg = BackboneConfig.from_dict(json.loads(r.take(r.unpack("<I")).decode("utf-8")))
-    vocab = Vocabulary.from_bytes(r.take(r.unpack("<Q")), where=str(path))
+    cfg = BackboneConfig.from_dict(json.loads(str(r.take(r.unpack("<I")), "utf-8")))
+    vocab = Vocabulary.from_bytes(bytes(r.take(r.unpack("<Q"))), where=str(path))
     if vocab.size != cfg.vocab_size:
         raise DataError(f"{path}: vocabulary size {vocab.size} != config {cfg.vocab_size}")
     cls = _VARIANT_CLASSES[cfg.variant]
@@ -454,7 +456,7 @@ def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
         raise DataError(f"{path}: expected {len(expected)} parameter blocks, found {n_params}")
     blocks = {}
     for _ in range(n_params):
-        name = r.take(r.unpack("<H")).decode("utf-8")
+        name = str(r.take(r.unpack("<H")), "utf-8")
         if name not in expected or name in blocks:
             raise DataError(f"{path}: unexpected parameter block '{name}'")
         ndim = r.unpack("<B")
@@ -463,5 +465,7 @@ def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
             raise DataError(f"{path}: parameter '{name}' has shape {shape}, "
                             f"expected {expected[name]}")
         count = int(np.prod(shape)) if shape else 1
+        # the one copy per block: Adam updates p.data in place, so each array
+        # must be writable and own its memory
         blocks[name] = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape).astype(np.float32)
     return cls(cfg, None, data=blocks), vocab

@@ -1,11 +1,17 @@
 """End-to-end command behavior: artifacts, exit codes, warnings."""
 
+import builtins
 import dataclasses
+import errno
+import hashlib
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
 
+from asmsim import embcache
 from asmsim.cli import main, read_config_file
 from asmsim.corpus import save_dataset
 from asmsim.models import load_checkpoint
@@ -271,6 +277,206 @@ def test_search_external_vocab_mismatch_warns(workdir, tmp_path, capsys):
     assert main(["search", str(workdir / "model.ckpt"), "--query", str(query),
                  "--index", str(data), "--top-k", "1", "--vocab", str(other)]) == 0
     assert "differs from the vocabulary embedded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index_lines", [0, 6])
+def test_search_top_k_below_one_is_checked_first(workdir, tmp_path, capsys, index_lines):
+    with open(workdir / "data.jsonl") as fh:
+        lines = fh.readlines()
+    query, index = tmp_path / "q.jsonl", tmp_path / "idx.jsonl"
+    query.write_text(lines[0])
+    index.write_text("".join(lines[:index_lines]))
+    assert main(["search", str(workdir / "model.ckpt"), "--query", str(query),
+                 "--index", str(index), "--top-k", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == ["error"]
+    assert not (tmp_path / "idx.jsonl.embcache").exists()
+
+
+# ------------------------------------------------------------------ search sidecar
+
+N_INDEX = 12 * 3
+
+
+@pytest.fixture
+def embedded(monkeypatch):
+    """Sizes of the Backbone.embed_matrix calls made during a test."""
+    import asmsim.models as models
+
+    sizes = []
+    real = models.Backbone.embed_matrix
+
+    def spy(self, encs):
+        sizes.append(len(encs))
+        return real(self, encs)
+
+    monkeypatch.setattr(models.Backbone, "embed_matrix", spy)
+    return sizes
+
+
+def _copy_inputs(src, where):
+    """The search's checkpoint, query and index copied into a directory of their own."""
+    where.mkdir()
+    for name in ("model.ckpt", "q.jsonl", "index.jsonl"):
+        shutil.copy(src / name, where / name)
+    return where
+
+
+def _search(where, capsys):
+    code = main(["search", str(where / "model.ckpt"), "--query", str(where / "q.jsonl"),
+                 "--index", str(where / "index.jsonl"), "--top-k", "5"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def searchdir(workdir, tmp_path):
+    where = tmp_path / "search"
+    where.mkdir()
+    shutil.copy(workdir / "model.ckpt", where / "model.ckpt")
+    shutil.copy(workdir / "data.jsonl", where / "index.jsonl")
+    with open(workdir / "data.jsonl") as fh:
+        (where / "q.jsonl").write_text(fh.readline())
+    return where
+
+
+def test_search_second_call_embeds_only_the_query(searchdir, capsys, embedded):
+    cold = _search(searchdir, capsys)
+    assert cold[0] == 0 and cold[2] == ""
+    assert embedded == [1, N_INDEX]
+    assert (searchdir / "index.jsonl.embcache").is_file()
+    embedded.clear()
+    assert _search(searchdir, capsys) == cold
+    assert embedded == [1]
+
+
+def test_search_cold_sidecars_are_byte_identical(searchdir, capsys):
+    sidecar = searchdir / "index.jsonl.embcache"
+    assert _search(searchdir, capsys)[0] == 0
+    first = sidecar.read_bytes()
+    sidecar.unlink()
+    assert _search(searchdir, capsys)[0] == 0
+    assert sidecar.read_bytes() == first
+
+
+def _retrain(where, workdir):
+    assert main(["train", str(where / "index.jsonl"), str(workdir / "vocab.txt"),
+                 "--out", str(where / "model.ckpt"), "--seed", "6", "--epochs", "0"]) == 0
+
+
+def _edit_record(where, workdir):
+    path = where / "index.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[0])
+    rec["instructions"] = rec["instructions"][::-1]
+    path.write_text(json.dumps(rec, sort_keys=True) + "\n" + "".join(lines[1:]))
+
+
+def _truncate(where, workdir):
+    sidecar = where / "index.jsonl.embcache"
+    sidecar.write_bytes(sidecar.read_bytes()[:-100])
+
+
+def _flip_payload_byte(where, workdir):
+    sidecar = where / "index.jsonl.embcache"
+    raw = bytearray(sidecar.read_bytes())
+    raw[-32 - 1] ^= 0x01                   # the last row's last byte, before the trailer
+    sidecar.write_bytes(bytes(raw))
+
+
+def _wrong_magic(where, workdir):
+    sidecar = where / "index.jsonl.embcache"
+    body = b"NOTACACH" + sidecar.read_bytes()[8:-32]
+    sidecar.write_bytes(body + hashlib.sha256(body).digest())    # a valid trailer
+
+
+@pytest.mark.parametrize("change", [_retrain, _edit_record, _truncate, _flip_payload_byte,
+                                    _wrong_magic])
+def test_search_rebuilds_a_stale_or_damaged_sidecar(searchdir, workdir, capsys, embedded,
+                                                    change):
+    first = _search(searchdir, capsys)
+    change(searchdir, workdir)
+    capsys.readouterr()
+    fresh = _copy_inputs(searchdir, searchdir.parent / "fresh")
+    expected = _search(fresh, capsys)
+    if change in (_retrain, _edit_record):
+        assert expected != first          # stale rows would have given the old ranking
+    embedded.clear()
+    assert _search(searchdir, capsys) == expected
+    assert expected[0] == 0
+    assert embedded == [1, N_INDEX]
+    assert ((searchdir / "index.jsonl.embcache").read_bytes()
+            == (fresh / "index.jsonl.embcache").read_bytes())
+
+
+def test_search_index_edited_while_read_writes_no_sidecar(searchdir, workdir, capsys,
+                                                          monkeypatch):
+    import asmsim.cli as cli
+
+    expected = _search(_copy_inputs(searchdir, searchdir.parent / "before"), capsys)
+    real = cli.load_dataset
+
+    def load_then_edit(path):
+        result = real(path)
+        if str(path).endswith("index.jsonl"):
+            _edit_record(searchdir, workdir)
+        return result
+
+    monkeypatch.setattr(cli, "load_dataset", load_then_edit)
+    assert _search(searchdir, capsys) == expected     # ranks what it read
+    assert not (searchdir / "index.jsonl.embcache").exists()
+
+
+def _read_only_directory(monkeypatch, where):
+    where.chmod(0o555)                     # root ignores the mode, so fail the create too
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        if "x" in mode:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return builtins.open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(embcache, "open", fake_open, raising=False)
+
+
+def _full_disk(monkeypatch, where):
+    def fake_open(path, mode="r", *args, **kwargs):
+        handle = builtins.open(path, mode, *args, **kwargs)
+        if "x" not in mode:
+            return handle
+
+        class Full:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                handle.close()
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+        return Full()
+
+    monkeypatch.setattr(embcache, "open", fake_open, raising=False)
+
+
+def _sidecar_is_a_directory(monkeypatch, where):
+    (where / "index.jsonl.embcache").mkdir()
+
+
+@pytest.mark.parametrize("block", [_read_only_directory, _full_disk, _sidecar_is_a_directory])
+def test_search_unwritable_sidecar_warns_and_answers(searchdir, capsys, monkeypatch, block):
+    expected = _search(_copy_inputs(searchdir, searchdir.parent / "fresh"), capsys)
+    block(monkeypatch, searchdir)
+    try:
+        code, out, err = _search(searchdir, capsys)
+        names = sorted(p.name for p in searchdir.iterdir())
+    finally:
+        searchdir.chmod(0o755)
+    assert (code, out) == expected[:2] and code == 0
+    assert [line.split(":")[0] for line in err.splitlines()] == ["warning"]
+    assert "index.jsonl.embcache" in err
+    assert not [n for n in names if n.endswith(".tmp")]
 
 
 # ------------------------------------------------------------------ exit codes

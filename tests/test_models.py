@@ -411,6 +411,10 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(path, model, vocab)
     loaded, loaded_vocab = load_checkpoint(path)
     assert loaded.fingerprint() == model.fingerprint()
+    for name, p in loaded.params.items():
+        # Adam updates in place: each block is its own writable array
+        assert p.data.flags.writeable and p.data.flags.owndata
+        assert p.data.tobytes() == model.params[name].data.tobytes()
     assert loaded.cfg == cfg
     assert loaded_vocab.id_to_token == vocab.id_to_token
     # byte-stable re-save
