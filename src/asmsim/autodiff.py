@@ -4,8 +4,10 @@ Every operation records a node in a dynamic graph; calling ``backward()`` on a
 scalar result fills ``grad`` on every reachable tensor created with
 ``requires_grad=True``; inner nodes drop their gradient once it has been
 passed on, so a backward pass holds little beyond the forward graph.
-Sequence kernels take time-major batches ([B, L, C]); `token_conv` reads its
-[B, L, K] token and [B, L] position ids instead of a built [B, L, C] input.
+The textcnn's kernels run on functions packed end to end: `token_conv` reads
+[N, K] token and [N] position ids and the first row of each output window
+instead of a built [N, C] input, and `segment_max` pools each function's run
+of output rows.
 `affine`, `layer_norm` and the elementwise kernels accept any leading axes.
 A graph stays in the dtype of its leaves: training runs in float32, the
 gradient-check harness builds float64 graphs.
@@ -387,41 +389,45 @@ def embedding(table: Tensor, ids) -> Tensor:
     return _node(out_data, (table,), backward)
 
 
-def token_conv(table: Tensor, pos_table: Tensor, ids, pos, w: Tensor) -> Tensor:
+def token_conv(table: Tensor, pos_table: Tensor, ids, pos, starts, w: Tensor) -> Tensor:
     """Valid, stride-1, bias-free convolution over rows assembled from table lookups.
 
-    Input row (n, t) is the concatenation of table[ids[n, t, 0]], ...,
-    table[ids[n, t, K-1]] and pos_table[pos[n, t]], with a zero position
-    vector where pos is -1 (padding). The rows are never built: each of the
-    K + 1 slots projects its distinct ids through its slice of the kernel
-    once, and each output sums its (K + 1) * W projected rows in one sparse
-    product.
+    Input row n is the concatenation of table[ids[n, 0]], ...,
+    table[ids[n, K-1]] and pos_table[pos[n]], with a zero position vector
+    where pos is -1 (padding). Output row r is the window of W input rows
+    that begins at starts[r]; the caller picks starts so that no window
+    crosses from one function into the next. The rows are never built: each
+    of the K + 1 slots projects its distinct ids through its slice of the
+    kernel once, and each output sums its (K + 1) * W projected rows in one
+    sparse product.
 
-    table [V, d], pos_table [P, d], ids int [B, L, K], pos int [B, L],
-    w [C_out, (K + 1) * d, W] -> [B, L - W + 1, C_out].
+    table [V, d], pos_table [P, d], ids int [N, K], pos int [N],
+    starts int [R], w [C_out, (K + 1) * d, W] -> [R, C_out].
     """
-    ids, pos = np.asarray(ids), np.asarray(pos)
-    if ids.dtype.kind not in "iu" or pos.dtype.kind not in "iu":
-        raise TypeError("token_conv ids and positions must be integers")
-    if ids.ndim != 3 or pos.shape != ids.shape[:2]:
-        raise ValueError(f"token_conv needs ids [B, L, K] and pos [B, L], "
-                         f"got {ids.shape} and {pos.shape}")
+    ids, pos, starts = np.asarray(ids), np.asarray(pos), np.asarray(starts)
+    if any(a.dtype.kind not in "iu" for a in (ids, pos, starts)):
+        raise TypeError("token_conv ids, positions and window starts must be integers")
+    if ids.ndim != 2 or pos.shape != ids.shape[:1] or starts.ndim != 1:
+        raise ValueError(f"token_conv needs ids [N, K], pos [N] and starts [R], "
+                         f"got {ids.shape}, {pos.shape} and {starts.shape}")
     if w.ndim != 3:
         raise ValueError(f"token_conv kernel must be [C_out, C_in, W], got {w.shape}")
     c_out, c_in, width = w.shape
-    bsz, L, k = ids.shape
+    n, k = ids.shape
     d = table.shape[1]
     if pos_table.shape[1] != d or c_in != (k + 1) * d:
         raise ValueError(f"token_conv channel mismatch: {k} tokens and a position of width "
                          f"{d} against a kernel of {c_in} input channels")
-    if L < width:
-        raise ValueError(f"token_conv input length {L} < kernel width {width}")
+    if n < width:
+        raise ValueError(f"token_conv input length {n} < kernel width {width}")
+    if starts.size and (starts.min() < 0 or starts.max() > n - width):
+        raise ValueError(f"window start out of range [0, {n - width}]")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ValueError(f"token id out of range [0, {table.shape[0]})")
     if pos.size and (pos.min() < -1 or pos.max() >= pos_table.shape[0]):
         raise ValueError(f"position out of range [-1, {pos_table.shape[0]})")
-    l_out = L - width + 1
-    slots = [(table, ids[:, :, s]) for s in range(k)] + [(pos_table, pos)]
+    rows = starts[:, None] + np.arange(width)          # [R, W] input rows of each window
+    slots = [(table, ids[:, s]) for s in range(k)] + [(pos_table, pos)]
     uniqs, vecs, projs, cols = [], [], [], []
     n_proj = 0
     for s, (tab, sid) in enumerate(slots):
@@ -431,21 +437,20 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, w: Tensor) -> Tensor:
         v[uniq < 0] = 0.0                  # pos -1: padding
         # projected rows (id, offset), each a C_out vector
         projs.append((v @ _slot_kernel(w.data, s, d)).reshape(-1, c_out))
-        win = np.lib.stride_tricks.sliding_window_view(n_proj + inv * width, width, axis=1)
-        cols.append((win + np.arange(width)).astype(np.int32))   # [B, L_out, W]
+        cols.append((n_proj + inv[rows] * width + np.arange(width)).astype(np.int32))
         uniqs.append(uniq)
         vecs.append(v)
         n_proj += uniq.size * width
-    n_rows, per_row = bsz * l_out, (k + 1) * width
+    n_rows, per_row = starts.size, (k + 1) * width
     proj = np.concatenate(projs)
     picks = sparse.csr_matrix(        # output row -> the projected rows it sums
-        (np.ones(n_rows * per_row, dtype=proj.dtype), np.concatenate(cols, axis=2).reshape(-1),
+        (np.ones(n_rows * per_row, dtype=proj.dtype), np.concatenate(cols, axis=1).reshape(-1),
          np.arange(0, n_rows * per_row + 1, per_row, dtype=np.int32)),
         shape=(n_rows, n_proj))
-    out_data = (picks @ proj).reshape(bsz, l_out, c_out)
+    out_data = picks @ proj
 
     def backward(g):
-        gproj = picks.T @ g.reshape(n_rows, c_out)
+        gproj = picks.T @ g
         gw = np.empty((c_in, width, c_out), dtype=gproj.dtype)   # w's gradient, axes rolled
         lo = 0
         for s, ((tab, _), uniq, v) in enumerate(zip(slots, uniqs, vecs)):
@@ -468,31 +473,37 @@ def _slot_kernel(w: np.ndarray, slot: int, d: int) -> np.ndarray:
     return w[:, slot * d:(slot + 1) * d, :].transpose(1, 2, 0).reshape(d, width * c_out)
 
 
-def max_pool_time(x: Tensor, lengths=None) -> Tensor:
-    """Global max over axis 1 of a time-major batch: [B, L, C] -> [B, C].
+def segment_max(x: Tensor, lengths) -> Tensor:
+    """Per-column max over consecutive row segments: x [R, C] -> [B, C].
 
-    `lengths` restricts each row's pool to its first `lengths[b]` steps.
-    Gradient flows to the first maximum of each channel.
+    Segment b is the next `lengths[b]` rows; the lengths are at least 1 and
+    sum to R. A segment holding NaN pools to NaN. Gradient flows to the first
+    maximum of each segment and column, and nowhere from a NaN result.
     """
     xd = x.data
-    if xd.ndim != 3:
-        raise ValueError(f"max_pool_time needs [B, L, C], got {xd.shape}")
-    L = xd.shape[1]
-    if lengths is None:
-        work = xd
-    else:
-        lens = np.asarray(lengths, dtype=np.int64)
-        if np.any(lens < 1) or np.any(lens > L):
-            raise ValueError(f"pool lengths must be in [1, {L}]")
-        invalid = np.arange(L)[None, :, None] >= lens.reshape(-1, 1, 1)
-        work = np.where(invalid, -np.inf, xd)
-    idx = work.argmax(axis=1)  # [B, C]
-    out_data = np.take_along_axis(xd, idx[:, None, :], axis=1)[:, 0, :]
+    lens = np.asarray(lengths)
+    if xd.ndim != 2:
+        raise ValueError(f"segment_max needs [R, C], got {xd.shape}")
+    if lens.dtype.kind not in "iu" or lens.ndim != 1:
+        raise TypeError("segment_max lengths must be a 1-D integer array")
+    if lens.size == 0 or lens.min() < 1 or lens.sum() != xd.shape[0]:
+        raise ValueError(f"segment lengths must be >= 1 and sum to {xd.shape[0]} rows")
+    ends = np.cumsum(lens)
+    bounds = list(zip((ends - lens).tolist(), ends.tolist()))
+    out_data = np.empty((lens.size, xd.shape[1]), dtype=xd.dtype)
+    for b, (lo, hi) in enumerate(bounds):   # contiguous row blocks: faster than reduceat
+        np.maximum.reduce(xd[lo:hi], axis=0, out=out_data[b])
 
     def backward(g):
-        gx = np.zeros_like(xd)
-        np.put_along_axis(gx, idx[:, None, :], g[:, None, :], axis=1)
-        _accum(x, gx)
+        hit = xd == np.repeat(out_data, lens, axis=0)   # never true in a NaN column
+        if np.count_nonzero(hit) != np.count_nonzero(out_data == out_data):
+            # a tie: keep only the first hit in each segment and column
+            ties = np.add.reduceat(hit, ends - lens, axis=0, dtype=np.int64) > 1
+            for b in np.flatnonzero(ties.any(axis=1)):
+                lo, hi = bounds[b]
+                seg = hit[lo:hi]
+                seg &= np.arange(hi - lo)[:, None] == seg.argmax(axis=0)
+        _accum(x, np.where(hit, np.repeat(g, lens, axis=0), xd.dtype.type(0)))
 
     return _node(out_data, (x,), backward)
 

@@ -1,15 +1,16 @@
 """Siamese backbones over instruction grids, plus checkpoint serialization.
 
 Per instruction, K token vectors and one position vector of width d
-concatenate into one row of width H = d * (K + 1). A batch of B functions is
-padded to L instructions with PAD ids and position -1 (a zero position
-vector). The lstm and the mixer run on the [B, L, H] grid of those rows; the
-textcnn never builds it, its convolution reads the [B, L, K] token ids and
-[B, L] positions and applies each kernel slice once per distinct token.
-Every backbone has one forward, `embed_batch`, which runs length-sorted chunks
-of the batch through the variant's head and maps each function to a
-fixed-width embedding; both sides of a training pair run through the same
-parameter set.
+concatenate into one row of width H = d * (K + 1). The lstm and the mixer run
+length-sorted chunks of B functions, padded to L instructions with PAD ids and
+position -1 (a zero position vector), on the [B, L, H] grid of those rows.
+The textcnn builds no grid and sorts nothing: it packs a forward's functions
+end to end, each padded only up to the widest kernel, its convolution reads
+the [N, K] token ids and [N] positions and applies each kernel slice once per
+distinct token, and each function max-pools over its own output rows.
+Every backbone has one forward, `embed_batch`, which maps each function to a
+fixed-width embedding in caller order; both sides of a training pair run
+through the same parameter set.
 
 The PAD embedding row (id 0) is pinned to zero: it is excluded from the
 parameter count and its gradient is masked before every optimizer step.
@@ -138,15 +139,15 @@ class Backbone:
         if enc.position_ids.size and enc.position_ids.max() >= self.cfg.max_positions:
             raise DataError("position id exceeds the model's position table")
 
-    # functions per forward sub-batch; sorted-by-length chunks keep the padded
-    # grid close to the true token volume
+    # functions per forward sub-batch of the lstm and the mixer; sorted-by-length
+    # chunks keep their padded grids close to the true token volume
     CHUNK = 64
 
-    def _lookups(self, encs, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """[B, length, K] token ids and [B, length] positions.
+    def _grid(self, encs, length: int) -> Tensor:
+        """[B, length, H] grid of concatenated token and position vectors.
 
         Functions longer than `length` are cut; rows past a function's end
-        hold PAD ids and position -1.
+        hold PAD ids and a zero position vector.
         """
         bsz, k = len(encs), self.cfg.tokens_per_instruction
         ids = np.full((bsz, length, k), PAD_ID, dtype=np.int32)
@@ -155,12 +156,6 @@ class Backbone:
             s = min(e.n_instructions, length)
             ids[i, :s] = e.token_ids[:s]
             pos[i, :s] = e.position_ids[:s]
-        return ids, pos
-
-    def _grid(self, encs, length: int) -> Tensor:
-        """[B, length, H] grid of concatenated token and position vectors,
-        with a zero position vector past each function's end."""
-        ids, pos = self._lookups(encs, length)
         tok = ad.reshape(ad.embedding(self.params["token_table"], ids), (len(encs), length, -1))
         mask = (pos >= 0).astype(self.dtype)[:, :, None]
         posv = ad.embedding(self.params["pos_table"], np.maximum(pos, 0)) * ad.constant(mask)
@@ -170,13 +165,14 @@ class Backbone:
         """Length-sorted functions -> [B, F] features, before the `fc` projection."""
         raise NotImplementedError
 
-    def embed_batch(self, encs, training: bool = False,
-                    rng: np.random.Generator | None = None) -> Tensor:
-        """The forward pass: a list of encoded functions -> [B, E], in caller order."""
-        if not encs:
-            raise ValueError("embed_batch needs at least one function")
-        for e in encs:
-            self._validate_ids(e)
+    def _project(self, feats: Tensor) -> Tensor:
+        """[B, F] features -> [B, E] embeddings."""
+        if "fc.w" not in self.params:                  # the LSTM's state is the embedding
+            return feats
+        return ad.affine(feats, self.params["fc.w"], self.params["fc.b"])
+
+    def _forward(self, encs, training: bool, rng) -> Tensor:
+        """[B, E] in caller order: length-sorted chunks through `_head`."""
         order = np.argsort([e.n_instructions for e in encs], kind="stable")
         chunks = [self._head([encs[i] for i in order[s:s + self.CHUNK]], training, rng)
                   for s in range(0, len(encs), self.CHUNK)]
@@ -185,9 +181,16 @@ class Backbone:
             inverse = np.empty(len(encs), dtype=np.int64)
             inverse[order] = np.arange(len(encs))
             feats = ad.embedding(feats, inverse)       # restore caller order
-        if "fc.w" not in self.params:                  # the LSTM's state is the embedding
-            return feats
-        return ad.affine(feats, self.params["fc.w"], self.params["fc.b"])
+        return self._project(feats)
+
+    def embed_batch(self, encs, training: bool = False,
+                    rng: np.random.Generator | None = None) -> Tensor:
+        """The forward pass: a list of encoded functions -> [B, E], in caller order."""
+        if not encs:
+            raise ValueError("embed_batch needs at least one function")
+        for e in encs:
+            self._validate_ids(e)
+        return self._forward(encs, training, rng)
 
     def embed(self, enc: EncodedFunction, training: bool = False,
               rng: np.random.Generator | None = None) -> Tensor:
@@ -231,7 +234,8 @@ class Backbone:
 class TextCNN(Backbone):
     """Width-5 and width-3 convolution banks, global max-pool, one projection.
 
-    Each bank is one bias-free `token_conv` over the token and position ids.
+    Each bank is one bias-free `token_conv` over the packed token and position
+    ids, and one `segment_max` over each function's output rows.
     Its bias and ReLU are non-decreasing, so they commute with the max-pool,
     rounding included: they run after it, on [B, C], not on every position.
     """
@@ -247,17 +251,46 @@ class TextCNN(Backbone):
         return out + [("fc.w", (pooled, cfg.output_dim), _uniform(pooled)),
                       ("fc.b", (cfg.output_dim,), 0.0)]
 
-    def _head(self, encs, training, rng):
-        widest = max(self.cfg.conv_widths)
-        eff = np.maximum([e.n_instructions for e in encs], widest)
-        ids, pos = self._lookups(encs, int(eff.max()))  # [B, S, K], [B, S]
+    # input rows per packed forward; functions are grouped in caller order under
+    # it, which bounds inference memory (a longer function is a group of its own)
+    PACK_ROWS = 16384
+
+    def _forward(self, encs, training, rng):
+        """[B, E] in caller order: groups of packed functions, each projected."""
+        eff = np.maximum([e.n_instructions for e in encs], max(self.cfg.conv_widths))
+        cuts, rows = [0], 0
+        for i, n in enumerate(eff.tolist()):
+            if rows and rows + n > self.PACK_ROWS:
+                cuts.append(i)
+                rows = 0
+            rows += n
+        cuts.append(len(encs))
+        groups = [self._project(self._packed(encs[lo:hi], eff[lo:hi]))
+                  for lo, hi in zip(cuts, cuts[1:])]
+        return groups[0] if len(groups) == 1 else ad.concat(groups, axis=0)
+
+    def _packed(self, encs, eff) -> Tensor:
+        """[B, channels * n_kernels] features of functions packed end to end,
+        function b taking eff[b] rows: its length, padded up to the widest
+        kernel. Every window starts and ends inside one function, and each
+        function max-pools over its own output rows."""
+        n, k = int(eff.sum()), self.cfg.tokens_per_instruction
+        ids = np.full((n, k), PAD_ID, dtype=np.int32)
+        pos = np.full(n, -1, dtype=np.int32)
+        first = np.cumsum(eff) - eff                   # each function's first row
+        for row, e in zip(first.tolist(), encs):
+            ids[row:row + e.n_instructions] = e.token_ids
+            pos[row:row + e.n_instructions] = e.position_ids
+        step = np.arange(n) - np.repeat(first, eff)    # row index within its function
+        room = np.repeat(eff, eff) - step              # rows from there to the function's end
         tables = self.params["token_table"], self.params["pos_table"]
         pooled = []
         for i, width in enumerate(self.cfg.conv_widths):
-            conv = ad.token_conv(*tables, ids, pos, self.params[f"conv{i}.w"])
-            peak = ad.max_pool_time(conv, lengths=eff - (width - 1))
+            starts = np.flatnonzero(room >= width)
+            conv = ad.token_conv(*tables, ids, pos, starts, self.params[f"conv{i}.w"])
+            peak = ad.segment_max(conv, eff - (width - 1))
             pooled.append(ad.relu(peak + self.params[f"conv{i}.b"]))
-        return ad.concat(pooled, axis=1)               # [B, channels * n_kernels]
+        return ad.concat(pooled, axis=1)
 
 
 class LSTMNet(Backbone):

@@ -46,6 +46,21 @@ def c64(a):
     return ad.constant(np.asarray(a, dtype=np.float64))
 
 
+def packed(ids, pos, width):
+    """[B, L, K] ids and [B, L] positions packed end to end as [B * L, K] and
+    [B * L], plus the start of every width-`width` window inside one function."""
+    bsz, length = pos.shape
+    starts = (np.arange(bsz)[:, None] * length + np.arange(length - width + 1)).reshape(-1)
+    return ids.reshape(bsz * length, -1), pos.reshape(-1), starts
+
+
+def grid_conv(table, pos_table, ids, pos, w):
+    """token_conv over B functions of L rows each -> [B, L - W + 1, C_out]."""
+    bsz, length = pos.shape
+    out = ad.token_conv(table, pos_table, *packed(ids, pos, w.shape[2]), w)
+    return ad.reshape(out, (bsz, length - w.shape[2] + 1, -1))
+
+
 def test_conv1d_example():
     """token_conv: d = 1, one token per row; the position tap reads pos 2, then pos -1 (zero)."""
     table = c64([[0.0], [1.0], [2.0], [3.0], [4.0]])
@@ -53,7 +68,7 @@ def test_conv1d_example():
     ids = np.array([[[1], [2], [3], [4]]])                  # [B=1, L=4, K=1]
     pos = np.array([[0, 1, 2, -1]])
     w = c64([[[1.0, 0.0, -1.0], [0.0, 0.0, 1.0]]])          # [C_out=1, (K+1)*d=2, W=3]
-    out = ad.token_conv(table, pos_table, ids, pos, w)
+    out = grid_conv(table, pos_table, ids, pos, w)
     np.testing.assert_array_equal(out.data, [[[28.0], [-2.0]]])
 
 
@@ -66,7 +81,7 @@ def test_conv1d_impulse_identity():
     pos = np.tile(np.arange(9), (2, 1))
     pos[1, 6:] = -1
     h = (k + 1) * d
-    out = ad.token_conv(c64(table), c64(pos_table), ids, pos, c64(np.eye(h)[:, :, None]))
+    out = grid_conv(c64(table), c64(pos_table), ids, pos, c64(np.eye(h)[:, :, None]))
     np.testing.assert_array_equal(out.data, lookup_grid(table, pos_table, ids, pos))
 
 
@@ -74,39 +89,48 @@ def test_conv1d_full_width_gives_length_one():
     """token_conv over exactly W rows gives one output row."""
     rng = np.random.default_rng(2)
     ids = rng.integers(0, 4, size=(1, 5, 2))
-    out = ad.token_conv(c64(rng.standard_normal((4, 1))), c64(rng.standard_normal((5, 1))),
-                        ids, np.arange(5)[None], c64(rng.standard_normal((2, 3, 5))))
+    out = grid_conv(c64(rng.standard_normal((4, 1))), c64(rng.standard_normal((5, 1))),
+                    ids, np.arange(5)[None], c64(rng.standard_normal((2, 3, 5))))
     assert out.shape == (1, 1, 2)
 
 
 def test_conv1d_shape_errors():
-    """token_conv rejects mismatched shapes, short inputs and out-of-range lookups."""
+    """token_conv rejects mismatched shapes, short inputs, windows past the
+    packed rows and out-of-range lookups."""
     table, pos_table = c64(np.ones((5, 2))), c64(np.ones((4, 2)))
-    ids, pos = np.ones((1, 4, 2), dtype=np.int64), np.arange(4)[None]
+    ids, pos, starts = np.ones((4, 2), dtype=np.int64), np.arange(4), np.array([0, 1, 2])
     w = c64(np.ones((3, 6, 2)))
 
-    def call(ids=ids, pos=pos, w=w, pos_table=pos_table):
-        return ad.token_conv(table, pos_table, ids, pos, w)
+    def call(ids=ids, pos=pos, starts=starts, w=w, pos_table=pos_table):
+        return ad.token_conv(table, pos_table, ids, pos, starts, w)
 
-    call()
+    assert call().shape == (3, 3)
     with pytest.raises(ValueError, match="channel"):
         call(w=c64(np.ones((3, 4, 2))))
     with pytest.raises(ValueError, match="channel"):
         call(pos_table=c64(np.ones((4, 3))))
     with pytest.raises(ValueError, match="length"):
         call(w=c64(np.ones((3, 6, 5))))
-    with pytest.raises(ValueError, match=r"\[B, L, K\]"):
-        call(ids=ids[0])
-    with pytest.raises(ValueError, match=r"\[B, L\]"):
-        call(pos=pos[:, :3])
+    with pytest.raises(ValueError, match=r"\[N, K\]"):
+        call(ids=ids[None])
+    with pytest.raises(ValueError, match=r"pos \[N\]"):
+        call(pos=pos[:3])
+    with pytest.raises(ValueError, match=r"starts \[R\]"):
+        call(starts=starts[None])
+    with pytest.raises(ValueError, match="window start out of range"):
+        call(starts=np.array([0, 3]))             # its window would read row 4 of 4
+    with pytest.raises(ValueError, match="window start out of range"):
+        call(starts=np.array([-1, 0]))
     with pytest.raises(ValueError, match="token id out of range"):
-        call(ids=np.full((1, 4, 2), 5))
+        call(ids=np.full((4, 2), 5))
     with pytest.raises(ValueError, match="position out of range"):
-        call(pos=np.array([[0, 1, -2, 3]]))
+        call(pos=np.array([0, 1, -2, 3]))
     with pytest.raises(ValueError, match="position out of range"):
-        call(pos=np.array([[0, 1, 2, 4]]))
+        call(pos=np.array([0, 1, 2, 4]))
     with pytest.raises(TypeError, match="integers"):
         call(ids=ids.astype(np.float64))
+    with pytest.raises(TypeError, match="integers"):
+        call(starts=starts.astype(np.float64))
 
 
 def _lookup_case(rng, kind):
@@ -149,21 +173,78 @@ def test_token_conv_matches_grid_reference(kind, dtype, rtol, atol):
     arrays = [rng.standard_normal(s).astype(dtype)
               for s in ((7, d), (6, d), (c_out, (k + 1) * d, width))]
     table, pos_table, w = (ad.constant(a) for a in arrays)
-    out = ad.token_conv(table, pos_table, ids, pos, w)
+    out = grid_conv(table, pos_table, ids, pos, w)
     assert out.dtype == dtype
     np.testing.assert_allclose(out.data, ref_token_conv(*arrays[:2], ids, pos, arrays[2]),
                                rtol=rtol, atol=atol)
 
 
+def test_token_conv_ragged_windows_stay_inside_each_function():
+    """Functions of 4, 2 and 7 rows packed end to end, each window starting and
+    ending inside one function, give each function's own convolution."""
+    rng = np.random.default_rng(5)
+    d, k, width, c_out = 2, 2, 2, 3
+    arrays = [rng.standard_normal(s) for s in ((7, d), (8, d), (c_out, (k + 1) * d, width))]
+    lengths = (4, 2, 7)
+    ids = [rng.integers(0, 7, size=(n, k)) for n in lengths]
+    pos = [np.arange(n) for n in lengths]
+    first = np.cumsum(lengths) - lengths
+    starts = np.concatenate([f + np.arange(n - width + 1) for f, n in zip(first, lengths)])
+    out = ad.token_conv(*(c64(a) for a in arrays[:2]), np.concatenate(ids),
+                        np.concatenate(pos), starts, c64(arrays[2]))
+    expected = np.concatenate([ref_token_conv(*arrays[:2], i[None], p[None], arrays[2])[0]
+                               for i, p in zip(ids, pos)])
+    np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
+
+
 def test_max_pool_example():
-    out = ad.max_pool_time(ad.constant([[[1.0], [7.0], [3.0]]]))   # [B=1, L=3, C=1]
-    np.testing.assert_array_equal(out.data, [[7.0]])
+    """segment_max over one segment is the column max."""
+    out = ad.segment_max(ad.constant([[1.0, 4.0], [7.0, -2.0], [3.0, 0.5]]), [3])
+    np.testing.assert_array_equal(out.data, [[7.0, 4.0]])
 
 
 def test_max_pool_respects_lengths():
-    x = ad.constant([[[1.0, 0.0], [9.0, 5.0]], [[2.0, 3.0], [-1.0, 8.0]]])   # [B, L, C]
-    out = ad.max_pool_time(x, lengths=[1, 2])
-    np.testing.assert_array_equal(out.data, [[1.0, 0.0], [2.0, 8.0]])
+    """Each segment pools over its own rows only, a one-row segment included."""
+    x = ad.constant([[1.0, 0.0], [9.0, 5.0], [2.0, 3.0], [-1.0, 8.0], [0.5, -4.0]])
+    out = ad.segment_max(x, np.array([1, 3, 1]))
+    np.testing.assert_array_equal(out.data, [[1.0, 0.0], [9.0, 8.0], [0.5, -4.0]])
+
+
+def test_segment_max_rejects_bad_segments():
+    x = ad.constant(np.zeros((4, 2)))
+    for lengths in ([2, 1], [2, 3], [0, 4], [5, -1], []):
+        with pytest.raises(ValueError, match="segment lengths"):
+            ad.segment_max(x, np.array(lengths, dtype=np.int64))
+    with pytest.raises(TypeError, match="integer"):
+        ad.segment_max(x, np.array([2.0, 2.0]))
+    with pytest.raises(ValueError, match=r"\[R, C\]"):
+        ad.segment_max(ad.constant(np.zeros((1, 4, 2))), np.array([4]))
+
+
+def test_segment_max_ties_send_gradient_to_first():
+    """Tied maxima: only the first row of each segment and column gets the gradient."""
+    x = ad.parameter([[5.0, 1.0], [5.0, 2.0], [3.0, 2.0],     # segment 0: a tie in each column
+                      [0.0, 0.0],                            # segment 1: one row
+                      [1.0, 6.0], [4.0, 6.0], [4.0, 6.0]],   # segment 2: the first tie at row 1
+                     dtype=np.float64)
+    out = ad.segment_max(x, np.array([3, 1, 3]))
+    np.testing.assert_array_equal(out.data, [[5.0, 2.0], [0.0, 0.0], [4.0, 6.0]])
+    ad.sum_(out * np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])).backward()
+    expected = np.zeros((7, 2))
+    expected[0, 0], expected[1, 1] = 1.0, 2.0
+    expected[3] = [3.0, 4.0]
+    expected[5, 0], expected[4, 1] = 5.0, 6.0
+    np.testing.assert_array_equal(x.grad, expected)
+
+
+def test_segment_max_nan_segment():
+    """A NaN pools to NaN; the backward pass sends that column nothing and still
+    routes the other segments' gradients."""
+    x = ad.parameter([[1.0, 2.0], [np.nan, 0.0], [3.0, -1.0], [2.0, 5.0]], dtype=np.float64)
+    out = ad.segment_max(x, np.array([2, 2]))
+    np.testing.assert_array_equal(out.data, [[np.nan, 2.0], [3.0, 5.0]])
+    ad.sum_(out * np.array([[1.0, 2.0], [3.0, 4.0]])).backward()
+    np.testing.assert_array_equal(x.grad, [[0.0, 2.0], [0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
 
 
 def test_cosine_examples():
@@ -296,10 +377,10 @@ def test_float32_stays_float32():
         "reshape": lambda: ad.reshape(x, (10, 3)),
         "transpose": lambda: ad.transpose(x, (0, 2, 1)),
         "embedding": lambda: ad.embedding(w, np.array([0, 2])),
-        "token_conv": lambda: ad.token_conv(p32(6, 1), p32(5, 1), rng.integers(0, 6, (2, 5, 2)),
-                                            np.array([[0, 1, 2, -1, -1], [0, 1, 2, 3, 4]]),
-                                            p32(4, 3, 2)),
-        "max_pool_time": lambda: ad.max_pool_time(x, lengths=[2, 5]),
+        "token_conv": lambda: ad.token_conv(p32(6, 1), p32(5, 1), rng.integers(0, 6, (10, 2)),
+                                            np.array([0, 1, 2, -1, -1, 0, 1, 2, 3, 4]),
+                                            np.array([0, 1, 2, 5, 6, 7, 8]), p32(4, 3, 2)),
+        "segment_max": lambda: ad.segment_max(ad.reshape(x, (10, 3)), np.array([2, 1, 7])),
         "sum_": lambda: ad.sum_(x, axis=1),
         "mean_": lambda: ad.mean_(x, axis=1),
         "pairwise_cosine": lambda: ad.pairwise_cosine(p32(2, 3), p32(2, 3)),
@@ -366,25 +447,29 @@ def test_dropout_gradients():
 
 
 def test_max_pool_gradients():
+    """segment_max over one segment of several rows."""
     rng = np.random.default_rng(15)
     for _ in range(TRIALS):
         c, length = rng.integers(1, 5), rng.integers(2, 7)
-        raw = rng.standard_normal((1, length, c))
+        raw = rng.standard_normal((length, c))
         raw += np.arange(length)[:, None] * 1e-2  # break near-ties so FD keeps the same argmax
         x = ad.parameter(raw, dtype=np.float64)
         proj = rng.standard_normal((1, c))
-        assert_grads_match(lambda: ad.sum_(ad.max_pool_time(x) * proj), {"x": x}, rng)
+        assert_grads_match(lambda: ad.sum_(ad.segment_max(x, np.array([length])) * proj),
+                           {"x": x}, rng)
 
 
-def test_max_pool_batched_masked_gradients():
+def test_max_pool_ragged_gradients():
+    """segment_max over ragged segments, one-row segments included."""
     rng = np.random.default_rng(16)
     for _ in range(TRIALS):
-        b, c, length = rng.integers(1, 4), rng.integers(1, 4), rng.integers(3, 7)
-        raw = rng.standard_normal((b, length, c)) + np.arange(length)[:, None] * 1e-2
+        c = rng.integers(1, 4)
+        lens = rng.integers(1, 5, size=rng.integers(1, 5))
+        lens[rng.integers(lens.size)] = 1
+        raw = rng.standard_normal((lens.sum(), c)) + np.arange(lens.sum())[:, None] * 1e-2
         x = ad.parameter(raw, dtype=np.float64)
-        lens = rng.integers(1, length + 1, size=b)
-        proj = rng.standard_normal((b, c))
-        assert_grads_match(lambda: ad.sum_(ad.max_pool_time(x, lengths=lens) * proj), {"x": x}, rng)
+        proj = rng.standard_normal((lens.size, c))
+        assert_grads_match(lambda: ad.sum_(ad.segment_max(x, lens) * proj), {"x": x}, rng)
 
 
 def test_concat_gradients():
@@ -424,7 +509,7 @@ def test_conv1d_gradients():
             params = {"table": p64(rng, 7, d), "pos_table": p64(rng, 6, d),
                       "w": p64(rng, c_out, (k + 1) * d, width)}
             proj = rng.standard_normal((ids.shape[0], ids.shape[1] - width + 1, c_out))
-            assert_grads_match(lambda: ad.sum_(ad.token_conv(
+            assert_grads_match(lambda: ad.sum_(grid_conv(
                 params["table"], params["pos_table"], ids, pos, params["w"]) * proj),
                 params, rng)
 

@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -391,8 +392,17 @@ def _wrong_magic(where, workdir):
     sidecar.write_bytes(body + hashlib.sha256(body).digest())    # a valid trailer
 
 
+def _version_1(where, workdir):
+    """The sidecar as version 1 wrote it: same key, rows and a valid trailer. Version 1
+    rows came from length-sorted textcnn chunks, not from packed functions."""
+    sidecar = where / "index.jsonl.embcache"
+    body = bytearray(sidecar.read_bytes()[:-32])
+    body[8:12] = struct.pack("<I", 1)
+    sidecar.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+
+
 @pytest.mark.parametrize("change", [_retrain, _edit_record, _truncate, _flip_payload_byte,
-                                    _wrong_magic])
+                                    _wrong_magic, _version_1])
 def test_search_rebuilds_a_stale_or_damaged_sidecar(searchdir, workdir, capsys, embedded,
                                                     change):
     first = _search(searchdir, capsys)

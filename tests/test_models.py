@@ -1,7 +1,10 @@
 """Backbone shapes, parameter counts, architecture traces, and checkpoints."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from scipy.special import erf
 import asmsim.autodiff as ad
 from asmsim.errors import DataError
 from asmsim.models import (
-    Backbone, BackboneConfig, build_backbone, load_checkpoint, save_checkpoint,
+    Backbone, BackboneConfig, TextCNN, build_backbone, load_checkpoint, save_checkpoint,
 )
 from asmsim.tokenizer import EncodedFunction, PAD_ID, Vocabulary
 
@@ -383,11 +386,11 @@ def test_textcnn_never_builds_the_grid(monkeypatch):
 
 def test_textcnn_relu_runs_on_pooled_features(monkeypatch):
     """The bias and ReLU apply to the [B, C] pooled features, never to a
-    bank's [B, L_out, C] output positions."""
+    bank's [R, C] output positions."""
     relu = ad.relu
 
     def pooled_only(x):
-        if x.ndim != 2:
+        if x.shape != (len(encs), cfg.conv_channels):
             raise AssertionError(f"relu over {x.shape}, not over pooled [B, C] features")
         return relu(x)
 
@@ -399,6 +402,83 @@ def test_textcnn_relu_runs_on_pooled_features(monkeypatch):
     ad.sum_(model.embed_batch(encs, training=True, rng=rng)).backward()
     assert model.params["conv0.b"].grad is not None
     assert model.embed_matrix(encs).shape == (len(encs), cfg.output_dim)
+
+
+# unsorted; 1 and 2 below the widest kernel (3), 40 longer than the forced budget
+PACKED_LENGTHS = (5, 40, 1, 6, 2, 4)
+
+
+def test_textcnn_pack_groups_match_one_group_and_single_functions(monkeypatch):
+    """A row budget that splits the batch into several packed groups changes
+    neither the rows nor the gradients, and each row is that function's embed."""
+    cfg = small_cfg("textcnn")
+    model = perturbed(build_backbone(cfg, seed=22), np.random.default_rng(23))
+    rng = np.random.default_rng(24)
+    encs = [enc(rng, s, cfg) for s in PACKED_LENGTHS]
+    packs = []
+    packed = TextCNN._packed
+
+    def counted(self, group, eff):
+        packs.append(len(group))
+        return packed(self, group, eff)
+
+    monkeypatch.setattr(TextCNN, "_packed", counted)
+
+    def forward():
+        model.zero_grad()
+        out = model.embed_batch(encs, training=True)
+        ad.sum_(out * np.linspace(-1.0, 1.0, out.size).reshape(out.shape)).backward()
+        return out.data, {n: p.grad.copy() for n, p in model.params.items()}
+
+    one, one_grads = forward()
+    assert packs == [len(encs)]
+    monkeypatch.setattr(TextCNN, "PACK_ROWS", 8)
+    packs.clear()
+    split, split_grads = forward()
+    assert packs == [1, 1, 1, 1, 2]        # rows 5 | 40 | 3 | 6 | 3 + 4, in caller order
+    singles = np.stack([model.embed(e).data for e in encs])
+    np.testing.assert_allclose(split, one, rtol=2e-4, atol=2e-6)
+    np.testing.assert_allclose(split, singles, rtol=2e-4, atol=2e-6)
+    for name in one_grads:
+        np.testing.assert_allclose(split_grads[name], one_grads[name], rtol=2e-4, atol=2e-6,
+                                   err_msg=name)
+
+
+EMBED_MEMORY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from asmsim.models import BackboneConfig, build_backbone
+from asmsim.synthetic import SynthConfig, generate
+from asmsim.tokenizer import build_vocab, encode_function
+recs = generate(SynthConfig(n_families=5000, seed=1))
+vocab = build_vocab(recs)
+encs = [encode_function(vocab, r) for r in recs]
+rows = build_backbone(BackboneConfig("textcnn", vocab.size), seed=0).embed_matrix(encs)
+assert rows.shape == (15000, 192)
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024)
+"""
+
+# MB, one BLAS thread: the process holds about 120 MB before the embed. The
+# embed peaked at 321 MB in length-sorted chunks of 64 and at 874 MB packed
+# without a row budget; packed under PACK_ROWS it reads 165-175 MB.
+EMBED_MEMORY_BOUND_MB = 240
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_textcnn_embed_matrix_memory_stays_bounded():
+    """A default textcnn embeds 15,000 stock functions under a peak RSS bound.
+
+    The child reads its own high-water mark (VmHWM): Linux carries a forked
+    process's ru_maxrss over exec, so the child's ru_maxrss would never read
+    below the test process's own peak.
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", EMBED_MEMORY, src], capture_output=True,
+                          text=True, timeout=600, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < EMBED_MEMORY_BOUND_MB
 
 
 # ------------------------------------------------------------------ checkpoints
