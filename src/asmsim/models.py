@@ -1,16 +1,18 @@
-"""Siamese backbones over instruction grids, plus checkpoint serialization.
+"""Siamese backbones over packed instruction rows, plus checkpoint serialization.
 
 Per instruction, K token vectors and one position vector of width d
-concatenate into one row of width H = d * (K + 1). The lstm and the mixer run
-length-sorted chunks of B functions, padded to L instructions with PAD ids and
-position -1 (a zero position vector), on the [B, L, H] grid of those rows.
-The textcnn builds no grid and sorts nothing: it packs a forward's functions
-end to end, each padded only up to the widest kernel, its convolution reads
-the [N, K] token ids and [N] positions and applies each kernel slice once per
-distinct token, and each function max-pools over its own output rows.
-Every backbone has one forward, `embed_batch`, which maps each function to a
-fixed-width embedding in caller order; both sides of a training pair run
-through the same parameter set.
+concatenate into one row of width H = d * (K + 1). Every backbone packs a
+forward's functions end to end, in caller order, into groups under a row
+budget; each function takes the rows its variant declares: the textcnn its
+length padded up to the widest kernel, the lstm its length, the mixer
+mixer_seq_len (longer functions are cut). Padding rows hold PAD ids and
+position -1 (a zero position vector). The textcnn never builds those rows:
+its convolution reads the [N, K] token ids and [N] positions, applies each
+kernel slice once per distinct token, and each function max-pools over its
+own output rows. The lstm runs its rows unpadded; the mixer views them as
+[B, S, H]. Every backbone has one forward, `embed_batch`, which maps each
+function to a fixed-width embedding in caller order; both sides of a
+training pair run through the same parameter set.
 
 The PAD embedding row (id 0) is pinned to zero: it is excluded from the
 parameter count and its gradient is masked before every optimizer step.
@@ -139,31 +141,39 @@ class Backbone:
         if enc.position_ids.size and enc.position_ids.max() >= self.cfg.max_positions:
             raise DataError("position id exceeds the model's position table")
 
-    # functions per forward sub-batch of the lstm and the mixer; sorted-by-length
-    # chunks keep their padded grids close to the true token volume
-    CHUNK = 64
+    # input rows per packed group; a forward's functions are grouped in caller
+    # order under it, which bounds memory (a longer function is a group of its own)
+    PACK_ROWS = 4096
 
-    def _grid(self, encs, length: int) -> Tensor:
-        """[B, length, H] grid of concatenated token and position vectors.
-
-        Functions longer than `length` are cut; rows past a function's end
-        hold PAD ids and a zero position vector.
-        """
-        bsz, k = len(encs), self.cfg.tokens_per_instruction
-        ids = np.full((bsz, length, k), PAD_ID, dtype=np.int32)
-        pos = np.full((bsz, length), -1, dtype=np.int32)
-        for i, e in enumerate(encs):
-            s = min(e.n_instructions, length)
-            ids[i, :s] = e.token_ids[:s]
-            pos[i, :s] = e.position_ids[:s]
-        tok = ad.reshape(ad.embedding(self.params["token_table"], ids), (len(encs), length, -1))
-        mask = (pos >= 0).astype(self.dtype)[:, :, None]
-        posv = ad.embedding(self.params["pos_table"], np.maximum(pos, 0)) * ad.constant(mask)
-        return ad.concat([tok, posv], axis=2)
-
-    def _head(self, encs, training: bool, rng) -> Tensor:
-        """Length-sorted functions -> [B, F] features, before the `fc` projection."""
+    def _rows(self, encs) -> np.ndarray:
+        """[B] rows each function takes when packed end to end."""
         raise NotImplementedError
+
+    def _head(self, encs, rows, training: bool, rng) -> Tensor:
+        """One packed group -> [B, F] features in caller order, before `fc`."""
+        raise NotImplementedError
+
+    def _pack(self, encs, rows):
+        """[N, K] token ids, [N] positions and [B] first rows of functions packed
+        end to end, function b taking rows[b] rows: a longer one is cut, a
+        shorter one is padded with PAD ids and position -1."""
+        n, k = int(rows.sum()), self.cfg.tokens_per_instruction
+        ids = np.full((n, k), PAD_ID, dtype=np.int32)
+        pos = np.full(n, -1, dtype=np.int32)
+        first = np.cumsum(rows) - rows
+        for row, r, e in zip(first.tolist(), rows.tolist(), encs):
+            s = min(e.n_instructions, r)
+            ids[row:row + s] = e.token_ids[:s]
+            pos[row:row + s] = e.position_ids[:s]
+        return ids, pos, first
+
+    def _embed_rows(self, ids, pos) -> Tensor:
+        """[..., K] token ids and [...] positions -> [..., H] rows: the token
+        vectors, then the position vector, which is zero where pos is -1."""
+        tok = ad.reshape(ad.embedding(self.params["token_table"], ids), pos.shape + (-1,))
+        mask = (pos >= 0).astype(self.dtype)[..., None]
+        posv = ad.embedding(self.params["pos_table"], np.maximum(pos, 0)) * ad.constant(mask)
+        return ad.concat([tok, posv], axis=-1)
 
     def _project(self, feats: Tensor) -> Tensor:
         """[B, F] features -> [B, E] embeddings."""
@@ -172,16 +182,18 @@ class Backbone:
         return ad.affine(feats, self.params["fc.w"], self.params["fc.b"])
 
     def _forward(self, encs, training: bool, rng) -> Tensor:
-        """[B, E] in caller order: length-sorted chunks through `_head`."""
-        order = np.argsort([e.n_instructions for e in encs], kind="stable")
-        chunks = [self._head([encs[i] for i in order[s:s + self.CHUNK]], training, rng)
-                  for s in range(0, len(encs), self.CHUNK)]
-        feats = chunks[0] if len(chunks) == 1 else ad.concat(chunks, axis=0)
-        if np.any(order != np.arange(len(encs))):
-            inverse = np.empty(len(encs), dtype=np.int64)
-            inverse[order] = np.arange(len(encs))
-            feats = ad.embedding(feats, inverse)       # restore caller order
-        return self._project(feats)
+        """[B, E] in caller order: groups of packed functions, each projected."""
+        rows = self._rows(encs)
+        cuts, total = [0], 0
+        for i, n in enumerate(rows.tolist()):
+            if total and total + n > self.PACK_ROWS:
+                cuts.append(i)
+                total = 0
+            total += n
+        cuts.append(len(encs))
+        groups = [self._project(self._head(encs[lo:hi], rows[lo:hi], training, rng))
+                  for lo, hi in zip(cuts, cuts[1:])]
+        return groups[0] if len(groups) == 1 else ad.concat(groups, axis=0)
 
     def embed_batch(self, encs, training: bool = False,
                     rng: np.random.Generator | None = None) -> Tensor:
@@ -251,44 +263,26 @@ class TextCNN(Backbone):
         return out + [("fc.w", (pooled, cfg.output_dim), _uniform(pooled)),
                       ("fc.b", (cfg.output_dim,), 0.0)]
 
-    # input rows per packed forward; functions are grouped in caller order under
-    # it, which bounds inference memory (a longer function is a group of its own)
+    # its convolution works per distinct token in a group, so larger groups run
+    # faster: at 4096 rows a 768-function forward and backward took ~30% longer
     PACK_ROWS = 16384
 
-    def _forward(self, encs, training, rng):
-        """[B, E] in caller order: groups of packed functions, each projected."""
-        eff = np.maximum([e.n_instructions for e in encs], max(self.cfg.conv_widths))
-        cuts, rows = [0], 0
-        for i, n in enumerate(eff.tolist()):
-            if rows and rows + n > self.PACK_ROWS:
-                cuts.append(i)
-                rows = 0
-            rows += n
-        cuts.append(len(encs))
-        groups = [self._project(self._packed(encs[lo:hi], eff[lo:hi]))
-                  for lo, hi in zip(cuts, cuts[1:])]
-        return groups[0] if len(groups) == 1 else ad.concat(groups, axis=0)
+    def _rows(self, encs):
+        """Each function's length, padded up to the widest kernel."""
+        return np.maximum([e.n_instructions for e in encs], max(self.cfg.conv_widths))
 
-    def _packed(self, encs, eff) -> Tensor:
-        """[B, channels * n_kernels] features of functions packed end to end,
-        function b taking eff[b] rows: its length, padded up to the widest
-        kernel. Every window starts and ends inside one function, and each
-        function max-pools over its own output rows."""
-        n, k = int(eff.sum()), self.cfg.tokens_per_instruction
-        ids = np.full((n, k), PAD_ID, dtype=np.int32)
-        pos = np.full(n, -1, dtype=np.int32)
-        first = np.cumsum(eff) - eff                   # each function's first row
-        for row, e in zip(first.tolist(), encs):
-            ids[row:row + e.n_instructions] = e.token_ids
-            pos[row:row + e.n_instructions] = e.position_ids
-        step = np.arange(n) - np.repeat(first, eff)    # row index within its function
-        room = np.repeat(eff, eff) - step              # rows from there to the function's end
+    def _head(self, encs, rows, training, rng):
+        """Every window starts and ends inside one function, and each function
+        max-pools over its own output rows."""
+        ids, pos, first = self._pack(encs, rows)
+        step = np.arange(len(pos)) - np.repeat(first, rows)   # row index within its function
+        room = np.repeat(rows, rows) - step            # rows from there to the function's end
         tables = self.params["token_table"], self.params["pos_table"]
         pooled = []
         for i, width in enumerate(self.cfg.conv_widths):
             starts = np.flatnonzero(room >= width)
             conv = ad.token_conv(*tables, ids, pos, starts, self.params[f"conv{i}.w"])
-            peak = ad.segment_max(conv, eff - (width - 1))
+            peak = ad.segment_max(conv, rows - (width - 1))
             pooled.append(ad.relu(peak + self.params[f"conv{i}.b"]))
         return ad.concat(pooled, axis=1)
 
@@ -312,37 +306,41 @@ class LSTMNet(Backbone):
                     (f"b_{gate}", (cfg.lstm_hidden,), 0.0)]
         return out
 
-    def _head(self, encs, training, rng):
-        hid = self.cfg.lstm_hidden
-        lengths = np.array([e.n_instructions for e in encs])
-        bsz, steps = len(encs), int(lengths.max())
-        grid = self._grid(encs, steps)                 # [B, S, H]
-        # The input side of each gate is one GEMM over all steps; a step is
-        # then a [running rows, hidden] GEMM plus a row gather of its inputs.
+    def _rows(self, encs):
+        return np.array([e.n_instructions for e in encs])
+
+    def _head(self, encs, rows, training, rng):
+        hid, bsz = self.cfg.lstm_hidden, len(encs)
+        ids, pos, first = self._pack(encs, rows)
+        x = self._embed_rows(ids, pos)                 # [N, H], no padding
+        # The input side of each gate is one GEMM over all rows; a step is
+        # then a [running functions, hidden] GEMM plus a row gather of its inputs.
         w_h, x_proj = {}, {}
         for g in self.GATES:
             w = self.params[f"w_{g}"]                  # rows: h_{t-1} part, then x_t part
             w_h[g] = ad.embedding(w, np.arange(hid))
             w_x = ad.embedding(w, np.arange(hid, w.shape[0]))
-            x_proj[g] = ad.reshape(ad.affine(grid, w_x, self.params[f"b_{g}"]),
-                                   (bsz * steps, hid))
-        # Rows come in ascending length order, so the running rows are a suffix
-        # [done, B). A row drops out once its own length is reached; its state
-        # at that point is its embedding.
+            x_proj[g] = ad.affine(x, w_x, self.params[f"b_{g}"])
+        # The state runs in ascending length order, so the running functions
+        # are a suffix [done, B). One drops out once its own length is
+        # reached; its state at that point is its embedding.
+        order = np.argsort(rows, kind="stable")
+        lengths, starts = rows[order], first[order]
         h = c = ad.constant(np.zeros((bsz, hid), dtype=self.dtype))
         done, finals = 0, []
-        for t in range(steps):
+        for t in range(int(lengths[-1])):
             ended = int(np.searchsorted(lengths, t, side="right")) - done
             if ended:
                 finals.append(ad.embedding(h, np.arange(ended)))
                 rest = np.arange(ended, bsz - done)
                 h, c = ad.embedding(h, rest), ad.embedding(c, rest)
                 done += ended
-            rows = np.arange(done, bsz) * steps + t
-            pre = {g: ad.matmul(h, w_h[g]) + ad.embedding(x_proj[g], rows) for g in self.GATES}
+            pick = starts[done:] + t
+            pre = {g: ad.matmul(h, w_h[g]) + ad.embedding(x_proj[g], pick) for g in self.GATES}
             c = ad.sigmoid(pre["f"]) * c + ad.sigmoid(pre["i"]) * ad.tanh(pre["c"])
             h = ad.sigmoid(pre["o"]) * ad.tanh(c)
-        return ad.concat(finals + [h], axis=0)
+        feats = ad.concat(finals + [h], axis=0)        # ascending length order
+        return ad.embedding(feats, np.argsort(order))  # back to caller order
 
 
 class Mixer(Backbone):
@@ -370,10 +368,6 @@ class Mixer(Backbone):
                       ("fc.w", (c, cfg.output_dim), _uniform(c)),
                       ("fc.b", (cfg.output_dim,), 0.0)]
 
-    # every function fills the full mixer_seq_len grid, so a chunk saves no
-    # padding; a small one bounds inference memory at no cost in speed
-    CHUNK = 16
-
     def _drop(self, x, training, rng):
         if not training or self.cfg.mixer_dropout == 0.0:
             return x
@@ -381,9 +375,14 @@ class Mixer(Backbone):
             raise ValueError("training-mode mixer needs an RNG for dropout")
         return ad.dropout(x, self.cfg.mixer_dropout, rng)
 
-    def _head(self, encs, training, rng):
+    def _rows(self, encs):
+        return np.full(len(encs), self.cfg.mixer_seq_len)
+
+    def _head(self, encs, rows, training, rng):
         cfg = self.cfg
-        x = self._grid(encs, cfg.mixer_seq_len)        # [B, S_fixed, C]
+        ids, pos, _ = self._pack(encs, rows)
+        shape = (len(encs), cfg.mixer_seq_len)
+        x = self._embed_rows(ids.reshape(shape + (-1,)), pos.reshape(shape))   # [B, S, C]
         for layer in range(cfg.mixer_layers):
             p = f"layer{layer}."
             u = ad.layer_norm(x, self.params[p + "ln1.g"], self.params[p + "ln1.b"])

@@ -392,17 +392,26 @@ def _wrong_magic(where, workdir):
     sidecar.write_bytes(body + hashlib.sha256(body).digest())    # a valid trailer
 
 
-def _version_1(where, workdir):
-    """The sidecar as version 1 wrote it: same key, rows and a valid trailer. Version 1
-    rows came from length-sorted textcnn chunks, not from packed functions."""
+def _stamp_version(where, version):
+    """The sidecar as `version` wrote it: same key, rows and a valid trailer."""
     sidecar = where / "index.jsonl.embcache"
     body = bytearray(sidecar.read_bytes()[:-32])
-    body[8:12] = struct.pack("<I", 1)
+    body[8:12] = struct.pack("<I", version)
     sidecar.write_bytes(bytes(body) + hashlib.sha256(body).digest())
 
 
+def _version_1(where, workdir):
+    """Version 1 rows came from length-sorted textcnn chunks, not from packed functions."""
+    _stamp_version(where, 1)
+
+
+def _version_2(where, workdir):
+    """Version 2 lstm rows came from length-sorted padded chunks, not from packed groups."""
+    _stamp_version(where, 2)
+
+
 @pytest.mark.parametrize("change", [_retrain, _edit_record, _truncate, _flip_payload_byte,
-                                    _wrong_magic, _version_1])
+                                    _wrong_magic, _version_1, _version_2])
 def test_search_rebuilds_a_stale_or_damaged_sidecar(searchdir, workdir, capsys, embedded,
                                                     change):
     first = _search(searchdir, capsys)

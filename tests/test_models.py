@@ -14,7 +14,7 @@ from scipy.special import erf
 import asmsim.autodiff as ad
 from asmsim.errors import DataError
 from asmsim.models import (
-    Backbone, BackboneConfig, TextCNN, build_backbone, load_checkpoint, save_checkpoint,
+    Backbone, BackboneConfig, build_backbone, load_checkpoint, save_checkpoint,
 )
 from asmsim.tokenizer import EncodedFunction, PAD_ID, Vocabulary
 
@@ -52,32 +52,42 @@ def ref_grid(p, e, length):
 
 
 def test_lookup_grid_shape_and_content():
+    """Packed rows: a function longer than its rows is cut, a shorter one is
+    padded with PAD ids and position -1, which embeds as zero rows."""
     cfg = small_cfg("textcnn")
     model = build_backbone(cfg, seed=1)
     rng = np.random.default_rng(0)
     encs = [enc(rng, 4, cfg), enc(rng, 2, cfg), enc(rng, 7, cfg)]
-    grid = model._grid(encs, 5)
-    assert grid.shape == (3, 5, cfg.grid_width)
+    rows = np.array([5, 3, 5])
+    ids, pos, first = model._pack(encs, rows)
+    assert ids.shape == (13, cfg.tokens_per_instruction) and pos.shape == (13,)
+    np.testing.assert_array_equal(first, [0, 5, 8])
+    np.testing.assert_array_equal(pos, [0, 1, 2, 3, -1, 0, 1, -1, 0, 1, 2, 3, 4])
+    grid = model._embed_rows(ids, pos)
+    assert grid.shape == (13, cfg.grid_width)
     tok_tab = model.params["token_table"].data
     pos_tab = model.params["pos_table"].data
     d = cfg.embed_dim
-    row = grid.data[0, 2]
+    row = grid.data[2]
     for j in range(cfg.tokens_per_instruction):
         np.testing.assert_array_equal(row[j * d:(j + 1) * d], tok_tab[encs[0].token_ids[2, j]])
     np.testing.assert_array_equal(row[-d:], pos_tab[encs[0].position_ids[2]])
     p = {k: v.data for k, v in model.params.items()}
-    for e, g in zip(encs, grid.data):   # rows past the end are zero; the 7-row function is cut
-        np.testing.assert_array_equal(g, ref_grid(p, e, 5))
+    for e, lo, r in zip(encs, first, rows):    # padding rows are zero; the 7-row function is cut
+        np.testing.assert_array_equal(grid.data[lo:lo + r], ref_grid(p, e, r))
+    batched = model._embed_rows(ids.reshape(13, 1, -1), pos.reshape(13, 1))
+    np.testing.assert_array_equal(batched.data.reshape(13, -1), grid.data)
 
 
 def test_lookup_grid_pad_row_is_zero():
     cfg = small_cfg("textcnn")
     model = build_backbone(cfg, seed=1)
     e = EncodedFunction(np.full((2, 3), PAD_ID, dtype=np.int32), np.array([0, 1], dtype=np.int32))
-    grid = model._grid([e], 4)
+    grid = model._embed_rows(*model._pack([e], np.array([4]))[:2])
     d = cfg.embed_dim
-    np.testing.assert_array_equal(grid.data[0, :, :3 * d], 0.0)
-    np.testing.assert_array_equal(grid.data[0, 2:], 0.0)       # padding: PAD ids, zero position
+    np.testing.assert_array_equal(grid.data[:, :3 * d], 0.0)
+    np.testing.assert_array_equal(grid.data[2:], 0.0)          # padding: PAD ids, zero position
+    assert np.all(grid.data[:2, 3 * d:] != 0.0)
 
 
 def test_lookup_grid_id_out_of_bounds():
@@ -369,12 +379,12 @@ def test_embed_matrix_keeps_model_dtype():
 
 
 def test_textcnn_never_builds_the_grid(monkeypatch):
-    """The convolution reads token and position ids; the dense [B, L, H] grid is
-    for the lstm and the mixer only."""
-    def no_grid(self, encs, length):
-        raise AssertionError("textcnn built the dense grid")
+    """The convolution reads token and position ids; the dense rows of token
+    and position vectors are for the lstm and the mixer only."""
+    def no_rows(self, ids, pos):
+        raise AssertionError("textcnn built the dense rows")
 
-    monkeypatch.setattr(Backbone, "_grid", no_grid)
+    monkeypatch.setattr(Backbone, "_embed_rows", no_rows)
     cfg = small_cfg("textcnn")
     model = build_backbone(cfg, seed=18)
     rng = np.random.default_rng(19)
@@ -406,42 +416,48 @@ def test_textcnn_relu_runs_on_pooled_features(monkeypatch):
 
 # unsorted; 1 and 2 below the widest kernel (3), 40 longer than the forced budget
 PACKED_LENGTHS = (5, 40, 1, 6, 2, 4)
+# groups under PACK_ROWS = 12, in caller order. textcnn rows: 5 | 40 | 3 + 6 + 3 | 4;
+# lstm rows: 5 | 40 | 1 + 6 + 2 | 4; mixer rows: 6 + 6 each.
+PACKED_GROUPS = {"textcnn": [1, 1, 3, 1], "lstm": [1, 1, 3, 1], "mixer": [2, 2, 2]}
 
 
 def test_textcnn_pack_groups_match_one_group_and_single_functions(monkeypatch):
-    """A row budget that splits the batch into several packed groups changes
-    neither the rows nor the gradients, and each row is that function's embed."""
-    cfg = small_cfg("textcnn")
-    model = perturbed(build_backbone(cfg, seed=22), np.random.default_rng(23))
-    rng = np.random.default_rng(24)
-    encs = [enc(rng, s, cfg) for s in PACKED_LENGTHS]
-    packs = []
-    packed = TextCNN._packed
+    """For every backbone, a row budget that splits the batch into several
+    packed groups changes neither the rows nor the gradients, and each row is
+    that function's embed. The mixer runs without dropout, whose masks fall
+    on other functions when the groups change."""
+    for variant in ("textcnn", "lstm", "mixer"):
+        cfg = small_cfg(variant, mixer_dropout=0.0)
+        model = perturbed(build_backbone(cfg, seed=22), np.random.default_rng(23))
+        rng = np.random.default_rng(24)
+        encs = [enc(rng, s, cfg) for s in PACKED_LENGTHS]
+        packs = []
+        head = type(model)._head
 
-    def counted(self, group, eff):
-        packs.append(len(group))
-        return packed(self, group, eff)
+        def counted(self, group, rows, training, rng):
+            packs.append(len(group))
+            return head(self, group, rows, training, rng)
 
-    monkeypatch.setattr(TextCNN, "_packed", counted)
+        def forward():
+            model.zero_grad()
+            out = model.embed_batch(encs, training=True)
+            ad.sum_(out * np.linspace(-1.0, 1.0, out.size).reshape(out.shape)).backward()
+            return out.data, {n: p.grad.copy() for n, p in model.params.items()}
 
-    def forward():
-        model.zero_grad()
-        out = model.embed_batch(encs, training=True)
-        ad.sum_(out * np.linspace(-1.0, 1.0, out.size).reshape(out.shape)).backward()
-        return out.data, {n: p.grad.copy() for n, p in model.params.items()}
-
-    one, one_grads = forward()
-    assert packs == [len(encs)]
-    monkeypatch.setattr(TextCNN, "PACK_ROWS", 8)
-    packs.clear()
-    split, split_grads = forward()
-    assert packs == [1, 1, 1, 1, 2]        # rows 5 | 40 | 3 | 6 | 3 + 4, in caller order
-    singles = np.stack([model.embed(e).data for e in encs])
-    np.testing.assert_allclose(split, one, rtol=2e-4, atol=2e-6)
-    np.testing.assert_allclose(split, singles, rtol=2e-4, atol=2e-6)
-    for name in one_grads:
-        np.testing.assert_allclose(split_grads[name], one_grads[name], rtol=2e-4, atol=2e-6,
-                                   err_msg=name)
+        with monkeypatch.context() as m:
+            m.setattr(type(model), "_head", counted)
+            one, one_grads = forward()
+            assert packs == [len(encs)], cfg.variant
+            m.setattr(type(model), "PACK_ROWS", 12)
+            packs.clear()
+            split, split_grads = forward()
+            assert packs == PACKED_GROUPS[cfg.variant]
+        singles = np.stack([model.embed(e).data for e in encs])
+        np.testing.assert_allclose(split, one, rtol=2e-4, atol=2e-6, err_msg=cfg.variant)
+        np.testing.assert_allclose(split, singles, rtol=2e-4, atol=2e-6, err_msg=cfg.variant)
+        for name in one_grads:
+            np.testing.assert_allclose(split_grads[name], one_grads[name], rtol=2e-4, atol=2e-6,
+                                       err_msg=f"{cfg.variant} {name}")
 
 
 EMBED_MEMORY = """
@@ -450,24 +466,22 @@ sys.path.insert(0, sys.argv[1])
 from asmsim.models import BackboneConfig, build_backbone
 from asmsim.synthetic import SynthConfig, generate
 from asmsim.tokenizer import build_vocab, encode_function
-recs = generate(SynthConfig(n_families=5000, seed=1))
+variant, n_families, join = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+recs = generate(SynthConfig(n_families=n_families, seed=1))
 vocab = build_vocab(recs)
-encs = [encode_function(vocab, r) for r in recs]
-rows = build_backbone(BackboneConfig("textcnn", vocab.size), seed=0).embed_matrix(encs)
-assert rows.shape == (15000, 192)
+funcs = [[i for r in recs[j:j + join] for i in r.instructions] for j in range(0, len(recs), join)]
+encs = [encode_function(vocab, f) for f in funcs]
+rows = build_backbone(BackboneConfig(variant, vocab.size), seed=0).embed_matrix(encs)
+assert rows.shape == (len(funcs), 192)
 with open("/proc/self/status") as fh:
     print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024)
 """
 
-# MB, one BLAS thread: the process holds about 120 MB before the embed. The
-# embed peaked at 321 MB in length-sorted chunks of 64 and at 874 MB packed
-# without a row budget; packed under PACK_ROWS it reads 165-175 MB.
-EMBED_MEMORY_BOUND_MB = 240
 
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
-def test_textcnn_embed_matrix_memory_stays_bounded():
-    """A default textcnn embeds 15,000 stock functions under a peak RSS bound.
+def embed_peak_mb(variant, n_families, join):
+    """Peak RSS in MB of a child process that embeds the stock corpus of
+    `n_families` families, `join` consecutive functions' instructions per
+    embedded function, with a default `variant` on one BLAS thread.
 
     The child reads its own high-water mark (VmHWM): Linux carries a forked
     process's ru_maxrss over exec, so the child's ru_maxrss would never read
@@ -475,10 +489,35 @@ def test_textcnn_embed_matrix_memory_stays_bounded():
     """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", EMBED_MEMORY, src], capture_output=True,
-                          text=True, timeout=600, env=env)
+    proc = subprocess.run([sys.executable, "-c", EMBED_MEMORY, src, variant, str(n_families),
+                           str(join)], capture_output=True, text=True, timeout=600, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < EMBED_MEMORY_BOUND_MB
+    return float(proc.stdout)
+
+
+# MB: the process holds about 120 MB before the embed. The embed peaked at
+# 321 MB in length-sorted chunks of 64 and at 874 MB packed without a row
+# budget; packed under PACK_ROWS it reads 165-175 MB.
+EMBED_MEMORY_BOUND_MB = 240
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_textcnn_embed_matrix_memory_stays_bounded():
+    """A default textcnn embeds 15,000 stock functions under a peak RSS bound."""
+    assert embed_peak_mb("textcnn", 5000, 1) < EMBED_MEMORY_BOUND_MB
+
+
+# MB: the process holds about 60 MB before the embed. In length-sorted chunks
+# of 64 functions padded to the chunk's longest the embed peaked at 427 MB;
+# packed under PACK_ROWS it reads about 104 MB.
+LSTM_EMBED_MEMORY_BOUND_MB = 200
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_lstm_embed_matrix_memory_stays_bounded():
+    """A default lstm embeds 64 long functions (580-640 instructions, each 30
+    stock functions end to end) under a peak RSS bound."""
+    assert embed_peak_mb("lstm", 640, 30) < LSTM_EMBED_MEMORY_BOUND_MB
 
 
 # ------------------------------------------------------------------ checkpoints
