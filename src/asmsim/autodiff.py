@@ -4,10 +4,11 @@ Every operation records a node in a dynamic graph; calling ``backward()`` on a
 scalar result fills ``grad`` on every reachable tensor created with
 ``requires_grad=True``; inner nodes drop their gradient once it has been
 passed on, so a backward pass holds little beyond the forward graph.
-The textcnn's kernels run on functions packed end to end: `token_conv` reads
+The sequence kernels run on functions packed end to end: `token_conv` reads
 [N, K] token and [N] position ids and the first row of each output window
-instead of a built [N, C] input, and `segment_max` pools each function's run
-of output rows.
+instead of a built [N, C] input, `segment_max` pools each function's run of
+output rows, and `lstm` runs a whole recurrence as one node, with a
+hand-written backward through time.
 `affine`, `layer_norm` and the elementwise kernels accept any leading axes.
 A graph stays in the dtype of its leaves: training runs in float32, the
 gradient-check harness builds float64 graphs.
@@ -21,7 +22,7 @@ from contextlib import contextmanager
 
 import numpy as np
 from scipy import sparse
-from scipy.special import erf
+from scipy.special import erf, expit
 
 _GRAD_ENABLED = True
 
@@ -87,7 +88,7 @@ class Tensor:
         """Backpropagate from a scalar result through the recorded graph."""
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.data.shape}")
-        # iterative topo sort: LSTM graphs can be tens of thousands of nodes deep
+        # iterative topo sort: a graph can be deeper than Python's recursion limit
         topo = []
         seen = set()
         stack = [(self, False)]
@@ -384,7 +385,10 @@ def embedding(table: Tensor, ids) -> Tensor:
             return
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
+        if idx.ndim == 1 and np.all(idx[1:] > idx[:-1]):
+            table.grad[idx] += g           # distinct rows: nothing for np.add.at to accumulate
+        else:
+            np.add.at(table.grad, idx, g)
 
     return _node(out_data, (table,), backward)
 
@@ -506,6 +510,92 @@ def segment_max(x: Tensor, lengths) -> Tensor:
         _accum(x, np.where(hit, np.repeat(g, lens, axis=0), xd.dtype.type(0)))
 
     return _node(out_data, (x,), backward)
+
+
+def lstm(xp: Tensor, w_h: Tensor, starts, lengths) -> Tensor:
+    """Final hidden states of an LSTM over functions packed end to end, as one node.
+
+    Function b is the lengths[b] rows from starts[b]; its state starts at
+    h = c = 0. Row n of xp holds the input side of the i, f, c~ and o gate
+    pre-activations of one instruction, bias included. A step adds
+    h_{t-1} @ w_h to them; i, f and o are sigmoids, c~ a tanh,
+    c_t = f * c_{t-1} + i * c~ and h_t = o * tanh(c_t). The state runs in
+    ascending length order, so the running functions are a suffix and a step
+    is one GEMM plus one row gather. While recording it keeps each row's gate
+    activations, h_{t-1}, c_{t-1} and tanh(c_t), and its backward runs the
+    steps in reverse. A function of length 0 gives h = 0.
+
+    xp [N, 4h], w_h [h, 4h], starts int [B], lengths int [B] -> [B, h], in caller order.
+    """
+    starts, lengths = np.asarray(starts), np.asarray(lengths)
+    if starts.dtype.kind not in "iu" or lengths.dtype.kind not in "iu":
+        raise TypeError("lstm starts and lengths must be integers")
+    if (xp.ndim != 2 or w_h.ndim != 2 or xp.shape[1] != w_h.shape[1]
+            or w_h.shape[1] != 4 * w_h.shape[0]):
+        raise ValueError(f"lstm needs xp [N, 4h] and w_h [h, 4h], got {xp.shape} and {w_h.shape}")
+    if starts.ndim != 1 or lengths.shape != starts.shape:
+        raise ValueError(f"lstm needs starts [B] and lengths [B], got {starts.shape} "
+                         f"and {lengths.shape}")
+    n, hid = xp.shape[0], w_h.shape[0]
+    ends = starts + lengths
+    if starts.size and (starts.min() < 0 or lengths.min() < 0 or ends.max() > n):
+        raise ValueError(f"lstm rows out of range [0, {n})")
+    live = np.flatnonzero(lengths)
+    by_start = live[np.argsort(starts[live])]
+    if np.any(ends[by_start[:-1]] > starts[by_start[1:]]):
+        # the saved state is row-aligned with xp, so no row may belong to two functions
+        raise ValueError("lstm functions overlap")
+    order = np.argsort(lengths, kind="stable")
+    firsts, lens = starts[order], lengths[order]
+    # step t runs the functions [done[t], B) of the length order
+    done = np.searchsorted(lens, np.arange(lens[-1] if lens.size else 0), side="right").tolist()
+    h = np.zeros((lengths.size, hid), dtype=xp.dtype)
+    c = np.zeros_like(h)
+    record = _GRAD_ENABLED and (xp.requires_grad or w_h.requires_grad)
+    gates = h_prev = c_prev = tanh_c = None
+    if record:
+        gates = np.empty_like(xp.data)
+        # zero on rows no function reaches: dw_h's GEMM reads every row
+        h_prev = np.zeros((n, hid), dtype=xp.dtype)
+        c_prev, tanh_c = np.empty_like(h_prev), np.empty_like(h_prev)
+    sig, cand = (np.s_[:, :2 * hid], np.s_[:, 3 * hid:]), np.s_[:, 2 * hid:3 * hid]
+    for t, lo in enumerate(done):
+        rows = firsts[lo:] + t
+        a = h[lo:] @ w_h.data
+        a += xp.data[rows]
+        for blocks in sig:                          # i and f, then o
+            expit(a[blocks], out=a[blocks])
+        np.tanh(a[cand], out=a[cand])
+        c_t = a[:, hid:2 * hid] * c[lo:] + a[:, :hid] * a[cand]
+        tc = np.tanh(c_t)
+        if record:
+            gates[rows], h_prev[rows], c_prev[rows], tanh_c[rows] = a, h[lo:], c[lo:], tc
+        c[lo:] = c_t
+        h[lo:] = a[:, 3 * hid:] * tc
+    out_data = np.empty_like(h)
+    out_data[order] = h
+
+    def backward(g):
+        dpre = np.zeros_like(xp.data)
+        dh, dc = g[order], np.zeros_like(h)     # per function, in length order
+        for t in range(len(done) - 1, -1, -1):
+            lo = done[t]
+            rows = firsts[lo:] + t
+            a, tc = gates[rows], tanh_c[rows]
+            i, f, cc, o = (a[:, k * hid:(k + 1) * hid] for k in range(4))
+            dc_t = dc[lo:] + dh[lo:] * o * (1 - tc * tc)
+            d = np.empty_like(a)
+            d[:, :hid] = dc_t * cc * i * (1 - i)
+            d[:, hid:2 * hid] = dc_t * c_prev[rows] * f * (1 - f)
+            d[cand] = dc_t * i * (1 - cc * cc)
+            d[:, 3 * hid:] = dh[lo:] * tc * o * (1 - o)
+            dpre[rows] = d                      # a step's rows are distinct, and no row recurs
+            dc[lo:] = dc_t * f
+            dh[lo:] = d @ w_h.data.T
+        _accum(w_h, h_prev.T @ dpre)
+        _accum(xp, dpre)
+
+    return _node(out_data, (xp, w_h), backward)
 
 
 def sum_(x: Tensor, axis=None) -> Tensor:

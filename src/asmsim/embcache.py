@@ -28,7 +28,7 @@ import numpy as np
 from .manifest import file_sha256
 
 MAGIC = b"ASMSIMX1"
-VERSION = 3                 # 3: lstm rows from packed groups, not sorted padded chunks
+VERSION = 4                 # 4: lstm rows from the fused lstm kernel, not per-step gate graphs
 _HEADER = struct.Struct("<8sI32s32sQI")     # magic, version, checkpoint, index, N, E
 _DIGEST = 32
 

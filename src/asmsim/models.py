@@ -6,13 +6,15 @@ forward's functions end to end, in caller order, into groups under a row
 budget; each function takes the rows its variant declares: the textcnn its
 length padded up to the widest kernel, the lstm its length, the mixer
 mixer_seq_len (longer functions are cut). Padding rows hold PAD ids and
-position -1 (a zero position vector). The textcnn never builds those rows:
-its convolution reads the [N, K] token ids and [N] positions, applies each
-kernel slice once per distinct token, and each function max-pools over its
-own output rows. The lstm runs its rows unpadded; the mixer views them as
-[B, S, H]. Every backbone has one forward, `embed_batch`, which maps each
-function to a fixed-width embedding in caller order; both sides of a
-training pair run through the same parameter set.
+position -1 (a zero position vector). Only the mixer builds those rows, as
+[B, S, H]. The textcnn and the lstm convolve the [N, K] token ids and [N]
+positions instead, applying each kernel slice once per distinct token: each
+textcnn function max-pools over its own output rows, and the lstm's width-1
+convolution is the input side of its four gates, one unpadded row per
+instruction, which one `lstm` node runs through the recurrence. Every
+backbone has one forward, `embed_batch`, which maps each function to a
+fixed-width embedding in caller order; both sides of a training pair run
+through the same parameter set.
 
 The PAD embedding row (id 0) is pinned to zero: it is excluded from the
 parameter count and its gradient is masked before every optimizer step.
@@ -168,8 +170,9 @@ class Backbone:
         return ids, pos, first
 
     def _embed_rows(self, ids, pos) -> Tensor:
-        """[..., K] token ids and [...] positions -> [..., H] rows: the token
-        vectors, then the position vector, which is zero where pos is -1."""
+        """[..., K] token ids and [...] positions -> [..., H] rows (the mixer's
+        input): the token vectors, then the position vector, which is zero
+        where pos is -1."""
         tok = ad.reshape(ad.embedding(self.params["token_table"], ids), pos.shape + (-1,))
         mask = (pos >= 0).astype(self.dtype)[..., None]
         posv = ad.embedding(self.params["pos_table"], np.maximum(pos, 0)) * ad.constant(mask)
@@ -293,6 +296,10 @@ class LSTMNet(Backbone):
     Gates follow the classic coupled form on the concatenation [h_{t-1}, x_t]:
     input, forget, and output gates are sigmoids, the candidate cell is a tanh,
     the cell accumulates f*C + i*C~, and h = o * tanh(C). h_0 = C_0 = 0.
+    Each forward fuses the four gates' weights into one [h + H, 4h] matrix. Its
+    x rows are the kernel of a width-1 `token_conv`, which projects each
+    distinct token once into the input side of all four gates; its h rows
+    drive the recurrence, which `ad.lstm` runs as a single node.
     """
 
     GATES = ("i", "f", "c", "o")
@@ -310,37 +317,14 @@ class LSTMNet(Backbone):
         return np.array([e.n_instructions for e in encs])
 
     def _head(self, encs, rows, training, rng):
-        hid, bsz = self.cfg.lstm_hidden, len(encs)
+        hid = self.cfg.lstm_hidden
         ids, pos, first = self._pack(encs, rows)
-        x = self._embed_rows(ids, pos)                 # [N, H], no padding
-        # The input side of each gate is one GEMM over all rows; a step is
-        # then a [running functions, hidden] GEMM plus a row gather of its inputs.
-        w_h, x_proj = {}, {}
-        for g in self.GATES:
-            w = self.params[f"w_{g}"]                  # rows: h_{t-1} part, then x_t part
-            w_h[g] = ad.embedding(w, np.arange(hid))
-            w_x = ad.embedding(w, np.arange(hid, w.shape[0]))
-            x_proj[g] = ad.affine(x, w_x, self.params[f"b_{g}"])
-        # The state runs in ascending length order, so the running functions
-        # are a suffix [done, B). One drops out once its own length is
-        # reached; its state at that point is its embedding.
-        order = np.argsort(rows, kind="stable")
-        lengths, starts = rows[order], first[order]
-        h = c = ad.constant(np.zeros((bsz, hid), dtype=self.dtype))
-        done, finals = 0, []
-        for t in range(int(lengths[-1])):
-            ended = int(np.searchsorted(lengths, t, side="right")) - done
-            if ended:
-                finals.append(ad.embedding(h, np.arange(ended)))
-                rest = np.arange(ended, bsz - done)
-                h, c = ad.embedding(h, rest), ad.embedding(c, rest)
-                done += ended
-            pick = starts[done:] + t
-            pre = {g: ad.matmul(h, w_h[g]) + ad.embedding(x_proj[g], pick) for g in self.GATES}
-            c = ad.sigmoid(pre["f"]) * c + ad.sigmoid(pre["i"]) * ad.tanh(pre["c"])
-            h = ad.sigmoid(pre["o"]) * ad.tanh(c)
-        feats = ad.concat(finals + [h], axis=0)        # ascending length order
-        return ad.embedding(feats, np.argsort(order))  # back to caller order
+        w = ad.concat([self.params[f"w_{g}"] for g in self.GATES], axis=1)   # [h + H, 4h]
+        w_x = ad.transpose(ad.embedding(w, np.arange(hid, w.shape[0])), (1, 0))
+        xp = ad.token_conv(self.params["token_table"], self.params["pos_table"], ids, pos,
+                           np.arange(len(pos)), ad.reshape(w_x, w_x.shape + (1,)))
+        xp = xp + ad.concat([self.params[f"b_{g}"] for g in self.GATES], axis=0)
+        return ad.lstm(xp, ad.embedding(w, np.arange(hid)), first, rows)
 
 
 class Mixer(Backbone):

@@ -247,6 +247,85 @@ def test_segment_max_nan_segment():
     np.testing.assert_array_equal(x.grad, [[0.0, 2.0], [0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
 
 
+# caller order, unsorted, with a tie and a length of 1
+LSTM_LENGTHS = np.array([7, 1, 4, 4, 2])
+
+
+def lstm_case(rng, lengths, hid=3):
+    """float64 xp [N, 4h] and w_h [h, 4h], and the starts of `lengths` packed
+    in a shuffled order with one row that no function reads after each."""
+    starts = np.empty(len(lengths), dtype=np.int64)
+    row = 0
+    for b in rng.permutation(len(lengths)):
+        starts[b] = row
+        row += lengths[b] + 1
+    return p64(rng, row, 4 * hid), p64(rng, hid, 4 * hid), starts
+
+
+def ref_lstm(xp, w_h, starts, lengths):
+    """float64 loop, one function and one step at a time."""
+    hid = w_h.shape[0]
+    out = np.zeros((len(starts), hid))
+    for b, (start, n) in enumerate(zip(starts, lengths)):
+        h = c = np.zeros(hid)
+        for t in range(n):
+            z = xp[start + t] + h @ w_h
+            i, f, o = (1.0 / (1.0 + np.exp(-z[k * hid:(k + 1) * hid])) for k in (0, 1, 3))
+            c = f * c + i * np.tanh(z[2 * hid:3 * hid])
+            h = o * np.tanh(c)
+        out[b] = h
+    return out
+
+
+def test_lstm_matches_step_loop():
+    rng = np.random.default_rng(40)
+    for lengths in (LSTM_LENGTHS, np.array([3, 0, 5, 0]), np.array([1])):
+        xp, w_h, starts = lstm_case(rng, lengths)
+        expected = ref_lstm(xp.data, w_h.data, starts, lengths)
+        np.testing.assert_allclose(ad.lstm(xp, w_h, starts, lengths).data, expected,
+                                   rtol=1e-12, atol=1e-14)
+        with ad.no_grad():
+            out = ad.lstm(xp, w_h, starts, lengths)
+        assert out._backward is None
+        np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-14)
+
+
+def test_lstm_rejects_bad_shapes_and_rows():
+    xp, w_h = c64(np.zeros((6, 8))), c64(np.zeros((2, 8)))
+    starts, lengths = np.array([0, 3]), np.array([3, 3])
+    assert ad.lstm(xp, w_h, starts, lengths).shape == (2, 2)
+    with pytest.raises(ValueError, match=r"xp \[N, 4h\] and w_h \[h, 4h\]"):
+        ad.lstm(c64(np.zeros((6, 6))), w_h, starts, lengths)
+    with pytest.raises(ValueError, match=r"xp \[N, 4h\] and w_h \[h, 4h\]"):
+        ad.lstm(c64(np.zeros((6, 12))), c64(np.zeros((2, 12))), starts, lengths)
+    with pytest.raises(ValueError, match=r"starts \[B\] and lengths \[B\]"):
+        ad.lstm(xp, w_h, starts, np.array([3, 3, 0]))
+    for bad_starts, bad_lengths in (([0, 3], [3, 4]), ([-1, 3], [3, 3]), ([0, 3], [-1, 3])):
+        with pytest.raises(ValueError, match="out of range"):
+            ad.lstm(xp, w_h, np.array(bad_starts), np.array(bad_lengths))
+    with pytest.raises(ValueError, match="overlap"):
+        ad.lstm(xp, w_h, np.array([3, 1]), np.array([3, 3]))
+    with pytest.raises(TypeError, match="integers"):
+        ad.lstm(xp, w_h, starts.astype(float), lengths)
+
+
+def test_embedding_gradient_distinct_and_repeated_ids():
+    """Strictly increasing ids update their rows directly; repeated or
+    unordered ids still accumulate. Both match np.add.at, also when the
+    table already holds a gradient."""
+    rng = np.random.default_rng(43)
+    for ids in ([0, 2, 3, 5], [4], [3, 1, 3, 3], [2, 2], [5, 0], [[0, 2], [2, 5]]):
+        ids = np.array(ids)
+        table = p64(rng, 6, 3)
+        proj = rng.standard_normal(ids.shape + (3,))
+        expected = np.zeros((6, 3))
+        np.add.at(expected, ids, proj)
+        for _ in range(2):
+            ad.sum_(ad.embedding(table, ids) * proj).backward()
+            np.testing.assert_array_equal(table.grad, expected)
+            np.add.at(expected, ids, proj)
+
+
 def test_cosine_examples():
     assert ad.cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0])).item() == pytest.approx(0.70710678, abs=1e-8)
     u = np.array([0.3, -1.2, 4.0])
@@ -381,6 +460,7 @@ def test_float32_stays_float32():
                                             np.array([0, 1, 2, -1, -1, 0, 1, 2, 3, 4]),
                                             np.array([0, 1, 2, 5, 6, 7, 8]), p32(4, 3, 2)),
         "segment_max": lambda: ad.segment_max(ad.reshape(x, (10, 3)), np.array([2, 1, 7])),
+        "lstm": lambda: ad.lstm(p32(8, 8), p32(2, 8), np.array([5, 0]), np.array([3, 4])),
         "sum_": lambda: ad.sum_(x, axis=1),
         "mean_": lambda: ad.mean_(x, axis=1),
         "pairwise_cosine": lambda: ad.pairwise_cosine(p32(2, 3), p32(2, 3)),
@@ -512,6 +592,16 @@ def test_conv1d_gradients():
             assert_grads_match(lambda: ad.sum_(grid_conv(
                 params["table"], params["pos_table"], ids, pos, params["w"]) * proj),
                 params, rng)
+
+
+def test_lstm_gradients():
+    """Through lengths in caller order with a tie and a length of 1, and rows no function reads."""
+    rng = np.random.default_rng(41)
+    for _ in range(TRIALS // 4):
+        xp, w_h, starts = lstm_case(rng, LSTM_LENGTHS)
+        proj = rng.standard_normal((len(LSTM_LENGTHS), w_h.shape[0]))
+        assert_grads_match(lambda: ad.sum_(ad.lstm(xp, w_h, starts, LSTM_LENGTHS) * proj),
+                           {"xp": xp, "w_h": w_h}, rng)
 
 
 def test_cosine_gradients():

@@ -410,8 +410,13 @@ def _version_2(where, workdir):
     _stamp_version(where, 2)
 
 
+def _version_3(where, workdir):
+    """Version 3 lstm rows came from per-step gate graphs, not from the fused lstm kernel."""
+    _stamp_version(where, 3)
+
+
 @pytest.mark.parametrize("change", [_retrain, _edit_record, _truncate, _flip_payload_byte,
-                                    _wrong_magic, _version_1, _version_2])
+                                    _wrong_magic, _version_1, _version_2, _version_3])
 def test_search_rebuilds_a_stale_or_damaged_sidecar(searchdir, workdir, capsys, embedded,
                                                     change):
     first = _search(searchdir, capsys)

@@ -414,6 +414,44 @@ def test_textcnn_relu_runs_on_pooled_features(monkeypatch):
     assert model.embed_matrix(encs).shape == (len(encs), cfg.output_dim)
 
 
+def test_lstm_never_builds_the_rows(monkeypatch):
+    """The lstm projects each distinct token through the gates' input weights;
+    the dense rows of token and position vectors are for the mixer only."""
+    def no_rows(self, ids, pos):
+        raise AssertionError("lstm built the dense rows")
+
+    monkeypatch.setattr(Backbone, "_embed_rows", no_rows)
+    cfg = small_cfg("lstm")
+    model = build_backbone(cfg, seed=18)
+    rng = np.random.default_rng(19)
+    encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
+    ad.sum_(model.embed_batch(encs, training=True, rng=rng)).backward()
+    assert all(p.grad is not None for p in model.params.values())
+    assert model.embed_matrix(encs).shape == (len(encs), cfg.output_dim)
+
+
+def test_lstm_graph_does_not_grow_with_length(monkeypatch):
+    """A 5- and a 300-instruction function create the same number of autodiff
+    nodes: the recurrence is one node, not a graph per step."""
+    made = []
+    node = ad._node
+
+    def counted(data, parents, backward):
+        made.append(1)
+        return node(data, parents, backward)
+
+    monkeypatch.setattr(ad, "_node", counted)
+    cfg = small_cfg("lstm")
+    model = build_backbone(cfg, seed=18)
+    rng = np.random.default_rng(19)
+    counts = []
+    for length in (5, 300):
+        made.clear()
+        ad.sum_(model.embed_batch([enc(rng, length, cfg)], training=True, rng=rng)).backward()
+        counts.append(len(made))
+    assert counts[0] == counts[1]
+
+
 # unsorted; 1 and 2 below the widest kernel (3), 40 longer than the forced budget
 PACKED_LENGTHS = (5, 40, 1, 6, 2, 4)
 # groups under PACK_ROWS = 12, in caller order. textcnn rows: 5 | 40 | 3 + 6 + 3 | 4;
