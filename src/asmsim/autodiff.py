@@ -251,29 +251,6 @@ def relu(x: Tensor) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    xd = x.data
-    out_data = np.empty_like(xd)
-    pos = xd >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
-
-    def backward(g):
-        _accum(x, g * out_data * (1.0 - out_data))
-
-    return _node(out_data, (x,), backward)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-
-    def backward(g):
-        _accum(x, g * (1.0 - out_data * out_data))
-
-    return _node(out_data, (x,), backward)
-
-
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: 0.5 x (1 + erf(x / sqrt(2)))."""
     xd = x.data
@@ -403,10 +380,11 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, starts, w: Tensor) ->
     crosses from one function into the next. The rows are never built: each
     of the K + 1 slots projects its distinct ids through its slice of the
     kernel once, and each output sums its (K + 1) * W projected rows in one
-    sparse product.
+    sparse product. The kernel is stored [C_in, W, C_out], so each slot's
+    [d, W * C_out] slice is a view of w, and so is its gradient's.
 
     table [V, d], pos_table [P, d], ids int [N, K], pos int [N],
-    starts int [R], w [C_out, (K + 1) * d, W] -> [R, C_out].
+    starts int [R], w [(K + 1) * d, W, C_out] -> [R, C_out].
     """
     ids, pos, starts = np.asarray(ids), np.asarray(pos), np.asarray(starts)
     if any(a.dtype.kind not in "iu" for a in (ids, pos, starts)):
@@ -415,8 +393,8 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, starts, w: Tensor) ->
         raise ValueError(f"token_conv needs ids [N, K], pos [N] and starts [R], "
                          f"got {ids.shape}, {pos.shape} and {starts.shape}")
     if w.ndim != 3:
-        raise ValueError(f"token_conv kernel must be [C_out, C_in, W], got {w.shape}")
-    c_out, c_in, width = w.shape
+        raise ValueError(f"token_conv kernel must be [C_in, W, C_out], got {w.shape}")
+    c_in, width, c_out = w.shape
     n, k = ids.shape
     d = table.shape[1]
     if pos_table.shape[1] != d or c_in != (k + 1) * d:
@@ -431,6 +409,7 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, starts, w: Tensor) ->
     if pos.size and (pos.min() < -1 or pos.max() >= pos_table.shape[0]):
         raise ValueError(f"position out of range [-1, {pos_table.shape[0]})")
     rows = starts[:, None] + np.arange(width)          # [R, W] input rows of each window
+    kernels = w.data.reshape(k + 1, d, width * c_out)   # slot s's kernel, a view
     slots = [(table, ids[:, s]) for s in range(k)] + [(pos_table, pos)]
     uniqs, vecs, projs, cols = [], [], [], []
     n_proj = 0
@@ -440,7 +419,7 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, starts, w: Tensor) ->
         v = tab.data[uniq]
         v[uniq < 0] = 0.0                  # pos -1: padding
         # projected rows (id, offset), each a C_out vector
-        projs.append((v @ _slot_kernel(w.data, s, d)).reshape(-1, c_out))
+        projs.append((v @ kernels[s]).reshape(-1, c_out))
         cols.append((n_proj + inv[rows] * width + np.arange(width)).astype(np.int32))
         uniqs.append(uniq)
         vecs.append(v)
@@ -455,26 +434,20 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, starts, w: Tensor) ->
 
     def backward(g):
         gproj = picks.T @ g
-        gw = np.empty((c_in, width, c_out), dtype=gproj.dtype)   # w's gradient, axes rolled
+        gw = np.empty(kernels.shape, dtype=gproj.dtype)     # w's gradient, per slot
         lo = 0
         for s, ((tab, _), uniq, v) in enumerate(zip(slots, uniqs, vecs)):
             gp = gproj[lo:lo + uniq.size * width].reshape(uniq.size, width * c_out)
             lo += uniq.size * width
-            np.matmul(v.T, gp, out=gw[s * d:(s + 1) * d].reshape(d, width * c_out))
+            np.matmul(v.T, gp, out=gw[s])
             if tab.requires_grad:
                 if tab.grad is None:
                     tab.grad = np.zeros_like(tab.data)
                 live = uniq >= 0
-                tab.grad[uniq[live]] += (gp @ _slot_kernel(w.data, s, d).T)[live]
-        _accum(w, gw.transpose(2, 0, 1))
+                tab.grad[uniq[live]] += (gp @ kernels[s].T)[live]
+        _accum(w, gw.reshape(w.shape))
 
     return _node(out_data, (table, pos_table, w), backward)
-
-
-def _slot_kernel(w: np.ndarray, slot: int, d: int) -> np.ndarray:
-    """Input channels [slot * d, (slot + 1) * d) of w [C_out, C_in, W] as [d, W * C_out]."""
-    c_out, _, width = w.shape
-    return w[:, slot * d:(slot + 1) * d, :].transpose(1, 2, 0).reshape(d, width * c_out)
 
 
 def segment_max(x: Tensor, lengths) -> Tensor:

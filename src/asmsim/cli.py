@@ -5,9 +5,10 @@ identical inputs and seed give byte-identical artifacts (timestamps live
 only in manifests). Exit codes: 0 success, 1 usage, 2 data, 3 numeric.
 
 `search` also keeps `<index>.embcache` next to its index: the index's
-embeddings under that checkpoint, reused by the next search of the pair (see
-`embcache`). It is a cache, not an artifact, so it carries no manifest; a
-search that cannot write it warns and still answers.
+embeddings and printed names under that checkpoint, reused by the next search
+of the pair without parsing the index (see `embcache`). It is a cache, not an
+artifact, so it carries no manifest; a search that cannot write it warns and
+still answers.
 """
 
 from __future__ import annotations
@@ -225,29 +226,33 @@ def cmd_search(args) -> int:
     if len(queries) != 1:
         raise DataError(
             f"query file must hold exactly one function, got {len(queries)}")
-    index = load_dataset(args.index).records
-    if not index:
-        _warn("search index is empty; no results")
-        return 0
-    if key != embcache.cache_key(args.checkpoint, args.index):
-        key = None
-    q = backbone.embed_matrix(_encode_all(backbone, vocab, queries))
     cache = embcache.sidecar_path(args.index)
-    t = embcache.load_rows(cache, key, len(index), backbone.cfg.output_dim) if key else None
-    if t is None:
+    hit = embcache.load_rows(cache, key, backbone.cfg.output_dim) if key else None
+    if hit is not None and key != embcache.cache_key(args.checkpoint, args.index):
+        hit = key = None            # a file changed under the reads: read the index itself
+    if hit is None:
+        index = load_dataset(args.index).records
+        if not index:
+            _warn("search index is empty; no results")
+            return 0
+        if key != embcache.cache_key(args.checkpoint, args.index):
+            key = None
+    q = backbone.embed_matrix(_encode_all(backbone, vocab, queries))
+    if hit is None:
         t = backbone.embed_matrix(_encode_all(backbone, vocab, index))
+        names = [[r.project, r.binary, r.function_name, r.opt_level] for r in index]
         if key is not None:
             try:
-                embcache.save_rows(cache, key, t)
+                embcache.save_rows(cache, key, t, names)
             except OSError as exc:
                 _warn(f"could not write the index embedding cache {cache}: "
                       f"{exc.strerror or exc}")
+    else:
+        t, names = hit
     scores = cosine_matrix(q, t)[0]
-    order = descending_order(scores)[:min(args.top_k, len(index))]
+    order = descending_order(scores)[:min(args.top_k, len(names))]
     for rank, idx in enumerate(order, start=1):
-        rec = index[idx]
-        print(f"{rank}\t{scores[idx]:.6f}\t{rec.project}\t{rec.binary}"
-              f"\t{rec.function_name}\t{rec.opt_level}")
+        print(f"{rank}\t{scores[idx]:.6f}\t" + "\t".join(names[idx]))
     return 0
 
 

@@ -7,18 +7,21 @@ an artifact: it carries no manifest, a search rewrites it whenever it does not
 match, and deleting it costs the next search one full index embed.
 
 Layout: magic, version, the checkpoint's SHA-256 trailer (which covers its
-config, vocabulary and weights), the SHA-256 of the index file's bytes, N and
-E, the rows as little-endian row-major float32, and a SHA-256 trailer over
-everything before it. A sidecar that is missing, unreadable, short, corrupt,
-of another version or under another key is a miss, never an error. The rows
-are what the writing code computed, so a change to how embeddings are
-computed must bump VERSION.
+config, vocabulary and weights), the SHA-256 of the index file's bytes, N, E
+and the byte length of the names, the rows as little-endian row-major
+float32, the names as JSON (one [project, binary, function, opt_level] list
+per row, which is all a search prints of its index, so a hit never parses
+the index), and a SHA-256 trailer over everything before it. A sidecar that
+is missing, unreadable, short, corrupt, of another version or under another
+key is a miss, never an error. The rows are what the writing code computed,
+so a change to how embeddings are computed must bump VERSION.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import os
 import secrets
 import struct
@@ -28,8 +31,8 @@ import numpy as np
 from .manifest import file_sha256
 
 MAGIC = b"ASMSIMX1"
-VERSION = 4                 # 4: lstm rows from the fused lstm kernel, not per-step gate graphs
-_HEADER = struct.Struct("<8sI32s32sQI")     # magic, version, checkpoint, index, N, E
+VERSION = 5                 # 5: each row's printed names follow the rows
+_HEADER = struct.Struct("<8sI32s32sQIQ")    # magic, version, checkpoint, index, N, E, names
 _DIGEST = 32
 
 
@@ -50,28 +53,36 @@ def cache_key(checkpoint_path, index_path) -> tuple[bytes, bytes] | None:
         return None
 
 
-def load_rows(path, key: tuple[bytes, bytes], n: int, width: int) -> np.ndarray | None:
-    """The cached [n, width] rows (read-only) stored under `key`, or None on any mismatch."""
+def load_rows(path, key: tuple[bytes, bytes], width: int) -> tuple[np.ndarray, list] | None:
+    """The cached [N, width] rows (read-only) and the N rows' names stored
+    under `key`, or None on any mismatch."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError:
         return None
-    if len(raw) != _HEADER.size + 4 * n * width + _DIGEST:
+    if len(raw) < _HEADER.size + _DIGEST:
         return None
     if hashlib.sha256(memoryview(raw)[:-_DIGEST]).digest() != raw[-_DIGEST:]:
         return None
-    if _HEADER.unpack_from(raw) != (MAGIC, VERSION, *key, n, width):
+    *head, n, e, names_len = _HEADER.unpack_from(raw)
+    rows_end = _HEADER.size + 4 * n * e
+    if (head != [MAGIC, VERSION, *key] or e != width
+            or len(raw) != rows_end + names_len + _DIGEST):
         return None
-    return np.frombuffer(raw, dtype="<f4", count=n * width,
-                         offset=_HEADER.size).reshape(n, width)
+    names = json.loads(raw[rows_end:rows_end + names_len])
+    if len(names) != n:
+        return None
+    return np.frombuffer(raw, dtype="<f4", count=n * e, offset=_HEADER.size).reshape(n, e), names
 
 
-def save_rows(path, key: tuple[bytes, bytes], rows: np.ndarray):
+def save_rows(path, key: tuple[bytes, bytes], rows: np.ndarray, names: list):
     """Write the sidecar atomically: a temp file in the same directory, then
     `os.replace`. Raises OSError if it cannot; no temp file is left behind."""
     rows = np.ascontiguousarray(rows, dtype="<f4")
-    out = _HEADER.pack(MAGIC, VERSION, *key, *rows.shape) + rows.tobytes()
+    names_b = json.dumps(names, separators=(",", ":")).encode("utf-8")
+    out = _HEADER.pack(MAGIC, VERSION, *key, *rows.shape, len(names_b))
+    out += rows.tobytes() + names_b
     out += hashlib.sha256(out).digest()
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     try:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
 
@@ -103,6 +104,13 @@ def _embedding_init(rng, shape, dtype):
 
 def _uniform(fan_in):
     return functools.partial(_kaiming, fan_in=fan_in)
+
+
+def _conv_init(rng, shape, dtype):
+    """A [C_in, W, C_out] kernel drawn as [C_out, C_in, W], then transposed."""
+    c_in, width, c_out = shape
+    w = _kaiming(rng, (c_out, c_in, width), dtype, fan_in=c_in * width)
+    return np.ascontiguousarray(w.transpose(1, 2, 0))
 
 
 class Backbone:
@@ -250,7 +258,8 @@ class TextCNN(Backbone):
     """Width-5 and width-3 convolution banks, global max-pool, one projection.
 
     Each bank is one bias-free `token_conv` over the packed token and position
-    ids, and one `segment_max` over each function's output rows.
+    ids, and one `segment_max` over each function's output rows. Its kernel is
+    stored [C_in, W, C_out], the layout `token_conv` reads without a copy.
     Its bias and ReLU are non-decreasing, so they commute with the max-pool,
     rounding included: they run after it, on [B, C], not on every position.
     """
@@ -260,7 +269,7 @@ class TextCNN(Backbone):
         h = cfg.grid_width
         out = super().layout(cfg)
         for i, w in enumerate(cfg.conv_widths):
-            out += [(f"conv{i}.w", (cfg.conv_channels, h, w), _uniform(h * w)),
+            out += [(f"conv{i}.w", (h, w, cfg.conv_channels), _conv_init),
                     (f"conv{i}.b", (cfg.conv_channels,), 0.0)]
         pooled = cfg.conv_channels * len(cfg.conv_widths)
         return out + [("fc.w", (pooled, cfg.output_dim), _uniform(pooled)),
@@ -297,9 +306,9 @@ class LSTMNet(Backbone):
     input, forget, and output gates are sigmoids, the candidate cell is a tanh,
     the cell accumulates f*C + i*C~, and h = o * tanh(C). h_0 = C_0 = 0.
     Each forward fuses the four gates' weights into one [h + H, 4h] matrix. Its
-    x rows are the kernel of a width-1 `token_conv`, which projects each
-    distinct token once into the input side of all four gates; its h rows
-    drive the recurrence, which `ad.lstm` runs as a single node.
+    x rows, as an [H, 1, 4h] kernel, drive a width-1 `token_conv`, which
+    projects each distinct token once into the input side of all four gates;
+    its h rows drive the recurrence, which `ad.lstm` runs as a single node.
     """
 
     GATES = ("i", "f", "c", "o")
@@ -320,9 +329,9 @@ class LSTMNet(Backbone):
         hid = self.cfg.lstm_hidden
         ids, pos, first = self._pack(encs, rows)
         w = ad.concat([self.params[f"w_{g}"] for g in self.GATES], axis=1)   # [h + H, 4h]
-        w_x = ad.transpose(ad.embedding(w, np.arange(hid, w.shape[0])), (1, 0))
+        w_x = ad.reshape(ad.embedding(w, np.arange(hid, w.shape[0])), (-1, 1, 4 * hid))
         xp = ad.token_conv(self.params["token_table"], self.params["pos_table"], ids, pos,
-                           np.arange(len(pos)), ad.reshape(w_x, w_x.shape + (1,)))
+                           np.arange(len(pos)), w_x)
         xp = xp + ad.concat([self.params[f"b_{g}"] for g in self.GATES], axis=0)
         return ad.lstm(xp, ad.embedding(w, np.arange(hid)), first, rows)
 
@@ -398,11 +407,13 @@ def build_backbone(cfg: BackboneConfig, seed: int | np.random.SeedSequence | np.
 # ------------------------------------------------------------------ checkpoints
 
 CHECKPOINT_MAGIC = b"ASMSIMB1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2      # 2: 64-byte aligned blocks, conv kernels as [C_in, W, C_out]
+_ALIGN = 64
 
 
 def save_checkpoint(path, backbone: Backbone, vocab: Vocabulary):
-    """Write magic, version, config JSON, vocabulary bytes, named float32 blocks,
+    """Write magic, version, config JSON, vocabulary bytes, named float32 blocks
+    (each block's data zero-padded to start on a 64-byte boundary of the file),
     and a SHA-256 trailer over everything before it."""
     cfg_json = json.dumps(backbone.cfg.to_dict(), sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
@@ -421,6 +432,7 @@ def save_checkpoint(path, backbone: Backbone, vocab: Vocabulary):
         out += name_b
         out += struct.pack("<B", p.data.ndim)
         out += struct.pack(f"<{p.data.ndim}I", *p.data.shape)
+        out += bytes(-len(out) % _ALIGN)
         out += np.ascontiguousarray(p.data, dtype="<f4").tobytes()
     out += hashlib.sha256(bytes(out)).digest()
     with open(path, "wb") as fh:
@@ -448,18 +460,22 @@ class _Reader:
 
 
 def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
+    """Read a version 2 or 1 checkpoint. The file is read once into one 64-byte
+    aligned buffer, and each version 2 block is a writable float32 view into it."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(CHECKPOINT_MAGIC) + 32:
-        raise DataError(f"{path}: truncated checkpoint")
+        size = os.fstat(fh.fileno()).st_size
+        store = np.empty(size + _ALIGN, dtype=np.uint8)
+        raw = store[-store.ctypes.data % _ALIGN:][:size]
+        if fh.readinto(raw) != size or len(raw) < len(CHECKPOINT_MAGIC) + 32:
+            raise DataError(f"{path}: truncated checkpoint")
     body = memoryview(raw)[:-32]
-    if hashlib.sha256(body).digest() != raw[-32:]:
+    if hashlib.sha256(body).digest() != raw[-32:].tobytes():
         raise DataError(f"{path}: checkpoint checksum mismatch (file corrupted?)")
     r = _Reader(body, str(path))
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
     version = r.unpack("<I")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     cfg = BackboneConfig.from_dict(json.loads(str(r.take(r.unpack("<I")), "utf-8")))
     vocab = Vocabulary.from_bytes(bytes(r.take(r.unpack("<Q"))), where=str(path))
@@ -475,13 +491,19 @@ def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
         name = str(r.take(r.unpack("<H")), "utf-8")
         if name not in expected or name in blocks:
             raise DataError(f"{path}: unexpected parameter block '{name}'")
+        want = expected[name]
+        if version == 1 and len(want) == 3:         # version 1 kept [C_out, C_in, W]
+            want = (want[2], *want[:2])
         ndim = r.unpack("<B")
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
-        if shape != expected[name]:
-            raise DataError(f"{path}: parameter '{name}' has shape {shape}, "
-                            f"expected {expected[name]}")
+        if shape != want:
+            raise DataError(f"{path}: parameter '{name}' has shape {shape}, expected {want}")
+        if version != 1 and any(r.take(-r.off % _ALIGN)):
+            raise DataError(f"{path}: non-zero padding before parameter '{name}'")
         count = int(np.prod(shape)) if shape else 1
-        # the one copy per block: Adam updates p.data in place, so each array
-        # must be writable and own its memory
-        blocks[name] = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape).astype(np.float32)
+        block = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
+        if version == 1:                            # unaligned: copy, into the current layout
+            block = np.array(block.transpose(1, 2, 0) if ndim == 3 else block,
+                             dtype=np.float32, order="C")
+        blocks[name] = block
     return cls(cfg, None, data=blocks), vocab

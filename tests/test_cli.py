@@ -352,6 +352,29 @@ def test_search_second_call_embeds_only_the_query(searchdir, capsys, embedded):
     assert embedded == [1]
 
 
+def test_search_hit_reads_no_index_and_prints_the_same_bytes(searchdir, capsys, monkeypatch):
+    import asmsim.cli as cli
+
+    read = []
+    real = cli.load_dataset
+
+    def spy(path):
+        read.append(os.path.basename(path))
+        return real(path)
+
+    monkeypatch.setattr(cli, "load_dataset", spy)
+    cold = _search(searchdir, capsys)
+    assert read == ["q.jsonl", "index.jsonl"]
+    read.clear()
+    warm = _search(searchdir, capsys)
+    assert read == ["q.jsonl"]                      # the names come from the sidecar
+    (searchdir / "index.jsonl.embcache").unlink()
+    read.clear()
+    assert _search(searchdir, capsys) == warm == cold
+    assert read == ["q.jsonl", "index.jsonl"]
+    assert cold[0] == 0 and len(cold[1].splitlines()) == 5
+
+
 def test_search_cold_sidecars_are_byte_identical(searchdir, capsys):
     sidecar = searchdir / "index.jsonl.embcache"
     assert _search(searchdir, capsys)[0] == 0
@@ -415,8 +438,14 @@ def _version_3(where, workdir):
     _stamp_version(where, 3)
 
 
+def _version_4(where, workdir):
+    """Version 4 held no names, so a hit still parsed the index."""
+    _stamp_version(where, 4)
+
+
 @pytest.mark.parametrize("change", [_retrain, _edit_record, _truncate, _flip_payload_byte,
-                                    _wrong_magic, _version_1, _version_2, _version_3])
+                                    _wrong_magic, _version_1, _version_2, _version_3,
+                                    _version_4])
 def test_search_rebuilds_a_stale_or_damaged_sidecar(searchdir, workdir, capsys, embedded,
                                                     change):
     first = _search(searchdir, capsys)
@@ -450,6 +479,28 @@ def test_search_index_edited_while_read_writes_no_sidecar(searchdir, workdir, ca
     monkeypatch.setattr(cli, "load_dataset", load_then_edit)
     assert _search(searchdir, capsys) == expected     # ranks what it read
     assert not (searchdir / "index.jsonl.embcache").exists()
+
+
+def test_search_hit_whose_second_key_differs_is_not_used(searchdir, workdir, capsys,
+                                                        monkeypatch, embedded):
+    first = _search(searchdir, capsys)
+    sidecar = (searchdir / "index.jsonl.embcache").read_bytes()
+    edited = _copy_inputs(searchdir, searchdir.parent / "edited")
+    _edit_record(edited, workdir)
+    expected = _search(edited, capsys)
+    assert expected != first
+    real = embcache.load_rows
+
+    def load_then_edit(*args):
+        result = real(*args)
+        _edit_record(searchdir, workdir)
+        return result
+
+    monkeypatch.setattr(embcache, "load_rows", load_then_edit)
+    embedded.clear()
+    assert _search(searchdir, capsys) == expected      # ranks the index it then read
+    assert embedded == [1, N_INDEX]
+    assert (searchdir / "index.jsonl.embcache").read_bytes() == sidecar
 
 
 def _read_only_directory(monkeypatch, where):

@@ -1,8 +1,10 @@
 """Backbone shapes, parameter counts, architecture traces, and checkpoints."""
 
 import hashlib
+import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -234,7 +236,7 @@ def ref_textcnn(p, cfg, e):
     feats = []
     for i, width in enumerate(cfg.conv_widths):   # widths in small_cfg come grouped in index order
         w, b = p[f"conv{i}.w"], p[f"conv{i}.b"]
-        outs = [np.einsum("chw,wh->c", w, grid[t:t + width]) + b
+        outs = [np.einsum("hwc,wh->c", w, grid[t:t + width]) + b
                 for t in range(len(grid) - width + 1)]
         feats.append(np.maximum(np.max(outs, axis=0), 0.0))
     return np.concatenate(feats) @ p["fc.w"] + p["fc.b"]
@@ -560,6 +562,31 @@ def test_lstm_embed_matrix_memory_stays_bounded():
 
 # ------------------------------------------------------------------ checkpoints
 
+def assert_blocks_are_separate_aligned_views(model):
+    """Adam updates p.data in place, so every loaded block is writable float32,
+    and no two blocks share memory; each starts on a 64-byte boundary."""
+    blocks = [p.data for p in model.params.values()]
+    for i, a in enumerate(blocks):
+        assert a.flags.writeable and a.flags.c_contiguous and a.dtype == np.float32
+        assert a.ctypes.data % 64 == 0
+        assert not any(np.shares_memory(a, b) for b in blocks[i + 1:])
+
+
+def write_v1_checkpoint(path, model, vocab):
+    """A version 1 file: blocks packed without padding, conv kernels as [C_out, C_in, W]."""
+    cfg_json = json.dumps(model.cfg.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+    vocab_bytes = vocab.file_bytes()
+    out = bytearray(b"ASMSIMB1" + struct.pack("<II", 1, len(cfg_json)) + cfg_json)
+    out += struct.pack("<Q", len(vocab_bytes)) + vocab_bytes
+    out += struct.pack("<I", len(model.params))
+    for name, p in model.params.items():
+        data = p.data.transpose(2, 0, 1) if p.data.ndim == 3 else p.data
+        out += struct.pack("<H", len(name)) + name.encode()
+        out += struct.pack(f"<B{data.ndim}I", data.ndim, *data.shape)
+        out += np.ascontiguousarray(data, dtype="<f4").tobytes()
+    path.write_bytes(bytes(out) + hashlib.sha256(out).digest())
+
+
 def test_checkpoint_round_trip(tmp_path):
     cfg = small_cfg("textcnn")
     model = build_backbone(cfg, seed=21)
@@ -568,9 +595,8 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(path, model, vocab)
     loaded, loaded_vocab = load_checkpoint(path)
     assert loaded.fingerprint() == model.fingerprint()
+    assert_blocks_are_separate_aligned_views(loaded)
     for name, p in loaded.params.items():
-        # Adam updates in place: each block is its own writable array
-        assert p.data.flags.writeable and p.data.flags.owndata
         assert p.data.tobytes() == model.params[name].data.tobytes()
     assert loaded.cfg == cfg
     assert loaded_vocab.id_to_token == vocab.id_to_token
@@ -593,8 +619,67 @@ def test_checkpoint_load_draws_no_initialisation(tmp_path, monkeypatch):
                 m.setattr(models, init, lambda *a, **k: pytest.fail("load drew an initialisation"))
             loaded, _ = load_checkpoint(path)
         assert loaded.fingerprint() == model.fingerprint()
-        assert all(p.data.flags.writeable and p.data.dtype == np.float32
-                   for p in loaded.params.values())
+        assert_blocks_are_separate_aligned_views(loaded)
+
+
+def test_checkpoint_version_1_loads_into_the_current_layout(tmp_path):
+    rng = np.random.default_rng(26)
+    vocab = tiny_vocab()
+    for cfg in all_variants():
+        model = perturbed(build_backbone(cfg, seed=26), rng)
+        v1, v2 = tmp_path / f"{cfg.variant}.v1.ckpt", tmp_path / f"{cfg.variant}.v2.ckpt"
+        write_v1_checkpoint(v1, model, vocab)
+        save_checkpoint(v2, model, vocab)
+        old, _ = load_checkpoint(v1)
+        new, _ = load_checkpoint(v2)
+        assert old.fingerprint() == new.fingerprint() == model.fingerprint()
+        assert all(p.data.flags.writeable and p.data.flags.c_contiguous
+                   for p in old.params.values())
+        encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
+        assert old.embed_matrix(encs).tobytes() == new.embed_matrix(encs).tobytes()
+
+
+def _reseal(path, edit):
+    body = bytearray(path.read_bytes()[:-32])
+    edit(body)
+    path.write_bytes(bytes(body) + hashlib.sha256(body).digest())    # a valid trailer
+
+
+def test_checkpoint_rejects_unknown_version_and_non_zero_padding(tmp_path):
+    model = build_backbone(small_cfg("textcnn"), seed=27)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, tiny_vocab())
+    _reseal(path, lambda body: body.__setitem__(slice(8, 12), struct.pack("<I", 3)))
+    with pytest.raises(DataError, match="unsupported checkpoint version 3"):
+        load_checkpoint(path)
+    save_checkpoint(path, model, tiny_vocab())
+    raw = path.read_bytes()
+    shape_end = raw.index(b"conv0.w") + len(b"conv0.w") + 1 + 3 * 4
+    assert -shape_end % 64 and raw[shape_end] == 0                # conv0.w has padding
+    _reseal(path, lambda body: body.__setitem__(shape_end, 1))
+    with pytest.raises(DataError, match="non-zero padding before parameter 'conv0.w'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_loaded_model_trains_and_resaves_byte_stable(tmp_path):
+    from asmsim.optim import Adam
+
+    cfg = small_cfg("textcnn")
+    rng = np.random.default_rng(28)
+    encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, build_backbone(cfg, seed=28), tiny_vocab())
+    stepped = []
+    for model in (build_backbone(cfg, seed=28), load_checkpoint(path)[0]):
+        ad.sum_(model.embed_batch(encs)).backward()
+        model.mask_frozen_grads()
+        Adam(model.params).step()
+        stepped.append(model)
+    assert stepped[0].fingerprint() == stepped[1].fingerprint()
+    save_checkpoint(path, stepped[1], tiny_vocab())
+    resaved = tmp_path / "resaved.ckpt"
+    save_checkpoint(resaved, load_checkpoint(path)[0], tiny_vocab())
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("edit, message", [
