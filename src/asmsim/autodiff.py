@@ -8,8 +8,10 @@ The sequence kernels run on functions packed end to end: `token_conv` reads
 [N, K] token and [N] position ids and the first row of each output window
 instead of a built [N, C] input, `segment_max` pools each function's run of
 output rows, and `lstm` runs a whole recurrence as one node, with a
-hand-written backward through time.
-`affine`, `layer_norm` and the elementwise kernels accept any leading axes.
+hand-written backward through time. `mlp` runs a mixer MLP (affine, GELU,
+dropout, affine, dropout) as one node that keeps two float arrays and two
+bool masks for its backward.
+`affine`, `layer_norm`, `mlp` and the elementwise kernels accept any leading axes.
 A graph stays in the dtype of its leaves: training runs in float32, the
 gradient-check harness builds float64 graphs.
 """
@@ -251,19 +253,6 @@ def relu(x: Tensor) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact GELU: 0.5 x (1 + erf(x / sqrt(2)))."""
-    xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd * INV_SQRT2))
-    out_data = xd * cdf
-
-    def backward(g):
-        pdf = INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
-        _accum(x, g * (cdf + xd * pdf))
-
-    return _node(out_data, (x,), backward)
-
-
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     n = x.shape[-1]
@@ -287,19 +276,79 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _node(out_data, (x, gamma, beta), backward)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout. Call only on training paths; rate 0 is the identity."""
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
+        rng: np.random.Generator | None) -> Tensor:
+    """affine -> exact GELU -> dropout -> affine -> dropout over the last axis, as one node.
+
+    GELU is 0.5 h (1 + erf(h / sqrt(2))). Dropout is inverted: each unit is
+    kept where rng.random() >= rate and scaled by 1 / (1 - rate), with one
+    draw over the hidden units and then one over the outputs; rate 0 draws
+    nothing and is the identity, as on inference paths. While recording it
+    keeps the pre-activation h, the GELU's cdf, the two keep-masks as bool
+    and a reference to x's data (a transposed view is reshaped again in the
+    backward, not copied here); the GELU output and both dropout outputs are
+    recomputed from them. Recomputing cdf would cost an erf, about one GEMM.
+
+    x [..., n], w1 [n, k], b1 [k], w2 [k, m], b2 [m] -> [..., m].
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return x
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype) / x.data.dtype.type(1.0 - rate)
-    out_data = x.data * keep
+    if rate and rng is None:
+        raise ValueError("a training-mode mixer needs an RNG for dropout")
+    for w, b in ((w1, b1), (w2, b2)):
+        if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[1]:
+            raise ValueError(f"mlp weight/bias mismatch: w {w.shape}, b {b.shape}")
+    if x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
+        raise ValueError(f"mlp widths do not chain: x {x.shape}, w1 {w1.shape}, w2 {w2.shape}")
+    lead, hid, m = x.data.shape[:-1], w1.shape[1], w2.shape[1]
+    dt = x.data.dtype
+    scale = dt.type(1.0 - rate)
+
+    def keep(mask):                       # the float mask dropout scales by
+        return mask.astype(dt) / scale
+
+    record = _GRAD_ENABLED and any(t.requires_grad for t in (x, w1, b1, w2, b2))
+    h = x.data.reshape(-1, x.data.shape[-1]) @ w1.data + b1.data
+    cdf = 0.5 * (1.0 + erf(h * INV_SQRT2))
+    a = h * cdf
+    if not record:
+        del h, cdf                        # inference: not held through the second GEMM
+    mask1 = mask2 = None
+    if rate:
+        mask1 = rng.random(lead + (hid,)).reshape(a.shape) >= rate
+        a *= keep(mask1)
+    y = a @ w2.data + b2.data
+    del a
+    if rate:
+        mask2 = rng.random(lead + (m,)).reshape(y.shape) >= rate
+        y *= keep(mask2)
+    out_data = y.reshape(*lead, m)
+    if not record:
+        return Tensor(out_data)
 
     def backward(g):
-        _accum(x, g * keep)
+        g2 = g.reshape(-1, m)
+        a = h * cdf
+        if rate:
+            g2 = g2 * keep(mask2)
+            a *= keep(mask1)
+        _accum(w2, a.T @ g2)
+        _accum(b2, g2.sum(axis=0))
+        del a
+        gh = g2 @ w2.data.T
+        if rate:
+            gh *= keep(mask1)
+        slope = INV_SQRT_2PI * np.exp(-0.5 * h * h)   # in place: cdf + h * pdf
+        slope *= h
+        slope += cdf
+        gh *= slope
+        del slope
+        x2 = x.data.reshape(-1, x.data.shape[-1])
+        _accum(w1, x2.T @ gh)
+        _accum(b1, gh.sum(axis=0))
+        _accum(x, (gh @ w1.data.T).reshape(x.data.shape))
 
-    return _node(out_data, (x,), backward)
+    return _node(out_data, (x, w1, b1, w2, b2), backward)
 
 
 def concat(tensors, axis: int) -> Tensor:

@@ -341,7 +341,10 @@ class Mixer(Backbone):
 
     Functions are truncated or zero-padded along the instruction axis to
     mixer_seq_len; there are no per-patch projections, the grid itself is the
-    token sequence. Dropout applies inside the MLPs on training passes only.
+    token sequence. Each token-mixing and channel-mixing MLP is one `ad.mlp`
+    node, which keeps only its pre-activation, its GELU cdf and two bool
+    dropout masks for the backward. Dropout applies inside the MLPs on
+    training passes only.
     """
 
     @classmethod
@@ -361,13 +364,6 @@ class Mixer(Backbone):
                       ("fc.w", (c, cfg.output_dim), _uniform(c)),
                       ("fc.b", (cfg.output_dim,), 0.0)]
 
-    def _drop(self, x, training, rng):
-        if not training or self.cfg.mixer_dropout == 0.0:
-            return x
-        if rng is None:
-            raise ValueError("training-mode mixer needs an RNG for dropout")
-        return ad.dropout(x, self.cfg.mixer_dropout, rng)
-
     def _rows(self, encs):
         return np.full(len(encs), self.cfg.mixer_seq_len)
 
@@ -376,21 +372,19 @@ class Mixer(Backbone):
         ids, pos, _ = self._pack(encs, rows)
         shape = (len(encs), cfg.mixer_seq_len)
         x = self._embed_rows(ids.reshape(shape + (-1,)), pos.reshape(shape))   # [B, S, C]
+        rate = cfg.mixer_dropout if training else 0.0
+
+        def mlp(x, name):
+            w1, b1, w2, b2 = (self.params[name + k] for k in ("w1", "b1", "w2", "b2"))
+            return ad.mlp(x, w1, b1, w2, b2, rate, rng)
+
         for layer in range(cfg.mixer_layers):
             p = f"layer{layer}."
             u = ad.layer_norm(x, self.params[p + "ln1.g"], self.params[p + "ln1.b"])
-            t = ad.transpose(u, (0, 2, 1))             # [B, C, S]
-            t = ad.gelu(ad.affine(t, self.params[p + "tok.w1"], self.params[p + "tok.b1"]))
-            t = self._drop(t, training, rng)
-            t = ad.affine(t, self.params[p + "tok.w2"], self.params[p + "tok.b2"])
-            t = self._drop(t, training, rng)
+            t = mlp(ad.transpose(u, (0, 2, 1)), p + "tok.")   # over [B, C, S]
             x = x + ad.transpose(t, (0, 2, 1))
             v = ad.layer_norm(x, self.params[p + "ln2.g"], self.params[p + "ln2.b"])
-            cmix = ad.gelu(ad.affine(v, self.params[p + "ch.w1"], self.params[p + "ch.b1"]))
-            cmix = self._drop(cmix, training, rng)
-            cmix = ad.affine(cmix, self.params[p + "ch.w2"], self.params[p + "ch.b2"])
-            cmix = self._drop(cmix, training, rng)
-            x = x + cmix
+            x = x + mlp(v, p + "ch.")
         x = ad.layer_norm(x, self.params["ln_final.g"], self.params["ln_final.b"])
         return ad.mean_(x, axis=1)                     # [B, C]
 

@@ -121,10 +121,10 @@ def train(corpus: CorpusIndex, vocab: Vocabulary, backbone_cfg: BackboneConfig,
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss at batch {result.n_batches}")
-            backbone.zero_grad()
             loss.backward()
             backbone.mask_frozen_grads()
             opt.step()
+            backbone.zero_grad()    # the returned backbone holds no gradients
             del e1, e2, loss  # this batch's graph must not live through the next forward
             result.losses.append(value)
             if checkpoint_cb is not None and result.n_batches % cfg.checkpoint_every == 0:

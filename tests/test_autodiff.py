@@ -1,5 +1,7 @@
 """Kernel-level checks: pinned examples plus finite-difference trials per kernel."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -407,19 +409,71 @@ def test_embedding_out_of_range():
         ad.embedding(table, np.array([0, 4]))
 
 
-def test_dropout_deterministic_given_seed():
-    x = ad.parameter(np.ones((5, 5)), dtype=np.float64)
-    a = ad.dropout(x, 0.4, np.random.default_rng(11)).data
-    b = ad.dropout(x, 0.4, np.random.default_rng(11)).data
+INV_SQRT2 = 1.0 / math.sqrt(2.0)    # a Python float keeps float32 arrays float32
+
+
+def ref_mlp(x, w1, b1, w2, b2, rate, rng):
+    """numpy affine -> gelu -> dropout -> affine -> dropout, drawing each
+    inverted-dropout mask from rng as one rng.random over the layer's output."""
+    def affine(v, w, b):
+        return (v.reshape(-1, v.shape[-1]) @ w + b).reshape(*v.shape[:-1], w.shape[1])
+
+    def drop(v):
+        if not rate:
+            return v
+        keep = (rng.random(v.shape) >= rate).astype(v.dtype) / v.dtype.type(1.0 - rate)
+        return v * keep
+
+    h = affine(x, w1, b1)
+    a = drop(h * (0.5 * (1.0 + erf(h * INV_SQRT2))))
+    return drop(affine(a, w2, b2))
+
+
+def mlp_args(rng, n, k, m, dtype):
+    return [ad.parameter(rng.standard_normal(shape), dtype=dtype)
+            for shape in ((n, k), (k,), (k, m), (m,))]
+
+
+def test_mlp_matches_numpy_reference_bitwise():
+    """float32, rate 0.1, from one seed: the node's forward is bit for bit the
+    old composition's, on a transposed view (token mixing) and on a
+    contiguous input (channel mixing)."""
+    rng = np.random.default_rng(40)
+    base = ad.parameter(rng.standard_normal((3, 7, 5)), dtype=np.float32)
+    for x in (ad.transpose(base, (0, 2, 1)), base):
+        params = mlp_args(rng, x.shape[-1], 9, 4, np.float32)
+        out = ad.mlp(x, *params, 0.1, np.random.default_rng(41))
+        want = ref_mlp(x.data, *(p.data for p in params), 0.1, np.random.default_rng(41))
+        assert out.dtype == np.float32 and out.shape == x.shape[:-1] + (4,)
+        np.testing.assert_array_equal(out.data, want)
+        assert np.any(want == 0.0) and np.all(np.isfinite(want))
+
+
+def test_mlp_deterministic_given_seed():
+    rng = np.random.default_rng(42)
+    x = ad.parameter(rng.standard_normal((6, 5)), dtype=np.float64)
+    params = mlp_args(rng, 5, 8, 5, np.float64)
+    a = ad.mlp(x, *params, 0.4, np.random.default_rng(11)).data
+    b = ad.mlp(x, *params, 0.4, np.random.default_rng(11)).data
+    c = ad.mlp(x, *params, 0.4, np.random.default_rng(12)).data
     np.testing.assert_array_equal(a, b)
-    vals = np.unique(a)
-    assert all(v == 0.0 or abs(v - 1.0 / 0.6) < 1e-12 for v in vals)
+    assert not np.array_equal(a, c)
+    with ad.no_grad():     # rate 0 draws nothing: the same on a dead rng and on none
+        np.testing.assert_array_equal(ad.mlp(x, *params, 0.0, None).data,
+                                      ad.mlp(x, *params, 0.0, np.random.default_rng(0)).data)
 
 
-def test_dropout_rate_validation():
-    x = ad.constant(np.ones(3))
-    with pytest.raises(ValueError):
-        ad.dropout(x, 1.0, np.random.default_rng(0))
+def test_mlp_rate_and_rng_validation():
+    rng = np.random.default_rng(43)
+    x = ad.constant(np.ones((2, 3)))
+    params = mlp_args(rng, 3, 4, 3, np.float64)
+    for rate in (1.0, -0.1):
+        with pytest.raises(ValueError, match="rate"):
+            ad.mlp(x, *params, rate, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="needs an RNG"):
+        ad.mlp(x, *params, 0.1, None)
+    with pytest.raises(ValueError, match="do not chain"):
+        ad.mlp(x, *mlp_args(rng, 4, 4, 3, np.float64), 0.0, None)
 
 
 def test_deep_graph_backward_is_iterative():
@@ -433,23 +487,23 @@ def test_deep_graph_backward_is_iterative():
 
 def test_backward_frees_inner_gradients():
     x = ad.parameter([1.0, -2.0], dtype=np.float64)
-    y = ad.gelu(x)
+    y = x * x
     z = ad.sum_(y * y)
     z.backward()
     assert y.grad is None and z.grad is None
-    cdf = 0.5 * (1 + erf(x.data / np.sqrt(2)))
-    dy = cdf + x.data * np.exp(-0.5 * x.data ** 2) / np.sqrt(2 * np.pi)
-    np.testing.assert_allclose(x.grad, 2 * x.data * cdf * dy)
+    np.testing.assert_allclose(x.grad, 4 * x.data ** 3)
     z.backward()  # a second pass accumulates into the leaf, not into stale inner gradients
-    np.testing.assert_allclose(x.grad, 4 * x.data * cdf * dy)
+    np.testing.assert_allclose(x.grad, 8 * x.data ** 3)
 
 
 def test_no_grad_builds_no_graph():
-    x = ad.parameter(np.ones(3))
+    x = ad.parameter(np.ones((2, 3)))
+    w1, b1, w2, b2 = mlp_args(np.random.default_rng(44), 3, 4, 2, np.float64)
     with ad.no_grad():
-        out = ad.relu(x)
-    assert not out.requires_grad
-    assert out._parents == ()
+        outs = [ad.relu(x), ad.mlp(x, w1, b1, w2, b2, 0.0, None)]
+    for out in outs:
+        assert not out.requires_grad
+        assert out._parents == ()
 
 
 def _saved_float_dtypes(node):
@@ -478,9 +532,9 @@ def test_float32_stays_float32():
         "matmul": lambda: ad.matmul(p32(2, 3), w),
         "affine": lambda: ad.affine(x, w, b),
         "relu": lambda: ad.relu(x),
-        "gelu": lambda: ad.gelu(x),
         "layer_norm": lambda: ad.layer_norm(x, p32(3), p32(3)),
-        "dropout": lambda: ad.dropout(x, 0.3, np.random.default_rng(0)),
+        "mlp": lambda: ad.mlp(x, p32(3, 4), p32(4), p32(4, 2), p32(2), 0.3,
+                              np.random.default_rng(0)),
         "concat": lambda: ad.concat([x, x], axis=2),
         "reshape": lambda: ad.reshape(x, (10, 3)),
         "transpose": lambda: ad.transpose(x, (0, 2, 1)),
@@ -513,14 +567,6 @@ def test_affine_gradients():
         assert_grads_match(lambda: ad.sum_(ad.affine(x, w, b) * proj), {"x": x, "w": w, "b": b}, rng)
 
 
-def test_elementwise_gradients():
-    rng = np.random.default_rng(11)
-    for _ in range(TRIALS):
-        x = p64(rng, rng.integers(1, 5), rng.integers(1, 5))
-        proj = rng.standard_normal(x.shape)
-        assert_grads_match(lambda: ad.sum_(ad.gelu(x) * proj), {"x": x}, rng)
-
-
 def test_relu_gradients_away_from_kink():
     rng = np.random.default_rng(12)
     for _ in range(TRIALS):
@@ -543,14 +589,27 @@ def test_layer_norm_gradients():
                            {"x": x, "gamma": gamma, "beta": beta}, rng)
 
 
-def test_dropout_gradients():
+def test_mlp_gradients():
+    """Every input of the node, at rate 0 and at rate 0.3 (one seeded draw per
+    call), on contiguous inputs and on transposed views."""
     rng = np.random.default_rng(14)
     for trial in range(TRIALS):
-        x = p64(rng, 4, 3)
-        proj = rng.standard_normal((4, 3))
+        rate = 0.0 if trial % 2 else 0.3
+        b, s, c = rng.integers(1, 4, size=3)
+        x = p64(rng, b, s, c)
+        view = trial % 4 < 2
+        lead, n = ((b, c), s) if view else ((b, s), c)
+        m = int(rng.integers(1, 5))
+        w1, b1, w2, b2 = mlp_args(rng, n, int(rng.integers(1, 6)), m, np.float64)
+        proj = rng.standard_normal(lead + (m,))
         seed = 1000 + trial
-        assert_grads_match(
-            lambda: ad.sum_(ad.dropout(x, 0.3, np.random.default_rng(seed)) * proj), {"x": x}, rng)
+
+        def f():
+            inp = ad.transpose(x, (0, 2, 1)) if view else x
+            out = ad.mlp(inp, w1, b1, w2, b2, rate, np.random.default_rng(seed))
+            return ad.sum_(out * proj)
+
+        assert_grads_match(f, {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2}, rng)
 
 
 def test_max_pool_gradients():

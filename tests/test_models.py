@@ -342,6 +342,18 @@ def test_mixer_truncates_beyond_fixed_length():
     np.testing.assert_array_equal(model.embed(e_long).data, model.embed(e_trunc).data)
 
 
+def test_training_mode_mixer_needs_an_rng():
+    """Dropout draws its masks from the caller's rng; inference draws none."""
+    cfg = small_cfg("mixer")
+    model = build_backbone(cfg, seed=4)
+    e = enc(np.random.default_rng(11), 3, cfg)
+    with pytest.raises(ValueError, match="needs an RNG"):
+        model.embed_batch([e], training=True)
+    assert model.embed_batch([e]).shape == (1, cfg.output_dim)
+    assert build_backbone(small_cfg("mixer", mixer_dropout=0.0), seed=4).embed_batch(
+        [e], training=True).shape == (1, cfg.output_dim)
+
+
 def test_textcnn_gelu_not_involved_relu_max_pool_path():
     # a one-instruction function with an all-PAD row plus zero position vector
     # pools at least the bias, so outputs stay finite
@@ -500,6 +512,11 @@ def test_textcnn_pack_groups_match_one_group_and_single_functions(monkeypatch):
                                        err_msg=f"{cfg.variant} {name}")
 
 
+PEAK_LINE = """
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024)
+"""
+
 EMBED_MEMORY = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -513,15 +530,36 @@ funcs = [[i for r in recs[j:j + join] for i in r.instructions] for j in range(0,
 encs = [encode_function(vocab, f) for f in funcs]
 rows = build_backbone(BackboneConfig(variant, vocab.size), seed=0).embed_matrix(encs)
 assert rows.shape == (len(funcs), 192)
-with open("/proc/self/status") as fh:
-    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024)
-"""
+""" + PEAK_LINE
+
+MIXER_STEP_MEMORY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from asmsim.models import BackboneConfig, build_backbone
+from asmsim.optim import Adam
+from asmsim.synthetic import SynthConfig, generate
+from asmsim.tokenizer import build_vocab, encode_function
+from asmsim.train import cosine_pair_loss_batch
+pairs = int(sys.argv[2])
+recs = generate(SynthConfig(n_families=200, seed=1))
+vocab = build_vocab(recs)
+encs = [encode_function(vocab, r) for r in recs[:2 * pairs]]
+model = build_backbone(BackboneConfig("mixer", vocab.size), seed=0)
+opt = Adam(model.params)
+rng = np.random.default_rng(0)
+e1 = model.embed_batch(encs[0::2], training=True, rng=rng)
+e2 = model.embed_batch(encs[1::2], training=True, rng=rng)
+loss = cosine_pair_loss_batch(e1, e2, np.resize([1, -1], pairs))
+loss.backward()
+opt.step()
+assert np.isfinite(loss.item())
+""" + PEAK_LINE
 
 
-def embed_peak_mb(variant, n_families, join):
-    """Peak RSS in MB of a child process that embeds the stock corpus of
-    `n_families` families, `join` consecutive functions' instructions per
-    embedded function, with a default `variant` on one BLAS thread.
+def child_peak_mb(script, *args):
+    """Peak RSS in MB of a child process that runs `script` with the source
+    tree and `args` as its arguments, on one BLAS thread.
 
     The child reads its own high-water mark (VmHWM): Linux carries a forked
     process's ru_maxrss over exec, so the child's ru_maxrss would never read
@@ -529,10 +567,17 @@ def embed_peak_mb(variant, n_families, join):
     """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", EMBED_MEMORY, src, variant, str(n_families),
-                           str(join)], capture_output=True, text=True, timeout=600, env=env)
+    proc = subprocess.run([sys.executable, "-c", script, src, *map(str, args)],
+                          capture_output=True, text=True, timeout=600, env=env)
     assert proc.returncode == 0, proc.stderr
     return float(proc.stdout)
+
+
+def embed_peak_mb(variant, n_families, join):
+    """Peak RSS in MB of embedding the stock corpus of `n_families` families,
+    `join` consecutive functions' instructions per embedded function, with a
+    default `variant`."""
+    return child_peak_mb(EMBED_MEMORY, variant, n_families, join)
 
 
 # MB: the process holds about 120 MB before the embed. The embed peaked at
@@ -558,6 +603,31 @@ def test_lstm_embed_matrix_memory_stays_bounded():
     """A default lstm embeds 64 long functions (580-640 instructions, each 30
     stock functions end to end) under a peak RSS bound."""
     assert embed_peak_mb("lstm", 640, 30) < LSTM_EMBED_MEMORY_BOUND_MB
+
+
+# MB: one training step over 8 pairs (16 functions, one packed group per
+# side) peaked at 1,118 MB while each MLP was five autodiff nodes, and reads
+# 773 MB with each MLP one `ad.mlp` node.
+MIXER_STEP_MEMORY_BOUND_MB = 950
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_mixer_training_step_memory_stays_bounded():
+    """A default mixer's training step over 8 stock pairs, Adam included,
+    stays under a peak RSS bound."""
+    assert child_peak_mb(MIXER_STEP_MEMORY, 8) < MIXER_STEP_MEMORY_BOUND_MB
+
+
+# MB: embedding 300 stock functions (groups of 16 under PACK_ROWS) peaked at
+# 280 MB with each MLP as five autodiff nodes, and reads 262 MB with each MLP
+# one `ad.mlp` node, which frees h and the cdf before its second GEMM.
+MIXER_EMBED_MEMORY_BOUND_MB = 300
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_mixer_embed_matrix_memory_stays_bounded():
+    """A default mixer embeds 300 stock functions under a peak RSS bound."""
+    assert embed_peak_mb("mixer", 100, 1) < MIXER_EMBED_MEMORY_BOUND_MB
 
 
 # ------------------------------------------------------------------ checkpoints

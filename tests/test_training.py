@@ -209,6 +209,17 @@ def test_train_deterministic_same_seed():
     assert a.backbone.fingerprint() == b.backbone.fingerprint()
 
 
+def test_train_returns_backbone_without_gradients():
+    """Gradients are cleared after each Adam step, so the returned backbone
+    does not hold the last batch's gradient (24 MB at the defaults)."""
+    corpus, vocab, _ = setup()
+    for variant in ("textcnn", "lstm", "mixer"):
+        result = train(corpus, vocab, tiny_cfg(vocab.size, variant),
+                       TrainConfig(seed=23, batch_size=8, negatives=2))
+        assert result.n_batches > 1
+        assert all(p.grad is None for p in result.backbone.params.values()), variant
+
+
 def test_train_seed_changes_trajectory():
     corpus, vocab, bcfg = setup()
     a = train(corpus, vocab, bcfg, TrainConfig(seed=1, batch_size=8, negatives=2))
