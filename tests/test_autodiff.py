@@ -567,6 +567,22 @@ def test_affine_gradients():
         assert_grads_match(lambda: ad.sum_(ad.affine(x, w, b) * proj), {"x": x, "w": w, "b": b}, rng)
 
 
+def identity_mlp_args(n):
+    """Constant weights that make ad.mlp(x, ...) dropout(dropout(gelu(x)))."""
+    eye, zero = ad.constant(np.eye(n)), ad.constant(np.zeros(n))
+    return eye, zero, eye, zero
+
+
+def test_elementwise_gradients():
+    """The GELU alone: ad.mlp with identity weights at rate 0."""
+    rng = np.random.default_rng(11)
+    for _ in range(TRIALS):
+        x = p64(rng, rng.integers(1, 5), rng.integers(1, 5))
+        proj = rng.standard_normal(x.shape)
+        args = identity_mlp_args(x.shape[1])
+        assert_grads_match(lambda: ad.sum_(ad.mlp(x, *args, 0.0, None) * proj), {"x": x}, rng)
+
+
 def test_relu_gradients_away_from_kink():
     rng = np.random.default_rng(12)
     for _ in range(TRIALS):
@@ -587,6 +603,19 @@ def test_layer_norm_gradients():
         proj = rng.standard_normal((rows, n))
         assert_grads_match(lambda: ad.sum_(ad.layer_norm(x, gamma, beta) * proj),
                            {"x": x, "gamma": gamma, "beta": beta}, rng)
+
+
+def test_dropout_gradients():
+    """Both dropouts at rate 0.3, with identity weights so no GEMM mixes the masks."""
+    rng = np.random.default_rng(14)
+    args = identity_mlp_args(3)
+    for trial in range(TRIALS):
+        x = p64(rng, 4, 3)
+        proj = rng.standard_normal((4, 3))
+        seed = 1000 + trial
+        assert_grads_match(
+            lambda: ad.sum_(ad.mlp(x, *args, 0.3, np.random.default_rng(seed)) * proj),
+            {"x": x}, rng)
 
 
 def test_mlp_gradients():
