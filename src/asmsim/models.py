@@ -142,6 +142,21 @@ class Backbone:
         return [("token_table", (cfg.vocab_size, cfg.embed_dim), _embedding_init),
                 ("pos_table", (cfg.max_positions, cfg.embed_dim), _embedding_init)]
 
+    @classmethod
+    def _stored_layout(cls, cfg: BackboneConfig, version: int) -> list[tuple]:
+        """(name, shape) of each block in a checkpoint of `version`; version 1
+        kept 3-D kernels as [C_out, C_in, W]."""
+        out = [(name, shape) for name, shape, _ in cls.layout(cfg)]
+        if version == 1:
+            out = [(name, (s[2], *s[:2]) if len(s) == 3 else s) for name, s in out]
+        return out
+
+    @classmethod
+    def _upgrade(cls, cfg: BackboneConfig, blocks: dict, version: int) -> dict:
+        """A checkpoint's blocks (name -> array, each in the current layout's
+        axis order) -> the current layout's blocks."""
+        return blocks
+
     def _validate_ids(self, enc: EncodedFunction):
         if enc.token_ids.size and enc.token_ids.max() >= self.cfg.vocab_size:
             raise DataError(
@@ -305,35 +320,66 @@ class LSTMNet(Backbone):
     Gates follow the classic coupled form on the concatenation [h_{t-1}, x_t]:
     input, forget, and output gates are sigmoids, the candidate cell is a tanh,
     the cell accumulates f*C + i*C~, and h = o * tanh(C). h_0 = C_0 = 0.
-    Each forward fuses the four gates' weights into one [h + H, 4h] matrix. Its
-    x rows, as an [H, 1, 4h] kernel, drive a width-1 `token_conv`, which
-    projects each distinct token once into the input side of all four gates;
-    its h rows drive the recurrence, which `ad.lstm` runs as a single node.
+    The four gates' weights are stored fused, in i, f, c~, o column order, in
+    the layouts the two kernels read: the x side `w_x` as the [H, 1, 4h]
+    kernel of a width-1 `token_conv`, which projects each distinct token once
+    into the input side of all four gates, and the h side `w_h` as the
+    [h, 4h] recurrence weight of `ad.lstm`, which runs as a single node.
     """
 
     GATES = ("i", "f", "c", "o")
 
     @classmethod
     def layout(cls, cfg):
-        zin = cfg.lstm_hidden + cfg.grid_width
-        out = super().layout(cfg)
+        hid, zin = cfg.lstm_hidden, cfg.lstm_hidden + cfg.grid_width
+        x_rows = []
+
+        def w_h_init(rng, shape, dtype):
+            """Draws each gate's [h + H, h] block in gate order, keeping its x rows for w_x."""
+            blocks = [_kaiming(rng, (zin, hid), dtype, fan_in=zin) for _ in cls.GATES]
+            w_h, w_x = cls._fuse(blocks, hid)
+            x_rows.append(w_x)
+            return w_h
+
+        return super().layout(cfg) + [
+            ("w_h", (hid, 4 * hid), w_h_init),
+            ("w_x", (cfg.grid_width, 1, 4 * hid), lambda rng, shape, dtype: x_rows.pop()),
+            ("b", (4 * hid,), 0.0)]
+
+    @staticmethod
+    def _fuse(blocks, hid):
+        """Per-gate [h + H, h] weights -> the fused w_h [h, 4h] and w_x [H, 1, 4h]."""
+        w_h = np.concatenate([w[:hid] for w in blocks], axis=1)
+        w_x = np.concatenate([w[hid:] for w in blocks], axis=1)
+        return w_h, w_x.reshape(-1, 1, w_x.shape[1])
+
+    @classmethod
+    def _stored_layout(cls, cfg, version):
+        """Versions 1 and 2 kept each gate's [h + H, h] weight and [h] bias."""
+        if version >= 3:
+            return super()._stored_layout(cfg, version)
+        zin, hid = cfg.lstm_hidden + cfg.grid_width, cfg.lstm_hidden
+        out = Backbone._stored_layout(cfg, version)
         for gate in cls.GATES:
-            out += [(f"w_{gate}", (zin, cfg.lstm_hidden), _uniform(zin)),
-                    (f"b_{gate}", (cfg.lstm_hidden,), 0.0)]
+            out += [(f"w_{gate}", (zin, hid)), (f"b_{gate}", (hid,))]
         return out
+
+    @classmethod
+    def _upgrade(cls, cfg, blocks, version):
+        if version >= 3:
+            return blocks
+        w_h, w_x = cls._fuse([blocks.pop(f"w_{g}") for g in cls.GATES], cfg.lstm_hidden)
+        b = np.concatenate([blocks.pop(f"b_{g}") for g in cls.GATES])
+        return {**blocks, "w_h": w_h, "w_x": w_x, "b": b}
 
     def _rows(self, encs):
         return np.array([e.n_instructions for e in encs])
 
     def _head(self, encs, rows, training, rng):
-        hid = self.cfg.lstm_hidden
         ids, pos, first = self._pack(encs, rows)
-        w = ad.concat([self.params[f"w_{g}"] for g in self.GATES], axis=1)   # [h + H, 4h]
-        w_x = ad.reshape(ad.embedding(w, np.arange(hid, w.shape[0])), (-1, 1, 4 * hid))
         xp = ad.token_conv(self.params["token_table"], self.params["pos_table"], ids, pos,
-                           np.arange(len(pos)), w_x)
-        xp = xp + ad.concat([self.params[f"b_{g}"] for g in self.GATES], axis=0)
-        return ad.lstm(xp, ad.embedding(w, np.arange(hid)), first, rows)
+                           np.arange(len(pos)), self.params["w_x"])
+        return ad.lstm(xp + self.params["b"], self.params["w_h"], first, rows)
 
 
 class Mixer(Backbone):
@@ -401,7 +447,9 @@ def build_backbone(cfg: BackboneConfig, seed: int | np.random.SeedSequence | np.
 # ------------------------------------------------------------------ checkpoints
 
 CHECKPOINT_MAGIC = b"ASMSIMB1"
-CHECKPOINT_VERSION = 2      # 2: 64-byte aligned blocks, conv kernels as [C_in, W, C_out]
+# 2: 64-byte aligned blocks, conv kernels as [C_in, W, C_out]; 3: the lstm's
+# gates fused as w_x [H, 1, 4h], w_h [h, 4h] and b [4h]
+CHECKPOINT_VERSION = 3
 _ALIGN = 64
 
 
@@ -454,8 +502,9 @@ class _Reader:
 
 
 def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
-    """Read a version 2 or 1 checkpoint. The file is read once into one 64-byte
-    aligned buffer, and each version 2 block is a writable float32 view into it."""
+    """Read a version 3, 2 or 1 checkpoint. The file is read once into one 64-byte
+    aligned buffer, and each version 3 or 2 block is a writable float32 view
+    into it; an older lstm's per-gate blocks are fused into the current layout."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         store = np.empty(size + _ALIGN, dtype=np.uint8)
@@ -469,14 +518,14 @@ def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
     version = r.unpack("<I")
-    if version not in (1, CHECKPOINT_VERSION):
+    if not 1 <= version <= CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     cfg = BackboneConfig.from_dict(json.loads(str(r.take(r.unpack("<I")), "utf-8")))
     vocab = Vocabulary.from_bytes(bytes(r.take(r.unpack("<Q"))), where=str(path))
     if vocab.size != cfg.vocab_size:
         raise DataError(f"{path}: vocabulary size {vocab.size} != config {cfg.vocab_size}")
     cls = _VARIANT_CLASSES[cfg.variant]
-    expected = {name: shape for name, shape, _ in cls.layout(cfg)}
+    expected = dict(cls._stored_layout(cfg, version))
     n_params = r.unpack("<I")
     if n_params != len(expected):
         raise DataError(f"{path}: expected {len(expected)} parameter blocks, found {n_params}")
@@ -486,8 +535,6 @@ def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
         if name not in expected or name in blocks:
             raise DataError(f"{path}: unexpected parameter block '{name}'")
         want = expected[name]
-        if version == 1 and len(want) == 3:         # version 1 kept [C_out, C_in, W]
-            want = (want[2], *want[:2])
         ndim = r.unpack("<B")
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
         if shape != want:
@@ -500,4 +547,4 @@ def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
             block = np.array(block.transpose(1, 2, 0) if ndim == 3 else block,
                              dtype=np.float32, order="C")
         blocks[name] = block
-    return cls(cfg, None, data=blocks), vocab
+    return cls(cfg, None, data=cls._upgrade(cfg, blocks, version)), vocab

@@ -26,24 +26,41 @@ class Adam:
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def step(self):
-        """Apply one update from the gradients currently stored on the parameters."""
+        """Apply one update from the gradients stored on the parameters, consuming
+        them: each gradient array serves as scratch space for its own update, and
+        every parameter's `grad` is None afterwards (a missing one counts as zero).
+
+        The update is p -= lr * (m / c1) / (sqrt(v / c2) + eps), computed in that
+        operation order through in-place ufuncs, so the only array a step
+        allocates is one scratch buffer shared by all parameters."""
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
+        scratch = np.empty(max((p.data.nbytes for p in self.params.values()), default=0),
+                           dtype=np.uint8)
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            ok = scratch[:g.size].view(bool).reshape(g.shape)
+            if not np.isfinite(g, out=ok).all():
                 raise NumericError(f"non-finite gradient for parameter '{name}' at step {t}")
+            s = scratch[:p.data.nbytes].view(p.data.dtype).reshape(p.data.shape)
             m = self.m[name]
             v = self.v[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=s)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            g *= g
+            g *= 1.0 - self.beta2
+            v += g
+            np.divide(m, c1, out=s)
+            s *= self.lr
+            np.divide(v, c2, out=g)
+            np.sqrt(g, out=g)
+            g += self.eps
+            s /= g
+            p.data -= s
+            p.grad = None
 
 
 @dataclass

@@ -123,8 +123,7 @@ def train(corpus: CorpusIndex, vocab: Vocabulary, backbone_cfg: BackboneConfig,
                 raise NumericError(f"non-finite loss at batch {result.n_batches}")
             loss.backward()
             backbone.mask_frozen_grads()
-            opt.step()
-            backbone.zero_grad()    # the returned backbone holds no gradients
+            opt.step()              # consumes the gradients: the returned backbone holds none
             del e1, e2, loss  # this batch's graph must not live through the next forward
             result.losses.append(value)
             if checkpoint_cb is not None and result.n_batches % cfg.checkpoint_every == 0:

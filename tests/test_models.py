@@ -208,9 +208,8 @@ def test_short_function_below_kernel_width():
 def test_lstm_zero_weights_give_zero_embedding():
     cfg = small_cfg("lstm")
     model = build_backbone(cfg, seed=2)
-    for name, p in model.params.items():
-        if name.startswith(("w_", "b_")):
-            p.data[:] = 0.0
+    for name in ("w_x", "w_h", "b"):
+        model.params[name].data[:] = 0.0
     rng = np.random.default_rng(7)
     out = model.embed(enc(rng, 5, cfg))
     np.testing.assert_array_equal(out.data, 0.0)
@@ -243,16 +242,16 @@ def ref_textcnn(p, cfg, e):
 
 
 def ref_lstm(p, cfg, e):
-    """The coupled-gate recurrence on z = [h_{t-1}, x_t], one instruction at a time."""
+    """The coupled-gate recurrence on z = [h_{t-1}, x_t], one instruction at a
+    time; the fused [h + H, 4h] weight's columns are the i, f, c~, o gates."""
     grid = ref_grid(p, e, e.n_instructions)
     h = np.zeros(cfg.lstm_hidden)
     c = np.zeros(cfg.lstm_hidden)
+    w = np.concatenate([p["w_h"], p["w_x"].reshape(-1, 4 * cfg.lstm_hidden)])
     for x_t in grid:
-        z = np.concatenate([h, x_t])
-        i = sig(z @ p["w_i"] + p["b_i"])
-        f = sig(z @ p["w_f"] + p["b_f"])
-        c_t = np.tanh(z @ p["w_c"] + p["b_c"])
-        o = sig(z @ p["w_o"] + p["b_o"])
+        z = np.concatenate([h, x_t]) @ w + p["b"]
+        i, f, c_t, o = np.split(z, 4)
+        i, f, c_t, o = sig(i), sig(f), np.tanh(c_t), sig(o)
         c = f * c + i * c_t
         h = o * np.tanh(c)
     return h
@@ -442,6 +441,47 @@ def test_lstm_never_builds_the_rows(monkeypatch):
     ad.sum_(model.embed_batch(encs, training=True, rng=rng)).backward()
     assert all(p.grad is not None for p in model.params.values())
     assert model.embed_matrix(encs).shape == (len(encs), cfg.output_dim)
+
+
+def test_lstm_reads_its_weights_in_place(monkeypatch):
+    """A training forward feeds w_x, w_h and b to their kernels as stored:
+    no concat and no row gather runs on a parameter."""
+    cfg = small_cfg("lstm")
+    model = build_backbone(cfg, seed=18)
+    params = {id(p) for p in model.params.values()}
+
+    def guard(op):
+        def run(first, *rest, **kw):
+            args = list(first) if isinstance(first, (list, tuple)) else [first]
+            assert not any(id(a) in params for a in args), f"{op.__name__} on a parameter"
+            return op(first, *rest, **kw)
+        return run
+
+    for name in ("concat", "embedding"):
+        monkeypatch.setattr(ad, name, guard(getattr(ad, name)))
+    rng = np.random.default_rng(19)
+    encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
+    ad.sum_(model.embed_batch(encs, training=True, rng=rng)).backward()
+    assert all(model.params[k].grad is not None for k in ("w_x", "w_h", "b"))
+
+
+def test_lstm_init_draws_the_per_gate_blocks():
+    """w_h, w_x and b hold the rows of the four [h + H, h] gate weights drawn
+    from the rng in i, f, c~, o order after the two tables, as when each gate
+    was a parameter of its own."""
+    cfg = small_cfg("lstm")
+    model = build_backbone(cfg, seed=17)
+    rng = np.random.default_rng(17)
+    for rows in (cfg.vocab_size, cfg.max_positions):
+        rng.normal(0.0, 0.02, size=(rows, cfg.embed_dim))
+    hid, zin = cfg.lstm_hidden, cfg.lstm_hidden + cfg.grid_width
+    bound = np.sqrt(6.0 / zin)
+    gates = [rng.uniform(-bound, bound, size=(zin, hid)).astype(np.float32) for _ in "ifco"]
+    w = np.concatenate(gates, axis=1)
+    assert model.params["w_h"].data.tobytes() == w[:hid].tobytes()
+    assert model.params["w_x"].shape == (cfg.grid_width, 1, 4 * hid)
+    assert model.params["w_x"].data.tobytes() == w[hid:].tobytes()
+    np.testing.assert_array_equal(model.params["b"].data, np.zeros(4 * hid, np.float32))
 
 
 def test_lstm_graph_does_not_grow_with_length(monkeypatch):
@@ -642,17 +682,37 @@ def assert_blocks_are_separate_aligned_views(model):
         assert not any(np.shares_memory(a, b) for b in blocks[i + 1:])
 
 
-def write_v1_checkpoint(path, model, vocab):
-    """A version 1 file: blocks packed without padding, conv kernels as [C_out, C_in, W]."""
+def legacy_blocks(model):
+    """The blocks a version 1 or 2 file holds: an lstm kept each gate's
+    [h + H, h] weight and [h] bias, in i, f, c~, o order."""
+    blocks = {name: p.data for name, p in model.params.items()}
+    if model.cfg.variant == "lstm":
+        hid = model.cfg.lstm_hidden
+        w = np.concatenate([blocks.pop("w_h"), blocks.pop("w_x").reshape(-1, 4 * hid)])
+        b = blocks.pop("b")
+        for k, gate in enumerate("ifco"):
+            blocks[f"w_{gate}"] = w[:, k * hid:(k + 1) * hid]
+            blocks[f"b_{gate}"] = b[k * hid:(k + 1) * hid]
+    return blocks
+
+
+def write_old_checkpoint(path, model, vocab, version):
+    """A version 1 file (blocks packed without padding, conv kernels as
+    [C_out, C_in, W]) or a version 2 file (blocks 64-byte aligned, conv
+    kernels as [C_in, W, C_out]), each holding the legacy lstm blocks."""
     cfg_json = json.dumps(model.cfg.to_dict(), sort_keys=True, separators=(",", ":")).encode()
     vocab_bytes = vocab.file_bytes()
-    out = bytearray(b"ASMSIMB1" + struct.pack("<II", 1, len(cfg_json)) + cfg_json)
+    blocks = legacy_blocks(model)
+    out = bytearray(b"ASMSIMB1" + struct.pack("<II", version, len(cfg_json)) + cfg_json)
     out += struct.pack("<Q", len(vocab_bytes)) + vocab_bytes
-    out += struct.pack("<I", len(model.params))
-    for name, p in model.params.items():
-        data = p.data.transpose(2, 0, 1) if p.data.ndim == 3 else p.data
+    out += struct.pack("<I", len(blocks))
+    for name, data in blocks.items():
+        if version == 1 and data.ndim == 3:
+            data = data.transpose(2, 0, 1)
         out += struct.pack("<H", len(name)) + name.encode()
         out += struct.pack(f"<B{data.ndim}I", data.ndim, *data.shape)
+        if version == 2:
+            out += bytes(-len(out) % 64)
         out += np.ascontiguousarray(data, dtype="<f4").tobytes()
     path.write_bytes(bytes(out) + hashlib.sha256(out).digest())
 
@@ -698,7 +758,7 @@ def test_checkpoint_version_1_loads_into_the_current_layout(tmp_path):
     for cfg in all_variants():
         model = perturbed(build_backbone(cfg, seed=26), rng)
         v1, v2 = tmp_path / f"{cfg.variant}.v1.ckpt", tmp_path / f"{cfg.variant}.v2.ckpt"
-        write_v1_checkpoint(v1, model, vocab)
+        write_old_checkpoint(v1, model, vocab, 1)
         save_checkpoint(v2, model, vocab)
         old, _ = load_checkpoint(v1)
         new, _ = load_checkpoint(v2)
@@ -707,6 +767,29 @@ def test_checkpoint_version_1_loads_into_the_current_layout(tmp_path):
                    for p in old.params.values())
         encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
         assert old.embed_matrix(encs).tobytes() == new.embed_matrix(encs).tobytes()
+
+
+def test_old_lstm_checkpoints_load_into_the_fused_layout(tmp_path):
+    """A version 1 or 2 lstm file's per-gate blocks load as w_h, w_x and b,
+    and embed bit for bit like a version 3 round trip of the same weights."""
+    rng = np.random.default_rng(29)
+    vocab = tiny_vocab()
+    cfg = small_cfg("lstm")
+    model = perturbed(build_backbone(cfg, seed=29), rng)
+    assert set(legacy_blocks(model)) - set(model.params) == {f"{k}_{g}" for k in "wb" for g in "ifco"}
+    path = tmp_path / "v3.ckpt"
+    save_checkpoint(path, model, vocab)
+    current, _ = load_checkpoint(path)
+    encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
+    expected = current.embed_matrix(encs)
+    for version in (1, 2):
+        path = tmp_path / f"v{version}.ckpt"
+        write_old_checkpoint(path, model, vocab, version)
+        old, _ = load_checkpoint(path)
+        assert [(k, p.shape) for k, p in old.params.items()] == \
+            [(k, p.shape) for k, p in model.params.items()]
+        assert old.fingerprint() == model.fingerprint()
+        assert old.embed_matrix(encs).tobytes() == expected.tobytes()
 
 
 def _reseal(path, edit):
@@ -719,8 +802,8 @@ def test_checkpoint_rejects_unknown_version_and_non_zero_padding(tmp_path):
     model = build_backbone(small_cfg("textcnn"), seed=27)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model, tiny_vocab())
-    _reseal(path, lambda body: body.__setitem__(slice(8, 12), struct.pack("<I", 3)))
-    with pytest.raises(DataError, match="unsupported checkpoint version 3"):
+    _reseal(path, lambda body: body.__setitem__(slice(8, 12), struct.pack("<I", 4)))
+    with pytest.raises(DataError, match="unsupported checkpoint version 4"):
         load_checkpoint(path)
     save_checkpoint(path, model, tiny_vocab())
     raw = path.read_bytes()

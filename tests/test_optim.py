@@ -77,6 +77,35 @@ def test_adam_matches_reference_sequence():
     np.testing.assert_allclose(p.data, x, rtol=1e-12)
 
 
+def test_step_matches_the_out_of_place_update_bitwise():
+    """The in-place step against the out-of-place expression it replaced, over
+    five float32 steps on parameters of several shapes sharing one scratch
+    buffer, one of them without a gradient at one step."""
+    rng = np.random.default_rng(11)
+    shapes = [(3, 5), (), (2, 3, 4), (7,), (40, 6)]
+    params = {f"p{i}": ad.parameter(rng.standard_normal(s)) for i, s in enumerate(shapes)}
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    x = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros_like(a) for k, a in x.items()}
+    v = {k: np.zeros_like(a) for k, a in x.items()}
+    opt = Adam(params, lr=lr, betas=(b1, b2), eps=eps)
+    for t in range(1, 6):
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for k, p in params.items():
+            g = np.zeros_like(x[k]) if (t, k) == (3, "p2") else \
+                rng.standard_normal(x[k].shape).astype(np.float32)
+            m[k] *= b1
+            m[k] += (1.0 - b1) * g
+            v[k] *= b2
+            v[k] += (1.0 - b2) * (g * g)
+            x[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+            p.grad = None if (t, k) == (3, "p2") else g.copy()
+        opt.step()
+        for k, p in params.items():
+            assert p.data.dtype == np.float32 and p.data.tobytes() == x[k].tobytes(), (t, k)
+            assert p.grad is None
+
+
 def test_invalid_lr_rejected():
     with pytest.raises(ValueError):
         Adam({"p": ad.parameter([1.0])}, lr=0.0)
