@@ -12,6 +12,8 @@ hand-written backward through time. `mlp` runs a mixer MLP (affine, GELU,
 dropout, affine, dropout) as one node that keeps two float arrays and two
 bool masks for its backward.
 `affine`, `layer_norm`, `mlp` and the elementwise kernels accept any leading axes.
+The lookup kernels, `embedding` and `token_conv`, share one padding rule: id
+-1, token or position, reads a zero vector and sends no gradient to any row.
 A graph stays in the dtype of its leaves: training runs in float32, the
 gradient-check harness builds float64 graphs.
 """
@@ -139,9 +141,6 @@ class Tensor:
             raise TypeError("tensor/tensor division is not a supported kernel")
         return mul(self, 1.0 / float(other))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def parameter(data, dtype=np.float32) -> Tensor:
     return Tensor(np.array(data, dtype=dtype), requires_grad=True)
@@ -167,9 +166,14 @@ def _accum(t: Tensor, g: np.ndarray):
         t.grad += g
 
 
+def _recording(*inputs: Tensor) -> bool:
+    """Whether a kernel over `inputs` records a node: grad mode is on and one needs a gradient."""
+    return _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+
+
 def _node(data: np.ndarray, parents, backward) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _recording(*parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -206,19 +210,6 @@ def mul(a, b) -> Tensor:
     def backward(g):
         _accum(a, _unbroadcast(g * b.data, a.data.shape))
         _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _node(out_data, (a, b), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a [n, k] @ b [k, m] -> [n, m]."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
 
     return _node(out_data, (a, b), backward)
 
@@ -307,7 +298,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
     def keep(mask):                       # the float mask dropout scales by
         return mask.astype(dt) / scale
 
-    record = _GRAD_ENABLED and any(t.requires_grad for t in (x, w1, b1, w2, b2))
+    record = _recording(x, w1, b1, w2, b2)
     h = x.data.reshape(-1, x.data.shape[-1]) @ w1.data + b1.data
     cdf = 0.5 * (1.0 + erf(h * INV_SQRT2))
     a = h * cdf
@@ -395,26 +386,26 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 
 
 def embedding(table: Tensor, ids) -> Tensor:
-    """Row lookup: table [V, d], ids int array [...] -> [..., d]."""
+    """Row lookup: table [V, d], ids int array [...] -> [..., d]. Id -1 (padding)
+    reads a zero row, and its gradient goes nowhere."""
     idx = np.asarray(ids)
     if idx.dtype.kind not in "iu":
         raise TypeError("embedding ids must be integers")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+    if idx.size and (idx.min() < -1 or idx.max() >= table.shape[0]):
         raise ValueError(
-            f"embedding id out of range [0, {table.shape[0]}): ids span "
+            f"embedding id out of range [-1, {table.shape[0]}): ids span "
             f"[{idx.min()}, {idx.max()}]"
         )
-    out_data = table.data[idx]
+    live = idx >= 0
+    out_data = table.data.take(idx, axis=0)          # a copy, also for a scalar id
+    out_data[~live] = 0.0
 
     def backward(g):
         if not table.requires_grad:
             return
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
-        if idx.ndim == 1 and np.all(idx[1:] > idx[:-1]):
-            table.grad[idx] += g           # distinct rows: nothing for np.add.at to accumulate
-        else:
-            np.add.at(table.grad, idx, g)
+        np.add.at(table.grad, idx[live], g[live])
 
     return _node(out_data, (table,), backward)
 
@@ -423,8 +414,9 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, starts, w: Tensor) ->
     """Valid, stride-1, bias-free convolution over rows assembled from table lookups.
 
     Input row n is the concatenation of table[ids[n, 0]], ...,
-    table[ids[n, K-1]] and pos_table[pos[n]], with a zero position vector
-    where pos is -1 (padding). Output row r is the window of W input rows
+    table[ids[n, K-1]] and pos_table[pos[n]], with a zero vector wherever a
+    token id or the position is -1 (padding); no gradient reaches a table
+    row from a -1. Output row r is the window of W input rows
     that begins at starts[r]; the caller picks starts so that no window
     crosses from one function into the next. The rows are never built: each
     of the K + 1 slots projects its distinct ids through its slice of the
@@ -453,8 +445,8 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, starts, w: Tensor) ->
         raise ValueError(f"token_conv input length {n} < kernel width {width}")
     if starts.size and (starts.min() < 0 or starts.max() > n - width):
         raise ValueError(f"window start out of range [0, {n - width}]")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ValueError(f"token id out of range [0, {table.shape[0]})")
+    if ids.size and (ids.min() < -1 or ids.max() >= table.shape[0]):
+        raise ValueError(f"token id out of range [-1, {table.shape[0]})")
     if pos.size and (pos.min() < -1 or pos.max() >= pos_table.shape[0]):
         raise ValueError(f"position out of range [-1, {pos_table.shape[0]})")
     rows = starts[:, None] + np.arange(width)          # [R, W] input rows of each window
@@ -466,7 +458,7 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, starts, w: Tensor) ->
         uniq, inv = np.unique(sid, return_inverse=True)
         inv = inv.reshape(sid.shape)       # numpy releases disagree on the inverse's shape
         v = tab.data[uniq]
-        v[uniq < 0] = 0.0                  # pos -1: padding
+        v[uniq < 0] = 0.0                  # id -1: padding
         # projected rows (id, offset), each a C_out vector
         projs.append((v @ kernels[s]).reshape(-1, c_out))
         cols.append((n_proj + inv[rows] * width + np.arange(width)).astype(np.int32))
@@ -573,7 +565,7 @@ def lstm(xp: Tensor, w_h: Tensor, starts, lengths) -> Tensor:
     done = np.searchsorted(lens, np.arange(lens[-1] if lens.size else 0), side="right").tolist()
     h = np.zeros((lengths.size, hid), dtype=xp.dtype)
     c = np.zeros_like(h)
-    record = _GRAD_ENABLED and (xp.requires_grad or w_h.requires_grad)
+    record = _recording(xp, w_h)
     gates = h_prev = c_prev = tanh_c = None
     if record:
         gates = np.empty_like(xp.data)

@@ -5,19 +5,22 @@ concatenate into one row of width H = d * (K + 1). Every backbone packs a
 forward's functions end to end, in caller order, into groups under a row
 budget; each function takes the rows its variant declares: the textcnn its
 length padded up to the widest kernel, the lstm its length, the mixer
-mixer_seq_len (longer functions are cut). Padding rows hold PAD ids and
-position -1 (a zero position vector). Only the mixer builds those rows, as
-[B, S, H]. The textcnn and the lstm convolve the [N, K] token ids and [N]
-positions instead, applying each kernel slice once per distinct token: each
-textcnn function max-pools over its own output rows, and the lstm's width-1
-convolution is the input side of its four gates, one unpadded row per
-instruction, which one `lstm` node runs through the recurrence. Every
-backbone has one forward, `embed_batch`, which maps each function to a
-fixed-width embedding in caller order; both sides of a training pair run
-through the same parameter set.
+mixer_seq_len (longer functions are cut). Packed ids use one padding
+sentinel: every PAD token slot, in a padding row or inside a live
+instruction, holds -1, and so does a padding row's position; the lookup
+kernels read -1 as a zero vector that takes no gradient. Only the mixer
+builds the rows, as [B, S, H]. The textcnn and the lstm convolve the [N, K]
+token ids and [N] positions instead, applying each kernel slice once per
+distinct token: each textcnn function max-pools over its own output rows,
+and the lstm's width-1 convolution is the input side of its four gates, one
+unpadded row per instruction, which one `lstm` node runs through the
+recurrence. Every backbone has one forward, `embed_batch`, which maps each
+function to a fixed-width embedding in caller order; both sides of a
+training pair run through the same parameter set.
 
-The PAD embedding row (id 0) is pinned to zero: it is excluded from the
-parameter count and its gradient is masked before every optimizer step.
+The PAD embedding row (id 0) is never read, so nothing trains it: it is
+zeroed at init, left out of the parameter count, and its gradient is exactly
+zero, which Adam turns into a zero update.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
-from .tokenizer import EncodedFunction, PAD_ID, Vocabulary
+from .tokenizer import (
+    DEFAULT_MAX_POSITIONS, DEFAULT_TOKENS_PER_INSTRUCTION, EncodedFunction, PAD_ID, Vocabulary,
+)
 
 VARIANTS = ("textcnn", "lstm", "mixer")
 
@@ -44,9 +49,9 @@ class BackboneConfig:
     variant: str
     vocab_size: int
     embed_dim: int = 192              # d: token and position vector width
-    tokens_per_instruction: int = 5   # K
+    tokens_per_instruction: int = DEFAULT_TOKENS_PER_INSTRUCTION   # K
     output_dim: int = 192             # E
-    max_positions: int = 512
+    max_positions: int = DEFAULT_MAX_POSITIONS
     conv_widths: tuple[int, ...] = (5, 5, 5, 5, 3, 3)
     conv_channels: int = 192
     lstm_hidden: int = 192
@@ -158,6 +163,9 @@ class Backbone:
         return blocks
 
     def _validate_ids(self, enc: EncodedFunction):
+        if enc.token_ids.size and enc.token_ids.min() < 0:
+            # -1 is the packed padding sentinel; an encoding carries PAD_ID instead
+            raise DataError(f"negative token id {int(enc.token_ids.min())}")
         if enc.token_ids.size and enc.token_ids.max() >= self.cfg.vocab_size:
             raise DataError(
                 f"token id {int(enc.token_ids.max())} exceeds vocabulary size "
@@ -181,7 +189,8 @@ class Backbone:
     def _pack(self, encs, rows):
         """[N, K] token ids, [N] positions and [B] first rows of functions packed
         end to end, function b taking rows[b] rows: a longer one is cut, a
-        shorter one is padded with PAD ids and position -1."""
+        shorter one is padded with position -1. Every PAD token slot, padding
+        row or not, holds -1 too."""
         n, k = int(rows.sum()), self.cfg.tokens_per_instruction
         ids = np.full((n, k), PAD_ID, dtype=np.int32)
         pos = np.full(n, -1, dtype=np.int32)
@@ -190,16 +199,15 @@ class Backbone:
             s = min(e.n_instructions, r)
             ids[row:row + s] = e.token_ids[:s]
             pos[row:row + s] = e.position_ids[:s]
+        ids[ids == PAD_ID] = -1
         return ids, pos, first
 
     def _embed_rows(self, ids, pos) -> Tensor:
         """[..., K] token ids and [...] positions -> [..., H] rows (the mixer's
-        input): the token vectors, then the position vector, which is zero
-        where pos is -1."""
+        input): the token vectors, then the position vector, each zero where
+        its id is -1."""
         tok = ad.reshape(ad.embedding(self.params["token_table"], ids), pos.shape + (-1,))
-        mask = (pos >= 0).astype(self.dtype)[..., None]
-        posv = ad.embedding(self.params["pos_table"], np.maximum(pos, 0)) * ad.constant(mask)
-        return ad.concat([tok, posv], axis=-1)
+        return ad.concat([tok, ad.embedding(self.params["pos_table"], pos)], axis=-1)
 
     def _project(self, feats: Tensor) -> Tensor:
         """[B, F] features -> [B, E] embeddings."""
@@ -243,23 +251,13 @@ class Backbone:
             return self.embed_batch(encs).data
 
     def param_count(self) -> int:
-        """Trainable scalars; the frozen PAD row does not count."""
+        """Trainable scalars; the PAD row, which no forward reads, does not count."""
         total = sum(int(p.data.size) for p in self.params.values())
         return total - self.cfg.embed_dim
 
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
-
-    def mask_frozen_grads(self):
-        g = self.params["token_table"].grad
-        if g is not None:
-            g[PAD_ID, :] = 0.0
-
-    def frozen_masks(self) -> dict[str, np.ndarray]:
-        mask = np.zeros(self.params["token_table"].shape, dtype=bool)
-        mask[PAD_ID, :] = True
-        return {"token_table": mask}
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()

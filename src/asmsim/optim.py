@@ -92,15 +92,12 @@ class GradCheckReport:
 def finite_diff_check(f, params: dict[str, Tensor], rel_tolerance: float = 1e-4,
                       rng: np.random.Generator | None = None,
                       max_coords_per_param: int | None = None,
-                      frozen: dict[str, np.ndarray] | None = None,
                       atol: float = 1e-6) -> GradCheckReport:
     """Compare reverse-mode gradients of scalar-valued `f()` against central differences.
 
     `f` must be deterministic and read the current values of `params` (build it
-    in double precision; float32 FD noise swamps the tolerance). `frozen` maps a
-    parameter name to a boolean mask of coordinates to skip (constrained
-    entries whose analytic gradient is deliberately masked). Coordinates where
-    both gradients are below `atol` count as checked and passing.
+    in double precision; float32 FD noise swamps the tolerance). Coordinates
+    where both gradients are below `atol` count as checked and passing.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -118,8 +115,6 @@ def finite_diff_check(f, params: dict[str, Tensor], rel_tolerance: float = 1e-4,
         flat = p.data.reshape(-1)
         an = analytic[name].reshape(-1)
         coords = np.arange(flat.size)
-        if frozen and name in frozen:
-            coords = coords[~frozen[name].reshape(-1)]
         if max_coords_per_param is not None and coords.size > max_coords_per_param:
             coords = rng.choice(coords, size=max_coords_per_param, replace=False)
         max_err = 0.0

@@ -47,7 +47,7 @@ def split_instruction(text: str, delimiters: str = DEFAULT_DELIMITERS) -> list[s
 
 @dataclass
 class Vocabulary:
-    """Token table with reserved PAD (id 0, frozen) and UNK (id 1, trainable)."""
+    """Token table with reserved PAD (id 0, never looked up) and UNK (id 1, trainable)."""
 
     id_to_token: list[str]
     frequencies: list[int]

@@ -122,7 +122,6 @@ def train(corpus: CorpusIndex, vocab: Vocabulary, backbone_cfg: BackboneConfig,
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss at batch {result.n_batches}")
             loss.backward()
-            backbone.mask_frozen_grads()
             opt.step()              # consumes the gradients: the returned backbone holds none
             del e1, e2, loss  # this batch's graph must not live through the next forward
             result.losses.append(value)

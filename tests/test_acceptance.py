@@ -78,8 +78,7 @@ def test_1_gradients_match_finite_differences():
                                         backbone.embed(enc_b), y, margin=0.2)
 
             report = finite_diff_check(f, backbone.params, rng=rng,
-                                       max_coords_per_param=8,
-                                       frozen=backbone.frozen_masks())
+                                       max_coords_per_param=8)
             assert report.passed, f"{variant} trial {trial}: {report.per_param}"
 
     for trial in range(5):  # the loss in isolation, both labels

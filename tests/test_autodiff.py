@@ -17,8 +17,8 @@ def p64(rng, *shape):
     return ad.parameter(rng.standard_normal(shape), dtype=np.float64)
 
 
-def assert_grads_match(f, params, rng, frozen=None):
-    report = finite_diff_check(f, params, rel_tolerance=1e-4, rng=rng, frozen=frozen)
+def assert_grads_match(f, params, rng):
+    report = finite_diff_check(f, params, rel_tolerance=1e-4, rng=rng)
     assert report.passed, {k: c.max_rel_err for k, c in report.per_param.items()}
 
 
@@ -26,10 +26,13 @@ def assert_grads_match(f, params, rng, frozen=None):
 
 def lookup_grid(table, pos_table, ids, pos):
     """float64 [B, L, H] rows: the K token vectors, then the position vector,
-    a zero vector where pos is -1."""
-    table, pos_table = np.asarray(table, np.float64), np.asarray(pos_table, np.float64)
-    posv = np.where((pos >= 0)[..., None], pos_table[np.maximum(pos, 0)], 0.0)
-    return np.concatenate([table[ids].reshape(*ids.shape[:2], -1), posv], axis=2)
+    each a zero vector where its id is -1."""
+    def rows(tab, idx):
+        looked = np.asarray(tab, np.float64)[np.maximum(idx, 0)]
+        return np.where((idx >= 0)[..., None], looked, 0.0)
+
+    return np.concatenate([rows(table, ids).reshape(*ids.shape[:2], -1), rows(pos_table, pos)],
+                          axis=2)
 
 
 def ref_token_conv(table, pos_table, ids, pos, w):
@@ -124,8 +127,10 @@ def test_conv1d_shape_errors():
         call(starts=np.array([0, 3]))             # its window would read row 4 of 4
     with pytest.raises(ValueError, match="window start out of range"):
         call(starts=np.array([-1, 0]))
-    with pytest.raises(ValueError, match="token id out of range"):
-        call(ids=np.full((4, 2), 5))
+    assert call(ids=np.full((4, 2), -1)).shape == (3, 3)     # -1: padding
+    for bad in (5, -2):
+        with pytest.raises(ValueError, match=r"token id out of range \[-1, 5\)"):
+            call(ids=np.full((4, 2), bad))
     with pytest.raises(ValueError, match="position out of range"):
         call(pos=np.array([0, 1, -2, 3]))
     with pytest.raises(ValueError, match="position out of range"):
@@ -160,10 +165,16 @@ def _lookup_case(rng, kind):
     elif kind == "long":               # 2,048 instructions, positions clamped
         ids = rng.integers(0, 7, size=(1, 2048, k))
         pos = np.minimum(np.arange(2048), 5)[None]
+    elif kind == "pad_sentinel":       # -1 token ids, as a backbone packs PAD slots and rows
+        ids = rng.integers(0, 7, size=(3, 9, k))
+        pos = np.tile(np.minimum(np.arange(9), 5), (3, 1))
+        ids[rng.random(ids.shape) < 0.4] = -1
+        ids[1, 5:], pos[1, 5:] = -1, -1
     return ids, pos, k, width
 
 
-TOKEN_CONV_CASES = ("random", "pad_heavy", "shorter_than_width", "repeated_token", "long")
+TOKEN_CONV_CASES = ("random", "pad_heavy", "shorter_than_width", "repeated_token", "long",
+                    "pad_sentinel")
 
 
 @pytest.mark.parametrize("kind", TOKEN_CONV_CASES)
@@ -202,7 +213,7 @@ def test_token_conv_ragged_windows_stay_inside_each_function():
 
 class _KernelSpy(np.ndarray):
     """An array that records itself, and every view of itself, when a ufunc
-    (matmul included) reads it."""
+    (numpy's matmul, which `@` calls, included) reads it."""
 
     seen = []
 
@@ -341,20 +352,25 @@ def test_lstm_rejects_bad_shapes_and_rows():
 
 
 def test_embedding_gradient_distinct_and_repeated_ids():
-    """Strictly increasing ids update their rows directly; repeated or
-    unordered ids still accumulate. Both match np.add.at, also when the
-    table already holds a gradient."""
+    """Distinct, repeated and unordered ids accumulate like np.add.at, also
+    when the table already holds a gradient. Id -1 reads a zero row and
+    sends its gradient nowhere: not to the last row, which -1 indexes in numpy."""
     rng = np.random.default_rng(43)
-    for ids in ([0, 2, 3, 5], [4], [3, 1, 3, 3], [2, 2], [5, 0], [[0, 2], [2, 5]]):
+    for ids in ([0, 2, 3, 5], [4], [3, 1, 3, 3], [2, 2], [5, 0], [[0, 2], [2, 5]],
+                [-1, 2, -1], [-1], [[5, -1], [-1, 5]]):
         ids = np.array(ids)
+        live = ids >= 0
         table = p64(rng, 6, 3)
         proj = rng.standard_normal(ids.shape + (3,))
+        out = ad.embedding(table, ids)
+        np.testing.assert_array_equal(out.data[~live], 0.0)
+        np.testing.assert_array_equal(out.data[live], table.data[ids[live]])
         expected = np.zeros((6, 3))
-        np.add.at(expected, ids, proj)
+        np.add.at(expected, ids[live], proj[live])
         for _ in range(2):
             ad.sum_(ad.embedding(table, ids) * proj).backward()
             np.testing.assert_array_equal(table.grad, expected)
-            np.add.at(expected, ids, proj)
+            np.add.at(expected, ids[live], proj[live])
 
 
 def test_cosine_examples():
@@ -405,8 +421,9 @@ def test_concat_errors():
 
 def test_embedding_out_of_range():
     table = ad.parameter(np.zeros((4, 2)))
-    with pytest.raises(ValueError, match="out of range"):
-        ad.embedding(table, np.array([0, 4]))
+    for bad in (4, -2):
+        with pytest.raises(ValueError, match=r"out of range \[-1, 4\)"):
+            ad.embedding(table, np.array([0, bad]))
 
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)    # a Python float keeps float32 arrays float32
@@ -529,7 +546,6 @@ def test_float32_stays_float32():
     kernels = {
         "add": lambda: ad.add(x, 1.0),
         "mul": lambda: ad.mul(x, 0.5),
-        "matmul": lambda: ad.matmul(p32(2, 3), w),
         "affine": lambda: ad.affine(x, w, b),
         "relu": lambda: ad.relu(x),
         "layer_norm": lambda: ad.layer_norm(x, p32(3), p32(3)),
@@ -697,7 +713,7 @@ def test_embedding_gradients():
 def test_conv1d_gradients():
     """token_conv: every case above, ids drawn from 7 tokens, so slots and rows share them."""
     rng = np.random.default_rng(19)
-    for kind in TOKEN_CONV_CASES[:-1]:
+    for kind in (k for k in TOKEN_CONV_CASES if k != "long"):   # 2,048 rows: too many for FD
         for _ in range(TRIALS // 4):
             ids, pos, k, width = _lookup_case(rng, kind)
             d, c_out = int(rng.integers(1, 3)), int(rng.integers(1, 4))
@@ -762,18 +778,18 @@ def test_shape_op_gradients():
 
 
 def test_matmul_and_arith_gradients():
+    """Scaling, subtraction and tensor add and mul, broadcasting over rows."""
     rng = np.random.default_rng(23)
     for _ in range(TRIALS):
-        n, k, m = (int(v) for v in rng.integers(1, 5, size=3))
-        a = p64(rng, n, k)
-        b = p64(rng, k, m)
+        n, m = (int(v) for v in rng.integers(1, 5, size=2))
+        a = p64(rng, n, m)
         c = p64(rng, m)
         proj = rng.standard_normal((n, m))
 
         def f():
-            t = ad.matmul(a, b) * 2.0 - 1.0
+            t = a * 2.0 - 1.0
             t = t + c  # broadcast over rows
             t = t * c
             return ad.sum_(t * proj)
 
-        assert_grads_match(f, {"a": a, "b": b, "c": c}, rng)
+        assert_grads_match(f, {"a": a, "c": c}, rng)

@@ -96,9 +96,11 @@ def test_lookup_grid_id_out_of_bounds():
     cfg = small_cfg("textcnn")
     model = build_backbone(cfg, seed=1)
     rng = np.random.default_rng(0)
-    bad = EncodedFunction(np.array([[0, 1, 99]], dtype=np.int32), np.array([0], dtype=np.int32))
-    with pytest.raises(DataError, match="mismatch"):
-        model.embed_batch([enc(rng, 3, cfg), bad])
+    for bad_id, message in ((99, "mismatch"), (-1, "negative token id -1")):
+        bad = EncodedFunction(np.array([[0, 1, bad_id]], dtype=np.int32),
+                              np.array([0], dtype=np.int32))
+        with pytest.raises(DataError, match=message):
+            model.embed_batch([enc(rng, 3, cfg), bad])
 
 
 # ------------------------------------------------------------------ param counts
@@ -825,7 +827,6 @@ def test_checkpoint_loaded_model_trains_and_resaves_byte_stable(tmp_path):
     stepped = []
     for model in (build_backbone(cfg, seed=28), load_checkpoint(path)[0]):
         ad.sum_(model.embed_batch(encs)).backward()
-        model.mask_frozen_grads()
         Adam(model.params).step()
         stepped.append(model)
     assert stepped[0].fingerprint() == stepped[1].fingerprint()
@@ -903,8 +904,6 @@ def test_backbone_gradients_match_finite_differences():
             out = model.embed_batch(encs, training=True, rng=np.random.default_rng(33))
             return ad.sum_(out * proj)
 
-        report = finite_diff_check(
-            f, model.params, rel_tolerance=1e-4, rng=rng,
-            max_coords_per_param=6, frozen=model.frozen_masks(),
-        )
+        report = finite_diff_check(f, model.params, rel_tolerance=1e-4, rng=rng,
+                                   max_coords_per_param=6)
         assert report.passed, (cfg.variant, {k: c.max_rel_err for k, c in report.per_param.items()})

@@ -138,19 +138,3 @@ def test_checker_requires_float64():
     x = ad.parameter([1.0], dtype=np.float32)
     with pytest.raises(ValueError, match="float64"):
         finite_diff_check(lambda: ad.sum_(x), {"x": x})
-
-
-def test_checker_honors_frozen_mask():
-    table = ad.parameter(np.array([[0.0, 0.0], [1.0, 2.0]]), dtype=np.float64)
-    ids = np.array([0, 1])
-    frozen = {"table": np.array([[True, True], [False, False]])}
-
-    def f():
-        looked = ad.embedding(table, ids)
-        keep = ad.constant(np.array([[0.0, 0.0], [1.0, 1.0]]), dtype=np.float64)
-        return ad.sum_(looked * keep + ad.embedding(table, np.array([0])))
-
-    # analytic gradient of row 0 will be masked by the caller; FD would see it
-    report = finite_diff_check(f, {"table": table}, frozen=frozen)
-    assert report.per_param["table"].n_checked == 2
-    assert report.passed

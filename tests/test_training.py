@@ -9,9 +9,9 @@ import pytest
 import asmsim.autodiff as ad
 from asmsim.corpus import CorpusIndex, FunctionRecord
 from asmsim.errors import DataError, NumericError
-from asmsim.models import BackboneConfig
+from asmsim.models import VARIANTS, BackboneConfig
 from asmsim.optim import finite_diff_check
-from asmsim.tokenizer import build_vocab, encode_function
+from asmsim.tokenizer import PAD_ID, build_vocab, encode_function
 from asmsim.train import (
     TrainConfig, cosine_pair_loss, cosine_pair_loss_batch, train, write_loss_csv,
 )
@@ -258,10 +258,23 @@ def test_pair_sides_share_parameters():
         assert fingerprints[i] == fingerprints[i + 1]  # same params for both sides
 
 
-def test_pad_row_stays_zero_through_training():
-    corpus, vocab, bcfg = setup()
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pad_row_stays_zero_through_training(variant):
+    """Nothing masks the PAD row: PAD slots read as a zero vector that takes no
+    gradient, so the row stays zero through Adam, and a backward over
+    PAD-heavy functions leaves its gradient exactly zero."""
+    corpus, vocab, _ = setup()
+    bcfg = tiny_cfg(vocab.size, variant)
     result = train(corpus, vocab, bcfg, TrainConfig(seed=51, batch_size=8, negatives=2))
-    np.testing.assert_array_equal(result.backbone.params["token_table"].data[0], 0.0)
+    table = result.backbone.params["token_table"]
+    np.testing.assert_array_equal(table.data[PAD_ID], 0.0)
+    encs = [encode_function(vocab, r, k_tokens=bcfg.tokens_per_instruction,
+                            max_positions=bcfg.max_positions) for r in corpus.records]
+    assert all((e.token_ids == PAD_ID).any() for e in encs)
+    out = result.backbone.embed_batch(encs, training=True, rng=np.random.default_rng(52))
+    ad.sum_(out).backward()
+    assert table.grad.any()
+    np.testing.assert_array_equal(table.grad[PAD_ID], 0.0)
 
 
 def test_nonfinite_loss_aborts_with_batch_index():
