@@ -4,13 +4,14 @@ Every operation records a node in a dynamic graph; calling ``backward()`` on a
 scalar result fills ``grad`` on every reachable tensor created with
 ``requires_grad=True``; inner nodes drop their gradient once it has been
 passed on, so a backward pass holds little beyond the forward graph.
-The sequence kernels run on functions packed end to end: `token_conv` reads
-[N, K] token and [N] position ids and the first row of each output window
-instead of a built [N, C] input, `segment_max` pools each function's run of
-output rows, and `lstm` runs a whole recurrence as one node, with a
-hand-written backward through time. `mlp` runs a mixer MLP (affine, GELU,
-dropout, affine, dropout) as one node that keeps two float arrays and two
-bool masks for its backward.
+The sequence kernels run on functions packed end to end, and each reads the
+packing as one [B] array of per-function row counts over consecutive rows:
+`token_conv` reads [N, K] token and [N] position ids instead of a built
+[N, C] input and keeps every window inside one function, `segment_max` pools
+each function's run of output rows, and `lstm` runs a whole recurrence as one
+node, with a hand-written backward through time. `mlp` runs a mixer MLP
+(affine, GELU, dropout, affine, dropout) as one node that keeps two float
+arrays and two bool masks for its backward.
 `affine`, `layer_norm`, `mlp` and the elementwise kernels accept any leading axes.
 The lookup kernels, `embedding` and `token_conv`, share one padding rule: id
 -1, token or position, reads a zero vector and sends no gradient to any row.
@@ -410,29 +411,30 @@ def embedding(table: Tensor, ids) -> Tensor:
     return _node(out_data, (table,), backward)
 
 
-def token_conv(table: Tensor, pos_table: Tensor, ids, pos, starts, w: Tensor) -> Tensor:
+def token_conv(table: Tensor, pos_table: Tensor, ids, pos, lengths, w: Tensor) -> Tensor:
     """Valid, stride-1, bias-free convolution over rows assembled from table lookups.
 
     Input row n is the concatenation of table[ids[n, 0]], ...,
     table[ids[n, K-1]] and pos_table[pos[n]], with a zero vector wherever a
     token id or the position is -1 (padding); no gradient reaches a table
-    row from a -1. Output row r is the window of W input rows
-    that begins at starts[r]; the caller picks starts so that no window
-    crosses from one function into the next. The rows are never built: each
-    of the K + 1 slots projects its distinct ids through its slice of the
-    kernel once, and each output sums its (K + 1) * W projected rows in one
-    sparse product. The kernel is stored [C_in, W, C_out], so each slot's
-    [d, W * C_out] slice is a view of w, and so is its gradient's.
+    row from a -1. Function b is the next `lengths[b]` input rows, at least W
+    of them, and gives lengths[b] - W + 1 output rows, one per window of W
+    rows inside it: no window crosses from one function into the next. The
+    rows are never built: each of the K + 1 slots projects its distinct ids
+    through its slice of the kernel once, and each output sums its
+    (K + 1) * W projected rows in one sparse product. The kernel is stored
+    [C_in, W, C_out], so each slot's [d, W * C_out] slice is a view of w, and
+    so is its gradient's.
 
     table [V, d], pos_table [P, d], ids int [N, K], pos int [N],
-    starts int [R], w [(K + 1) * d, W, C_out] -> [R, C_out].
+    lengths int [B], w [(K + 1) * d, W, C_out] -> [sum(lengths - W + 1), C_out].
     """
-    ids, pos, starts = np.asarray(ids), np.asarray(pos), np.asarray(starts)
-    if any(a.dtype.kind not in "iu" for a in (ids, pos, starts)):
-        raise TypeError("token_conv ids, positions and window starts must be integers")
-    if ids.ndim != 2 or pos.shape != ids.shape[:1] or starts.ndim != 1:
-        raise ValueError(f"token_conv needs ids [N, K], pos [N] and starts [R], "
-                         f"got {ids.shape}, {pos.shape} and {starts.shape}")
+    ids, pos, lens = np.asarray(ids), np.asarray(pos), np.asarray(lengths)
+    if any(a.dtype.kind not in "iu" for a in (ids, pos, lens)):
+        raise TypeError("token_conv ids, positions and lengths must be integers")
+    if ids.ndim != 2 or pos.shape != ids.shape[:1] or lens.ndim != 1:
+        raise ValueError(f"token_conv needs ids [N, K], pos [N] and lengths [B], "
+                         f"got {ids.shape}, {pos.shape} and {lens.shape}")
     if w.ndim != 3:
         raise ValueError(f"token_conv kernel must be [C_in, W, C_out], got {w.shape}")
     c_in, width, c_out = w.shape
@@ -441,14 +443,17 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, starts, w: Tensor) ->
     if pos_table.shape[1] != d or c_in != (k + 1) * d:
         raise ValueError(f"token_conv channel mismatch: {k} tokens and a position of width "
                          f"{d} against a kernel of {c_in} input channels")
-    if n < width:
-        raise ValueError(f"token_conv input length {n} < kernel width {width}")
-    if starts.size and (starts.min() < 0 or starts.max() > n - width):
-        raise ValueError(f"window start out of range [0, {n - width}]")
+    if lens.size == 0 or lens.min() < width or lens.sum() != n:
+        raise ValueError(f"token_conv lengths must be >= the kernel width {width} "
+                         f"and sum to {n} rows")
     if ids.size and (ids.min() < -1 or ids.max() >= table.shape[0]):
         raise ValueError(f"token id out of range [-1, {table.shape[0]})")
     if pos.size and (pos.min() < -1 or pos.max() >= pos_table.shape[0]):
         raise ValueError(f"position out of range [-1, {pos_table.shape[0]})")
+    # output row r of function b starts b * (W - 1) rows past r: each earlier
+    # function has W - 1 rows where no window starts
+    starts = np.arange(n - lens.size * (width - 1))
+    starts += np.repeat(np.arange(lens.size) * (width - 1), lens - (width - 1))
     rows = starts[:, None] + np.arange(width)          # [R, W] input rows of each window
     kernels = w.data.reshape(k + 1, d, width * c_out)   # slot s's kernel, a view
     slots = [(table, ids[:, s]) for s in range(k)] + [(pos_table, pos)]
@@ -526,11 +531,11 @@ def segment_max(x: Tensor, lengths) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
-def lstm(xp: Tensor, w_h: Tensor, starts, lengths) -> Tensor:
+def lstm(xp: Tensor, w_h: Tensor, lengths) -> Tensor:
     """Final hidden states of an LSTM over functions packed end to end, as one node.
 
-    Function b is the lengths[b] rows from starts[b]; its state starts at
-    h = c = 0. Row n of xp holds the input side of the i, f, c~ and o gate
+    Function b is the next lengths[b] rows; its state starts at h = c = 0.
+    Row n of xp holds the input side of the i, f, c~ and o gate
     pre-activations of one instruction, bias included. A step adds
     h_{t-1} @ w_h to them; i, f and o are sigmoids, c~ a tanh,
     c_t = f * c_{t-1} + i * c~ and h_t = o * tanh(c_t). The state runs in
@@ -539,39 +544,28 @@ def lstm(xp: Tensor, w_h: Tensor, starts, lengths) -> Tensor:
     activations, h_{t-1}, c_{t-1} and tanh(c_t), and its backward runs the
     steps in reverse. A function of length 0 gives h = 0.
 
-    xp [N, 4h], w_h [h, 4h], starts int [B], lengths int [B] -> [B, h], in caller order.
+    xp [N, 4h], w_h [h, 4h], lengths int [B] summing to N -> [B, h], in caller order.
     """
-    starts, lengths = np.asarray(starts), np.asarray(lengths)
-    if starts.dtype.kind not in "iu" or lengths.dtype.kind not in "iu":
-        raise TypeError("lstm starts and lengths must be integers")
+    lengths = np.asarray(lengths)
+    if lengths.dtype.kind not in "iu":
+        raise TypeError("lstm lengths must be integers")
     if (xp.ndim != 2 or w_h.ndim != 2 or xp.shape[1] != w_h.shape[1]
             or w_h.shape[1] != 4 * w_h.shape[0]):
         raise ValueError(f"lstm needs xp [N, 4h] and w_h [h, 4h], got {xp.shape} and {w_h.shape}")
-    if starts.ndim != 1 or lengths.shape != starts.shape:
-        raise ValueError(f"lstm needs starts [B] and lengths [B], got {starts.shape} "
-                         f"and {lengths.shape}")
     n, hid = xp.shape[0], w_h.shape[0]
-    ends = starts + lengths
-    if starts.size and (starts.min() < 0 or lengths.min() < 0 or ends.max() > n):
-        raise ValueError(f"lstm rows out of range [0, {n})")
-    live = np.flatnonzero(lengths)
-    by_start = live[np.argsort(starts[live])]
-    if np.any(ends[by_start[:-1]] > starts[by_start[1:]]):
-        # the saved state is row-aligned with xp, so no row may belong to two functions
-        raise ValueError("lstm functions overlap")
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 0 or lengths.sum() != n:
+        raise ValueError(f"lstm lengths must be a non-empty [B], each >= 0, summing to {n} rows")
     order = np.argsort(lengths, kind="stable")
-    firsts, lens = starts[order], lengths[order]
+    firsts, lens = (np.cumsum(lengths) - lengths)[order], lengths[order]
     # step t runs the functions [done[t], B) of the length order
-    done = np.searchsorted(lens, np.arange(lens[-1] if lens.size else 0), side="right").tolist()
+    done = np.searchsorted(lens, np.arange(lens[-1]), side="right").tolist()
     h = np.zeros((lengths.size, hid), dtype=xp.dtype)
     c = np.zeros_like(h)
     record = _recording(xp, w_h)
     gates = h_prev = c_prev = tanh_c = None
     if record:
-        gates = np.empty_like(xp.data)
-        # zero on rows no function reaches: dw_h's GEMM reads every row
-        h_prev = np.zeros((n, hid), dtype=xp.dtype)
-        c_prev, tanh_c = np.empty_like(h_prev), np.empty_like(h_prev)
+        gates = np.empty_like(xp.data)                # every row is some function's step
+        h_prev, c_prev, tanh_c = (np.empty((n, hid), dtype=xp.dtype) for _ in range(3))
     sig, cand = (np.s_[:, :2 * hid], np.s_[:, 3 * hid:]), np.s_[:, 2 * hid:3 * hid]
     for t, lo in enumerate(done):
         rows = firsts[lo:] + t
@@ -590,7 +584,7 @@ def lstm(xp: Tensor, w_h: Tensor, starts, lengths) -> Tensor:
     out_data[order] = h
 
     def backward(g):
-        dpre = np.zeros_like(xp.data)
+        dpre = np.empty_like(xp.data)           # every row is written once
         dh, dc = g[order], np.zeros_like(h)     # per function, in length order
         for t in range(len(done) - 1, -1, -1):
             lo = done[t]

@@ -166,6 +166,8 @@ def cmd_eval(args) -> int:
     pairs = _parse_opt_pairs(args.opt_pairs) if args.opt_pairs else DEFAULT_OPT_PAIRS
     if any(k < 1 for k in args.ks):
         raise DataError("recall cutoffs must be >= 1")
+    if args.pool_size < 1:
+        raise DataError("pool size must be >= 1")
     report = evaluate_model(backbone, vocab, corpus, opt_pairs=pairs,
                             n=args.pool_size, ks=tuple(args.ks), seed=args.seed)
     payload = report.to_json_dict(checkpoint_sha256=file_sha256(args.checkpoint))

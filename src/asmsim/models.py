@@ -163,6 +163,8 @@ class Backbone:
         return blocks
 
     def _validate_ids(self, enc: EncodedFunction):
+        if enc.n_instructions == 0:
+            raise DataError("cannot embed a function with zero instructions")
         if enc.token_ids.size and enc.token_ids.min() < 0:
             # -1 is the packed padding sentinel; an encoding carries PAD_ID instead
             raise DataError(f"negative token id {int(enc.token_ids.min())}")
@@ -182,25 +184,27 @@ class Backbone:
         """[B] rows each function takes when packed end to end."""
         raise NotImplementedError
 
-    def _head(self, encs, rows, training: bool, rng) -> Tensor:
-        """One packed group -> [B, F] features in caller order, before `fc`."""
+    def _head(self, ids, pos, rows, training: bool, rng) -> Tensor:
+        """One packed group, as `_pack` lays it out, and its [B] rows per
+        function -> [B, F] features in caller order, before `fc`."""
         raise NotImplementedError
 
     def _pack(self, encs, rows):
-        """[N, K] token ids, [N] positions and [B] first rows of functions packed
-        end to end, function b taking rows[b] rows: a longer one is cut, a
+        """[N, K] token ids and [N] positions of functions packed end to end,
+        function b taking the next rows[b] rows: a longer one is cut, a
         shorter one is padded with position -1. Every PAD token slot, padding
         row or not, holds -1 too."""
         n, k = int(rows.sum()), self.cfg.tokens_per_instruction
         ids = np.full((n, k), PAD_ID, dtype=np.int32)
         pos = np.full(n, -1, dtype=np.int32)
-        first = np.cumsum(rows) - rows
-        for row, r, e in zip(first.tolist(), rows.tolist(), encs):
+        row = 0
+        for r, e in zip(rows.tolist(), encs):
             s = min(e.n_instructions, r)
             ids[row:row + s] = e.token_ids[:s]
             pos[row:row + s] = e.position_ids[:s]
+            row += r
         ids[ids == PAD_ID] = -1
-        return ids, pos, first
+        return ids, pos
 
     def _embed_rows(self, ids, pos) -> Tensor:
         """[..., K] token ids and [...] positions -> [..., H] rows (the mixer's
@@ -225,8 +229,10 @@ class Backbone:
                 total = 0
             total += n
         cuts.append(len(encs))
-        groups = [self._project(self._head(encs[lo:hi], rows[lo:hi], training, rng))
-                  for lo, hi in zip(cuts, cuts[1:])]
+        groups = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            ids, pos = self._pack(encs[lo:hi], rows[lo:hi])
+            groups.append(self._project(self._head(ids, pos, rows[lo:hi], training, rng)))
         return groups[0] if len(groups) == 1 else ad.concat(groups, axis=0)
 
     def embed_batch(self, encs, training: bool = False,
@@ -296,17 +302,12 @@ class TextCNN(Backbone):
         """Each function's length, padded up to the widest kernel."""
         return np.maximum([e.n_instructions for e in encs], max(self.cfg.conv_widths))
 
-    def _head(self, encs, rows, training, rng):
-        """Every window starts and ends inside one function, and each function
-        max-pools over its own output rows."""
-        ids, pos, first = self._pack(encs, rows)
-        step = np.arange(len(pos)) - np.repeat(first, rows)   # row index within its function
-        room = np.repeat(rows, rows) - step            # rows from there to the function's end
+    def _head(self, ids, pos, rows, training, rng):
+        """Each function max-pools over its own output rows."""
         tables = self.params["token_table"], self.params["pos_table"]
         pooled = []
         for i, width in enumerate(self.cfg.conv_widths):
-            starts = np.flatnonzero(room >= width)
-            conv = ad.token_conv(*tables, ids, pos, starts, self.params[f"conv{i}.w"])
+            conv = ad.token_conv(*tables, ids, pos, rows, self.params[f"conv{i}.w"])
             peak = ad.segment_max(conv, rows - (width - 1))
             pooled.append(ad.relu(peak + self.params[f"conv{i}.b"]))
         return ad.concat(pooled, axis=1)
@@ -373,11 +374,10 @@ class LSTMNet(Backbone):
     def _rows(self, encs):
         return np.array([e.n_instructions for e in encs])
 
-    def _head(self, encs, rows, training, rng):
-        ids, pos, first = self._pack(encs, rows)
+    def _head(self, ids, pos, rows, training, rng):
         xp = ad.token_conv(self.params["token_table"], self.params["pos_table"], ids, pos,
-                           np.arange(len(pos)), self.params["w_x"])
-        return ad.lstm(xp + self.params["b"], self.params["w_h"], first, rows)
+                           rows, self.params["w_x"])
+        return ad.lstm(xp + self.params["b"], self.params["w_h"], rows)
 
 
 class Mixer(Backbone):
@@ -411,10 +411,9 @@ class Mixer(Backbone):
     def _rows(self, encs):
         return np.full(len(encs), self.cfg.mixer_seq_len)
 
-    def _head(self, encs, rows, training, rng):
+    def _head(self, ids, pos, rows, training, rng):
         cfg = self.cfg
-        ids, pos, _ = self._pack(encs, rows)
-        shape = (len(encs), cfg.mixer_seq_len)
+        shape = (len(rows), cfg.mixer_seq_len)
         x = self._embed_rows(ids.reshape(shape + (-1,)), pos.reshape(shape))   # [B, S, C]
         rate = cfg.mixer_dropout if training else 0.0
 
@@ -474,9 +473,9 @@ def save_checkpoint(path, backbone: Backbone, vocab: Vocabulary):
         out += struct.pack(f"<{p.data.ndim}I", *p.data.shape)
         out += bytes(-len(out) % _ALIGN)
         out += np.ascontiguousarray(p.data, dtype="<f4").tobytes()
-    out += hashlib.sha256(bytes(out)).digest()
+    out += hashlib.sha256(out).digest()
     with open(path, "wb") as fh:
-        fh.write(bytes(out))
+        fh.write(out)
 
 
 class _Reader:

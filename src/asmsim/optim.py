@@ -15,8 +15,8 @@ class Adam:
 
     def __init__(self, params: dict[str, Tensor], lr: float = 0.001,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not 0 < lr < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {lr}")
         self.params = dict(params)
         self.lr = float(lr)
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])

@@ -36,8 +36,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.seed is None:
             raise ValueError("training requires an explicit seed")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:

@@ -52,18 +52,17 @@ def c64(a):
     return ad.constant(np.asarray(a, dtype=np.float64))
 
 
-def packed(ids, pos, width):
+def packed(ids, pos):
     """[B, L, K] ids and [B, L] positions packed end to end as [B * L, K] and
-    [B * L], plus the start of every width-`width` window inside one function."""
+    [B * L], plus each function's [B] row count."""
     bsz, length = pos.shape
-    starts = (np.arange(bsz)[:, None] * length + np.arange(length - width + 1)).reshape(-1)
-    return ids.reshape(bsz * length, -1), pos.reshape(-1), starts
+    return ids.reshape(bsz * length, -1), pos.reshape(-1), np.full(bsz, length)
 
 
 def grid_conv(table, pos_table, ids, pos, w):
     """token_conv over B functions of L rows each -> [B, L - W + 1, C_out]."""
     bsz, length = pos.shape
-    out = ad.token_conv(table, pos_table, *packed(ids, pos, w.shape[1]), w)
+    out = ad.token_conv(table, pos_table, *packed(ids, pos), w)
     return ad.reshape(out, (bsz, length - w.shape[1] + 1, -1))
 
 
@@ -101,32 +100,33 @@ def test_conv1d_full_width_gives_length_one():
 
 
 def test_conv1d_shape_errors():
-    """token_conv rejects mismatched shapes, short inputs, windows past the
-    packed rows and out-of-range lookups."""
+    """token_conv rejects mismatched shapes, functions shorter than the kernel,
+    lengths short of or past the packed rows and out-of-range lookups."""
     table, pos_table = c64(np.ones((5, 2))), c64(np.ones((4, 2)))
-    ids, pos, starts = np.ones((4, 2), dtype=np.int64), np.arange(4), np.array([0, 1, 2])
+    ids, pos, lengths = np.ones((4, 2), dtype=np.int64), np.arange(4), np.array([4])
     w = c64(np.ones((6, 2, 3)))
 
-    def call(ids=ids, pos=pos, starts=starts, w=w, pos_table=pos_table):
-        return ad.token_conv(table, pos_table, ids, pos, starts, w)
+    def call(ids=ids, pos=pos, lengths=lengths, w=w, pos_table=pos_table):
+        return ad.token_conv(table, pos_table, ids, pos, lengths, w)
 
     assert call().shape == (3, 3)
+    assert call(lengths=np.array([2, 2])).shape == (2, 3)     # one window in each function
     with pytest.raises(ValueError, match="channel"):
         call(w=c64(np.ones((4, 2, 3))))
     with pytest.raises(ValueError, match="channel"):
         call(pos_table=c64(np.ones((4, 3))))
-    with pytest.raises(ValueError, match="length"):
-        call(w=c64(np.ones((6, 5, 3))))
+    with pytest.raises(ValueError, match="kernel width 5"):
+        call(w=c64(np.ones((6, 5, 3))))           # 4 rows, a width-5 kernel
+    # below the width 2, short of the 4 rows, past them, none at all
+    for bad in ([1, 3], [3, 1], [3], [2], [2, 3], [4, 2], []):
+        with pytest.raises(ValueError, match="lengths must be >= the kernel width 2 and sum to 4"):
+            call(lengths=np.array(bad, dtype=np.int64))
     with pytest.raises(ValueError, match=r"\[N, K\]"):
         call(ids=ids[None])
     with pytest.raises(ValueError, match=r"pos \[N\]"):
         call(pos=pos[:3])
-    with pytest.raises(ValueError, match=r"starts \[R\]"):
-        call(starts=starts[None])
-    with pytest.raises(ValueError, match="window start out of range"):
-        call(starts=np.array([0, 3]))             # its window would read row 4 of 4
-    with pytest.raises(ValueError, match="window start out of range"):
-        call(starts=np.array([-1, 0]))
+    with pytest.raises(ValueError, match=r"lengths \[B\]"):
+        call(lengths=lengths[None])
     assert call(ids=np.full((4, 2), -1)).shape == (3, 3)     # -1: padding
     for bad in (5, -2):
         with pytest.raises(ValueError, match=r"token id out of range \[-1, 5\)"):
@@ -138,7 +138,7 @@ def test_conv1d_shape_errors():
     with pytest.raises(TypeError, match="integers"):
         call(ids=ids.astype(np.float64))
     with pytest.raises(TypeError, match="integers"):
-        call(starts=starts.astype(np.float64))
+        call(lengths=lengths.astype(np.float64))
 
 
 def _lookup_case(rng, kind):
@@ -202,10 +202,8 @@ def test_token_conv_ragged_windows_stay_inside_each_function():
     lengths = (4, 2, 7)
     ids = [rng.integers(0, 7, size=(n, k)) for n in lengths]
     pos = [np.arange(n) for n in lengths]
-    first = np.cumsum(lengths) - lengths
-    starts = np.concatenate([f + np.arange(n - width + 1) for f, n in zip(first, lengths)])
     out = ad.token_conv(*(c64(a) for a in arrays[:2]), np.concatenate(ids),
-                        np.concatenate(pos), starts, c64(arrays[2]))
+                        np.concatenate(pos), np.array(lengths), c64(arrays[2]))
     expected = np.concatenate([ref_token_conv(*arrays[:2], i[None], p[None], arrays[2])[0]
                                for i, p in zip(ids, pos)])
     np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
@@ -233,7 +231,7 @@ def test_token_conv_slot_kernels_are_views_of_w():
     w.data = w.data.view(_KernelSpy)
     ids, pos = rng.integers(0, 7, size=(9, k)), np.minimum(np.arange(9), 5)
     _KernelSpy.seen = []
-    out = ad.token_conv(table, pos_table, ids, pos, np.arange(6), w)
+    out = ad.token_conv(table, pos_table, ids, pos, np.array([9]), w)
     ad.sum_(out).backward()
     assert len(_KernelSpy.seen) == 2 * (k + 1)        # K + 1 slots, forward and backward
     assert all(np.shares_memory(kern, w.data) for kern in _KernelSpy.seen)
@@ -294,21 +292,15 @@ LSTM_LENGTHS = np.array([7, 1, 4, 4, 2])
 
 
 def lstm_case(rng, lengths, hid=3):
-    """float64 xp [N, 4h] and w_h [h, 4h], and the starts of `lengths` packed
-    in a shuffled order with one row that no function reads after each."""
-    starts = np.empty(len(lengths), dtype=np.int64)
-    row = 0
-    for b in rng.permutation(len(lengths)):
-        starts[b] = row
-        row += lengths[b] + 1
-    return p64(rng, row, 4 * hid), p64(rng, hid, 4 * hid), starts
+    """float64 xp [N, 4h] of functions of `lengths` rows packed end to end, and w_h [h, 4h]."""
+    return p64(rng, int(np.sum(lengths)), 4 * hid), p64(rng, hid, 4 * hid)
 
 
-def ref_lstm(xp, w_h, starts, lengths):
+def ref_lstm(xp, w_h, lengths):
     """float64 loop, one function and one step at a time."""
     hid = w_h.shape[0]
-    out = np.zeros((len(starts), hid))
-    for b, (start, n) in enumerate(zip(starts, lengths)):
+    out = np.zeros((len(lengths), hid))
+    for b, (start, n) in enumerate(zip(np.cumsum(lengths) - lengths, lengths)):
         h = c = np.zeros(hid)
         for t in range(n):
             z = xp[start + t] + h @ w_h
@@ -322,33 +314,31 @@ def ref_lstm(xp, w_h, starts, lengths):
 def test_lstm_matches_step_loop():
     rng = np.random.default_rng(40)
     for lengths in (LSTM_LENGTHS, np.array([3, 0, 5, 0]), np.array([1])):
-        xp, w_h, starts = lstm_case(rng, lengths)
-        expected = ref_lstm(xp.data, w_h.data, starts, lengths)
-        np.testing.assert_allclose(ad.lstm(xp, w_h, starts, lengths).data, expected,
+        xp, w_h = lstm_case(rng, lengths)
+        expected = ref_lstm(xp.data, w_h.data, lengths)
+        np.testing.assert_allclose(ad.lstm(xp, w_h, lengths).data, expected,
                                    rtol=1e-12, atol=1e-14)
         with ad.no_grad():
-            out = ad.lstm(xp, w_h, starts, lengths)
+            out = ad.lstm(xp, w_h, lengths)
         assert out._backward is None
         np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_lstm_rejects_bad_shapes_and_rows():
     xp, w_h = c64(np.zeros((6, 8))), c64(np.zeros((2, 8)))
-    starts, lengths = np.array([0, 3]), np.array([3, 3])
-    assert ad.lstm(xp, w_h, starts, lengths).shape == (2, 2)
+    lengths = np.array([3, 3])
+    assert ad.lstm(xp, w_h, lengths).shape == (2, 2)
+    assert ad.lstm(xp, w_h, np.array([0, 6, 0])).shape == (3, 2)
     with pytest.raises(ValueError, match=r"xp \[N, 4h\] and w_h \[h, 4h\]"):
-        ad.lstm(c64(np.zeros((6, 6))), w_h, starts, lengths)
+        ad.lstm(c64(np.zeros((6, 6))), w_h, lengths)
     with pytest.raises(ValueError, match=r"xp \[N, 4h\] and w_h \[h, 4h\]"):
-        ad.lstm(c64(np.zeros((6, 12))), c64(np.zeros((2, 12))), starts, lengths)
-    with pytest.raises(ValueError, match=r"starts \[B\] and lengths \[B\]"):
-        ad.lstm(xp, w_h, starts, np.array([3, 3, 0]))
-    for bad_starts, bad_lengths in (([0, 3], [3, 4]), ([-1, 3], [3, 3]), ([0, 3], [-1, 3])):
-        with pytest.raises(ValueError, match="out of range"):
-            ad.lstm(xp, w_h, np.array(bad_starts), np.array(bad_lengths))
-    with pytest.raises(ValueError, match="overlap"):
-        ad.lstm(xp, w_h, np.array([3, 1]), np.array([3, 3]))
+        ad.lstm(c64(np.zeros((6, 12))), c64(np.zeros((2, 12))), lengths)
+    # short of the 6 rows, past them, a negative length, none at all, not 1-D
+    for bad in ([3, 2], [3, 4], [7, -1], [], [[3, 3]]):
+        with pytest.raises(ValueError, match="summing to 6 rows"):
+            ad.lstm(xp, w_h, np.array(bad, dtype=np.int64))
     with pytest.raises(TypeError, match="integers"):
-        ad.lstm(xp, w_h, starts.astype(float), lengths)
+        ad.lstm(xp, w_h, lengths.astype(float))
 
 
 def test_embedding_gradient_distinct_and_repeated_ids():
@@ -557,9 +547,9 @@ def test_float32_stays_float32():
         "embedding": lambda: ad.embedding(w, np.array([0, 2])),
         "token_conv": lambda: ad.token_conv(p32(6, 1), p32(5, 1), rng.integers(0, 6, (10, 2)),
                                             np.array([0, 1, 2, -1, -1, 0, 1, 2, 3, 4]),
-                                            np.array([0, 1, 2, 5, 6, 7, 8]), p32(3, 2, 4)),
+                                            np.array([5, 5]), p32(3, 2, 4)),
         "segment_max": lambda: ad.segment_max(ad.reshape(x, (10, 3)), np.array([2, 1, 7])),
-        "lstm": lambda: ad.lstm(p32(8, 8), p32(2, 8), np.array([5, 0]), np.array([3, 4])),
+        "lstm": lambda: ad.lstm(p32(7, 8), p32(2, 8), np.array([3, 4])),
         "sum_": lambda: ad.sum_(x, axis=1),
         "mean_": lambda: ad.mean_(x, axis=1),
         "pairwise_cosine": lambda: ad.pairwise_cosine(p32(2, 3), p32(2, 3)),
@@ -726,12 +716,12 @@ def test_conv1d_gradients():
 
 
 def test_lstm_gradients():
-    """Through lengths in caller order with a tie and a length of 1, and rows no function reads."""
+    """Through lengths in caller order with a tie and a length of 1."""
     rng = np.random.default_rng(41)
     for _ in range(TRIALS // 4):
-        xp, w_h, starts = lstm_case(rng, LSTM_LENGTHS)
+        xp, w_h = lstm_case(rng, LSTM_LENGTHS)
         proj = rng.standard_normal((len(LSTM_LENGTHS), w_h.shape[0]))
-        assert_grads_match(lambda: ad.sum_(ad.lstm(xp, w_h, starts, LSTM_LENGTHS) * proj),
+        assert_grads_match(lambda: ad.sum_(ad.lstm(xp, w_h, LSTM_LENGTHS) * proj),
                            {"xp": xp, "w_h": w_h}, rng)
 
 

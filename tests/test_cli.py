@@ -170,6 +170,10 @@ def test_train_config_file_and_flag_precedence(workdir, tmp_path, capsys):
                  "--out", str(out), "--seed", "9", "--config", str(bad)])
     assert code == 2
     assert "unknown key" in capsys.readouterr().err
+    for lr in ("nan", "inf"):                       # rejected before any batch runs
+        assert main(["train", str(workdir / "data.jsonl"), str(workdir / "vocab.txt"),
+                     "--out", str(out), "--seed", "9", "--learning-rate", lr]) == 2
+        assert "learning_rate must be positive and finite" in capsys.readouterr().err
 
 
 def test_read_config_file_parses_values(tmp_path):
@@ -206,11 +210,16 @@ def test_eval_pool_of_one_is_perfect(workdir, tmp_path):
 
 
 def test_eval_bad_opt_pair_is_data_error(workdir, tmp_path, capsys):
-    code = main(["eval", str(workdir / "data.jsonl"), str(workdir / "model.ckpt"),
-                 "--out", str(tmp_path / "rep"), "--seed", "1",
-                 "--opt-pairs", "O0,O9"])
-    assert code == 2
-    assert "O0,O9" in capsys.readouterr().err
+    """A bad optimization pair, recall cutoff or pool size is a one-line data error."""
+    for option, message in ((["--opt-pairs", "O0,O9"], "O0,O9"),
+                            (["--ks", "0"], "recall cutoffs"),
+                            (["--pool-size", "0"], "pool size must be >= 1"),
+                            (["--pool-size", "-3"], "pool size must be >= 1")):
+        code = main(["eval", str(workdir / "data.jsonl"), str(workdir / "model.ckpt"),
+                     "--out", str(tmp_path / "rep"), "--seed", "1"] + option)
+        assert code == 2, option
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 # ------------------------------------------------------------------ embed

@@ -61,9 +61,8 @@ def test_lookup_grid_shape_and_content():
     rng = np.random.default_rng(0)
     encs = [enc(rng, 4, cfg), enc(rng, 2, cfg), enc(rng, 7, cfg)]
     rows = np.array([5, 3, 5])
-    ids, pos, first = model._pack(encs, rows)
+    ids, pos = model._pack(encs, rows)
     assert ids.shape == (13, cfg.tokens_per_instruction) and pos.shape == (13,)
-    np.testing.assert_array_equal(first, [0, 5, 8])
     np.testing.assert_array_equal(pos, [0, 1, 2, 3, -1, 0, 1, -1, 0, 1, 2, 3, 4])
     grid = model._embed_rows(ids, pos)
     assert grid.shape == (13, cfg.grid_width)
@@ -75,7 +74,7 @@ def test_lookup_grid_shape_and_content():
         np.testing.assert_array_equal(row[j * d:(j + 1) * d], tok_tab[encs[0].token_ids[2, j]])
     np.testing.assert_array_equal(row[-d:], pos_tab[encs[0].position_ids[2]])
     p = {k: v.data for k, v in model.params.items()}
-    for e, lo, r in zip(encs, first, rows):    # padding rows are zero; the 7-row function is cut
+    for e, lo, r in zip(encs, [0, 5, 8], rows):  # padding rows are zero; the 7-row function is cut
         np.testing.assert_array_equal(grid.data[lo:lo + r], ref_grid(p, e, r))
     batched = model._embed_rows(ids.reshape(13, 1, -1), pos.reshape(13, 1))
     np.testing.assert_array_equal(batched.data.reshape(13, -1), grid.data)
@@ -85,7 +84,7 @@ def test_lookup_grid_pad_row_is_zero():
     cfg = small_cfg("textcnn")
     model = build_backbone(cfg, seed=1)
     e = EncodedFunction(np.full((2, 3), PAD_ID, dtype=np.int32), np.array([0, 1], dtype=np.int32))
-    grid = model._embed_rows(*model._pack([e], np.array([4]))[:2])
+    grid = model._embed_rows(*model._pack([e], np.array([4])))
     d = cfg.embed_dim
     np.testing.assert_array_equal(grid.data[:, :3 * d], 0.0)
     np.testing.assert_array_equal(grid.data[2:], 0.0)          # padding: PAD ids, zero position
@@ -101,6 +100,10 @@ def test_lookup_grid_id_out_of_bounds():
                               np.array([0], dtype=np.int32))
         with pytest.raises(DataError, match=message):
             model.embed_batch([enc(rng, 3, cfg), bad])
+    empty = EncodedFunction(np.zeros((0, 3), dtype=np.int32), np.zeros(0, dtype=np.int32))
+    for variant in ("textcnn", "lstm", "mixer"):
+        with pytest.raises(DataError, match="zero instructions"):
+            build_backbone(small_cfg(variant), seed=1).embed_batch([enc(rng, 3, cfg), empty])
 
 
 # ------------------------------------------------------------------ param counts
@@ -528,9 +531,9 @@ def test_textcnn_pack_groups_match_one_group_and_single_functions(monkeypatch):
         packs = []
         head = type(model)._head
 
-        def counted(self, group, rows, training, rng):
-            packs.append(len(group))
-            return head(self, group, rows, training, rng)
+        def counted(self, ids, pos, rows, training, rng):
+            packs.append(len(rows))
+            return head(self, ids, pos, rows, training, rng)
 
         def forward():
             model.zero_grad()

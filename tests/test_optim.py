@@ -107,8 +107,9 @@ def test_step_matches_the_out_of_place_update_bitwise():
 
 
 def test_invalid_lr_rejected():
-    with pytest.raises(ValueError):
-        Adam({"p": ad.parameter([1.0])}, lr=0.0)
+    for lr in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Adam({"p": ad.parameter([1.0])}, lr=lr)
 
 
 def test_checker_accepts_correct_gradient():

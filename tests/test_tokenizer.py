@@ -149,7 +149,8 @@ def test_encode_position_clamp():
 
 
 def test_encode_zero_instructions_rejected():
-    vocab = build_vocab([], min_freq=32)
+    with pytest.warns(UserWarning, match="vocabulary is empty"):
+        vocab = build_vocab([], min_freq=32)
     with pytest.raises(DataError):
         encode_function(vocab, [])
 

@@ -316,8 +316,9 @@ def test_vocab_size_cross_check():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(seed=1, learning_rate=0.0)
+    for lr in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(seed=1, learning_rate=lr)
     with pytest.raises(ValueError):
         TrainConfig(seed=1, batch_size=0)
     with pytest.raises(ValueError):
