@@ -62,23 +62,27 @@ _TRAIN_KEYS = {
 def read_config_file(path) -> dict:
     """`key = value` per line; blank lines and '#' comments are ignored."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            key, sep, value = text.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key or not value:
-                raise DataError(f"{path}:{lineno}: expected `key = value`")
-            if key not in _TRAIN_KEYS:
-                raise DataError(
-                    f"{path}:{lineno}: unknown key {key!r} "
-                    f"(expected one of {', '.join(sorted(_TRAIN_KEYS))})")
-            try:
-                out[key] = _TRAIN_KEYS[key](value)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad value for {key}: {value!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        key, sep, value = text.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key or not value:
+            raise DataError(f"{path}:{lineno}: expected `key = value`")
+        if key not in _TRAIN_KEYS:
+            raise DataError(
+                f"{path}:{lineno}: unknown key {key!r} "
+                f"(expected one of {', '.join(sorted(_TRAIN_KEYS))})")
+        try:
+            out[key] = _TRAIN_KEYS[key](value)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad value for {key}: {value!r}")
     return out
 
 

@@ -103,13 +103,13 @@ def _reject_dup_keys(pairs):
 def load_dataset(path) -> CorpusIndex:
     """Parse a JSON-Lines dataset; every error cites the 1-based line number."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line, object_pairs_hook=_reject_dup_keys)
+            try:                                # a UnicodeDecodeError is a ValueError
+                obj = json.loads(line.decode("utf-8"), object_pairs_hook=_reject_dup_keys)
             except ValueError as exc:
                 raise DataError(f"{where}: {exc}") from None
             if not isinstance(obj, dict):

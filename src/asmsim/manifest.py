@@ -12,6 +12,7 @@ import json
 from datetime import datetime, timezone
 
 from . import __version__
+from .errors import DataError
 
 
 def file_sha256(path) -> str:
@@ -54,9 +55,15 @@ def write_manifest(artifact_path, command: str, seed=None, config=None,
 
 
 def load_manifest(artifact_path) -> dict | None:
-    """Sidecar contents for an artifact, or None if it has no manifest."""
+    """Sidecar contents for an artifact, or None if it has no manifest; a
+    sidecar that is not a JSON object is a DataError."""
     try:
         with open(manifest_path_for(artifact_path), "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         return None
+    except ValueError:                          # not UTF-8, or not JSON
+        doc = None
+    if not isinstance(doc, dict):
+        raise DataError(f"{manifest_path_for(artifact_path)}: manifest is not a JSON object")
+    return doc

@@ -147,21 +147,6 @@ class Backbone:
         return [("token_table", (cfg.vocab_size, cfg.embed_dim), _embedding_init),
                 ("pos_table", (cfg.max_positions, cfg.embed_dim), _embedding_init)]
 
-    @classmethod
-    def _stored_layout(cls, cfg: BackboneConfig, version: int) -> list[tuple]:
-        """(name, shape) of each block in a checkpoint of `version`; version 1
-        kept 3-D kernels as [C_out, C_in, W]."""
-        out = [(name, shape) for name, shape, _ in cls.layout(cfg)]
-        if version == 1:
-            out = [(name, (s[2], *s[:2]) if len(s) == 3 else s) for name, s in out]
-        return out
-
-    @classmethod
-    def _upgrade(cls, cfg: BackboneConfig, blocks: dict, version: int) -> dict:
-        """A checkpoint's blocks (name -> array, each in the current layout's
-        axis order) -> the current layout's blocks."""
-        return blocks
-
     def _validate_ids(self, enc: EncodedFunction):
         if enc.n_instructions == 0:
             raise DataError("cannot embed a function with zero instructions")
@@ -261,10 +246,6 @@ class Backbone:
         total = sum(int(p.data.size) for p in self.params.values())
         return total - self.cfg.embed_dim
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         for name, p in self.params.items():
@@ -352,25 +333,6 @@ class LSTMNet(Backbone):
         w_x = np.concatenate([w[hid:] for w in blocks], axis=1)
         return w_h, w_x.reshape(-1, 1, w_x.shape[1])
 
-    @classmethod
-    def _stored_layout(cls, cfg, version):
-        """Versions 1 and 2 kept each gate's [h + H, h] weight and [h] bias."""
-        if version >= 3:
-            return super()._stored_layout(cfg, version)
-        zin, hid = cfg.lstm_hidden + cfg.grid_width, cfg.lstm_hidden
-        out = Backbone._stored_layout(cfg, version)
-        for gate in cls.GATES:
-            out += [(f"w_{gate}", (zin, hid)), (f"b_{gate}", (hid,))]
-        return out
-
-    @classmethod
-    def _upgrade(cls, cfg, blocks, version):
-        if version >= 3:
-            return blocks
-        w_h, w_x = cls._fuse([blocks.pop(f"w_{g}") for g in cls.GATES], cfg.lstm_hidden)
-        b = np.concatenate([blocks.pop(f"b_{g}") for g in cls.GATES])
-        return {**blocks, "w_h": w_h, "w_x": w_x, "b": b}
-
     def _rows(self, encs):
         return np.array([e.n_instructions for e in encs])
 
@@ -444,8 +406,8 @@ def build_backbone(cfg: BackboneConfig, seed: int | np.random.SeedSequence | np.
 # ------------------------------------------------------------------ checkpoints
 
 CHECKPOINT_MAGIC = b"ASMSIMB1"
-# 2: 64-byte aligned blocks, conv kernels as [C_in, W, C_out]; 3: the lstm's
-# gates fused as w_x [H, 1, 4h], w_h [h, 4h] and b [4h]
+# 64-byte aligned blocks in each variant's `layout`: conv kernels as
+# [C_in, W, C_out], the lstm's gates fused as w_x [H, 1, 4h], w_h [h, 4h], b [4h]
 CHECKPOINT_VERSION = 3
 _ALIGN = 64
 
@@ -499,9 +461,9 @@ class _Reader:
 
 
 def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
-    """Read a version 3, 2 or 1 checkpoint. The file is read once into one 64-byte
-    aligned buffer, and each version 3 or 2 block is a writable float32 view
-    into it; an older lstm's per-gate blocks are fused into the current layout."""
+    """Read a version 3 checkpoint; any other version is a DataError. The file
+    is read once into one 64-byte aligned buffer, and each block is a writable
+    float32 view into it."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         store = np.empty(size + _ALIGN, dtype=np.uint8)
@@ -515,14 +477,15 @@ def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
     version = r.unpack("<I")
-    if not 1 <= version <= CHECKPOINT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version} (this release "
+                        f"reads version {CHECKPOINT_VERSION} only; retrain the model)")
     cfg = BackboneConfig.from_dict(json.loads(str(r.take(r.unpack("<I")), "utf-8")))
     vocab = Vocabulary.from_bytes(bytes(r.take(r.unpack("<Q"))), where=str(path))
     if vocab.size != cfg.vocab_size:
         raise DataError(f"{path}: vocabulary size {vocab.size} != config {cfg.vocab_size}")
     cls = _VARIANT_CLASSES[cfg.variant]
-    expected = dict(cls._stored_layout(cfg, version))
+    expected = {name: shape for name, shape, _ in cls.layout(cfg)}
     n_params = r.unpack("<I")
     if n_params != len(expected):
         raise DataError(f"{path}: expected {len(expected)} parameter blocks, found {n_params}")
@@ -536,12 +499,8 @@ def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
         if shape != want:
             raise DataError(f"{path}: parameter '{name}' has shape {shape}, expected {want}")
-        if version != 1 and any(r.take(-r.off % _ALIGN)):
+        if any(r.take(-r.off % _ALIGN)):
             raise DataError(f"{path}: non-zero padding before parameter '{name}'")
         count = int(np.prod(shape)) if shape else 1
-        block = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
-        if version == 1:                            # unaligned: copy, into the current layout
-            block = np.array(block.transpose(1, 2, 0) if ndim == 3 else block,
-                             dtype=np.float32, order="C")
-        blocks[name] = block
-    return cls(cfg, None, data=cls._upgrade(cfg, blocks, version)), vocab
+        blocks[name] = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
+    return cls(cfg, None, data=blocks), vocab

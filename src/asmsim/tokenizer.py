@@ -28,12 +28,12 @@ UNK_TOKEN = "<UNK>"
 PAD_ID = 0
 UNK_ID = 1
 
-# v2 ends with the delimiter set as a non-empty JSON string, so tab, space and
-# quotes survive; a v1 header has none and reads with DEFAULT_DELIMITERS
+# the header ends with the delimiter set as a non-empty JSON string, so tab,
+# space and quotes survive
 _JSON_CHAR = r'(?:[^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9a-fA-F]{4})'
 _HEADER_RE = re.compile(
-    r"^# asmsim vocab (?:v1|(?P<v2>v2)) pad=(?P<pad>\S+) unk=(?P<unk>\S+) min_freq=(?P<minfreq>\d+)"
-    rf'(?(v2) delimiters=(?P<delimiters>"{_JSON_CHAR}+"))$'
+    r"^# asmsim vocab v2 pad=(?P<pad>\S+) unk=(?P<unk>\S+) min_freq=(?P<minfreq>\d+)"
+    rf' delimiters=(?P<delimiters>"{_JSON_CHAR}+")$'
 )
 
 
@@ -104,7 +104,8 @@ class Vocabulary:
             raise DataError(f"{where}: truncated vocabulary file")
         m = _HEADER_RE.match(lines[0])
         if m is None:
-            raise DataError(f"{where}: unrecognized vocabulary header")
+            raise DataError(f"{where}: unrecognized vocabulary header {lines[0][:60]!r} "
+                            "(this release reads the v2 header only)")
         if not lines[1].startswith("# sha256="):
             raise DataError(f"{where}: missing checksum header")
         recorded = lines[1][len("# sha256="):]
@@ -127,9 +128,8 @@ class Vocabulary:
             id_to_token.append(tok)
         if m.group("pad") != PAD_TOKEN or m.group("unk") != UNK_TOKEN:
             raise DataError(f"{where}: unsupported reserved-token names in header")
-        delimiters = m.group("delimiters")
         return cls(id_to_token, frequencies, min_freq=int(m.group("minfreq")),
-                   delimiters=DEFAULT_DELIMITERS if delimiters is None else json.loads(delimiters))
+                   delimiters=json.loads(m.group("delimiters")))
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

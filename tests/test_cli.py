@@ -583,3 +583,65 @@ def test_seed_is_mandatory_for_train_and_eval(workdir):
         main(["eval", str(workdir / "data.jsonl"), str(workdir / "model.ckpt"),
               "--out", "/tmp/x"])
     assert exc.value.code == 1
+
+
+def _one_error_line(capsys, *needles):
+    """The command printed nothing but one `error:` line holding every needle."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    for needle in needles:
+        assert needle in captured.err
+
+
+@pytest.mark.parametrize("command", ["vocab", "search"])
+def test_non_utf8_dataset_line_is_data_error(workdir, tmp_path, capsys, command):
+    lines = (workdir / "data.jsonl").read_bytes().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(lines[0] + lines[1].replace(b'"O', b'"\xffO', 1) + lines[2])
+    argv = {"vocab": ["vocab", str(bad), "--out", str(tmp_path / "v.txt")],
+            "search": ["search", str(workdir / "model.ckpt"), "--query", str(bad),
+                       "--index", str(workdir / "data.jsonl")]}[command]
+    assert main(argv) == 2
+    _one_error_line(capsys, f"{bad}:2: ", "utf-8")
+
+
+def test_non_utf8_config_file_is_data_error(workdir, tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_bytes(b"epochs = 1\nmargin = \xff\n")
+    assert main(["train", str(workdir / "data.jsonl"), str(workdir / "vocab.txt"),
+                 "--out", str(tmp_path / "m.ckpt"), "--seed", "9",
+                 "--config", str(cfg)]) == 2
+    _one_error_line(capsys, f"{cfg}: not valid UTF-8")
+
+
+@pytest.mark.parametrize("manifest", [b"{bad", b"[1,2]", b"\xff"])
+def test_corrupt_vocab_manifest_is_data_error(workdir, tmp_path, capsys, manifest):
+    vocab = tmp_path / "vocab.txt"
+    shutil.copy(workdir / "vocab.txt", vocab)
+    (tmp_path / "vocab.txt.manifest.json").write_bytes(manifest)
+    assert main(["train", str(workdir / "data.jsonl"), str(vocab),
+                 "--out", str(tmp_path / "m.ckpt"), "--seed", "9", "--epochs", "0"]) == 2
+    _one_error_line(capsys, f"{vocab}.manifest.json: manifest is not a JSON object")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_embed_rejects_an_earlier_checkpoint_version(workdir, tmp_path, capsys, version):
+    path = tmp_path / "model.ckpt"
+    body = bytearray((workdir / "model.ckpt").read_bytes()[:-32])
+    body[8:12] = struct.pack("<I", version)
+    path.write_bytes(bytes(body) + hashlib.sha256(body).digest())    # a valid trailer
+    assert main(["embed", str(workdir / "data.jsonl"), str(path),
+                 "--out", str(tmp_path / "e.jsonl")]) == 2
+    _one_error_line(capsys, f"unsupported checkpoint version {version} ")
+
+
+def test_train_rejects_a_v1_vocabulary(workdir, tmp_path, capsys):
+    """A v1 header (no delimiter set) over a body whose checksum still holds."""
+    header, rest = (workdir / "vocab.txt").read_bytes().split(b"\n", 1)
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_bytes(header.split(b" delimiters=")[0].replace(b" v2 ", b" v1 ") + b"\n" + rest)
+    assert main(["train", str(workdir / "data.jsonl"), str(vocab),
+                 "--out", str(tmp_path / "m.ckpt"), "--seed", "9", "--epochs", "0"]) == 2
+    _one_error_line(capsys, "# asmsim vocab v1 pad=<PAD>", "v2 header only")

@@ -1,7 +1,6 @@
 """Backbone shapes, parameter counts, architecture traces, and checkpoints."""
 
 import hashlib
-import json
 import os
 import re
 import struct
@@ -536,7 +535,8 @@ def test_textcnn_pack_groups_match_one_group_and_single_functions(monkeypatch):
             return head(self, ids, pos, rows, training, rng)
 
         def forward():
-            model.zero_grad()
+            for p in model.params.values():
+                p.grad = None
             out = model.embed_batch(encs, training=True)
             ad.sum_(out * np.linspace(-1.0, 1.0, out.size).reshape(out.shape)).backward()
             return out.data, {n: p.grad.copy() for n, p in model.params.items()}
@@ -687,41 +687,6 @@ def assert_blocks_are_separate_aligned_views(model):
         assert not any(np.shares_memory(a, b) for b in blocks[i + 1:])
 
 
-def legacy_blocks(model):
-    """The blocks a version 1 or 2 file holds: an lstm kept each gate's
-    [h + H, h] weight and [h] bias, in i, f, c~, o order."""
-    blocks = {name: p.data for name, p in model.params.items()}
-    if model.cfg.variant == "lstm":
-        hid = model.cfg.lstm_hidden
-        w = np.concatenate([blocks.pop("w_h"), blocks.pop("w_x").reshape(-1, 4 * hid)])
-        b = blocks.pop("b")
-        for k, gate in enumerate("ifco"):
-            blocks[f"w_{gate}"] = w[:, k * hid:(k + 1) * hid]
-            blocks[f"b_{gate}"] = b[k * hid:(k + 1) * hid]
-    return blocks
-
-
-def write_old_checkpoint(path, model, vocab, version):
-    """A version 1 file (blocks packed without padding, conv kernels as
-    [C_out, C_in, W]) or a version 2 file (blocks 64-byte aligned, conv
-    kernels as [C_in, W, C_out]), each holding the legacy lstm blocks."""
-    cfg_json = json.dumps(model.cfg.to_dict(), sort_keys=True, separators=(",", ":")).encode()
-    vocab_bytes = vocab.file_bytes()
-    blocks = legacy_blocks(model)
-    out = bytearray(b"ASMSIMB1" + struct.pack("<II", version, len(cfg_json)) + cfg_json)
-    out += struct.pack("<Q", len(vocab_bytes)) + vocab_bytes
-    out += struct.pack("<I", len(blocks))
-    for name, data in blocks.items():
-        if version == 1 and data.ndim == 3:
-            data = data.transpose(2, 0, 1)
-        out += struct.pack("<H", len(name)) + name.encode()
-        out += struct.pack(f"<B{data.ndim}I", data.ndim, *data.shape)
-        if version == 2:
-            out += bytes(-len(out) % 64)
-        out += np.ascontiguousarray(data, dtype="<f4").tobytes()
-    path.write_bytes(bytes(out) + hashlib.sha256(out).digest())
-
-
 def test_checkpoint_round_trip(tmp_path):
     cfg = small_cfg("textcnn")
     model = build_backbone(cfg, seed=21)
@@ -757,46 +722,6 @@ def test_checkpoint_load_draws_no_initialisation(tmp_path, monkeypatch):
         assert_blocks_are_separate_aligned_views(loaded)
 
 
-def test_checkpoint_version_1_loads_into_the_current_layout(tmp_path):
-    rng = np.random.default_rng(26)
-    vocab = tiny_vocab()
-    for cfg in all_variants():
-        model = perturbed(build_backbone(cfg, seed=26), rng)
-        v1, v2 = tmp_path / f"{cfg.variant}.v1.ckpt", tmp_path / f"{cfg.variant}.v2.ckpt"
-        write_old_checkpoint(v1, model, vocab, 1)
-        save_checkpoint(v2, model, vocab)
-        old, _ = load_checkpoint(v1)
-        new, _ = load_checkpoint(v2)
-        assert old.fingerprint() == new.fingerprint() == model.fingerprint()
-        assert all(p.data.flags.writeable and p.data.flags.c_contiguous
-                   for p in old.params.values())
-        encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
-        assert old.embed_matrix(encs).tobytes() == new.embed_matrix(encs).tobytes()
-
-
-def test_old_lstm_checkpoints_load_into_the_fused_layout(tmp_path):
-    """A version 1 or 2 lstm file's per-gate blocks load as w_h, w_x and b,
-    and embed bit for bit like a version 3 round trip of the same weights."""
-    rng = np.random.default_rng(29)
-    vocab = tiny_vocab()
-    cfg = small_cfg("lstm")
-    model = perturbed(build_backbone(cfg, seed=29), rng)
-    assert set(legacy_blocks(model)) - set(model.params) == {f"{k}_{g}" for k in "wb" for g in "ifco"}
-    path = tmp_path / "v3.ckpt"
-    save_checkpoint(path, model, vocab)
-    current, _ = load_checkpoint(path)
-    encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
-    expected = current.embed_matrix(encs)
-    for version in (1, 2):
-        path = tmp_path / f"v{version}.ckpt"
-        write_old_checkpoint(path, model, vocab, version)
-        old, _ = load_checkpoint(path)
-        assert [(k, p.shape) for k, p in old.params.items()] == \
-            [(k, p.shape) for k, p in model.params.items()]
-        assert old.fingerprint() == model.fingerprint()
-        assert old.embed_matrix(encs).tobytes() == expected.tobytes()
-
-
 def _reseal(path, edit):
     body = bytearray(path.read_bytes()[:-32])
     edit(body)
@@ -804,12 +729,14 @@ def _reseal(path, edit):
 
 
 def test_checkpoint_rejects_unknown_version_and_non_zero_padding(tmp_path):
+    """Only version 3 reads: 0 was never written, and 1 and 2 are earlier layouts."""
     model = build_backbone(small_cfg("textcnn"), seed=27)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, tiny_vocab())
-    _reseal(path, lambda body: body.__setitem__(slice(8, 12), struct.pack("<I", 4)))
-    with pytest.raises(DataError, match="unsupported checkpoint version 4"):
-        load_checkpoint(path)
+    for version in (0, 1, 2, 4):
+        save_checkpoint(path, model, tiny_vocab())
+        _reseal(path, lambda body: body.__setitem__(slice(8, 12), struct.pack("<I", version)))
+        with pytest.raises(DataError, match=f"unsupported checkpoint version {version} "):
+            load_checkpoint(path)
     save_checkpoint(path, model, tiny_vocab())
     raw = path.read_bytes()
     shape_end = raw.index(b"conv0.w") + len(b"conv0.w") + 1 + 3 * 4

@@ -1,6 +1,5 @@
 """Tokenization, vocabulary mining, file round-trips, and grid encoding."""
 
-import hashlib
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import pytest
 from asmsim.corpus import FunctionRecord
 from asmsim.errors import DataError
 from asmsim.tokenizer import (
-    DEFAULT_DELIMITERS, PAD_ID, UNK_ID, PAD_TOKEN, UNK_TOKEN,
+    PAD_ID, UNK_ID, PAD_TOKEN, UNK_TOKEN,
     Vocabulary, build_vocab, encode_function, split_instruction,
 )
 
@@ -86,16 +85,6 @@ def test_vocab_round_trip_keeps_delimiters(tmp_path, delimiters):
     assert loaded.file_bytes() == path.read_bytes()
 
 
-def test_vocab_v1_header_reads_default_delimiters():
-    body = "<PAD>\t0\n<UNK>\t0\nmov\t40\n"
-    raw = (f"# asmsim vocab v1 pad=<PAD> unk=<UNK> min_freq=32\n"
-           f"# sha256={hashlib.sha256(body.encode()).hexdigest()}\n{body}").encode()
-    vocab = Vocabulary.from_bytes(raw)
-    assert vocab.delimiters == DEFAULT_DELIMITERS
-    assert vocab.id_to_token == [PAD_TOKEN, UNK_TOKEN, "mov"]
-    assert encode_function(vocab, ["mov eax"]).token_ids[0, 0] == 2
-
-
 def test_vocab_checksum_detects_corruption(tmp_path):
     vocab = build_vocab([rec(["mov eax"] * 40)], min_freq=32)
     path = tmp_path / "vocab.txt"
@@ -111,7 +100,8 @@ def test_vocab_rejects_garbage(tmp_path):
     path.write_text("not a vocab\n")
     with pytest.raises(DataError):
         Vocabulary.load(path)
-    for header in ('# asmsim vocab v1 pad=<PAD> unk=<UNK> min_freq=1 delimiters="."',
+    for header in ("# asmsim vocab v1 pad=<PAD> unk=<UNK> min_freq=1",
+                   '# asmsim vocab v1 pad=<PAD> unk=<UNK> min_freq=1 delimiters="."',
                    "# asmsim vocab v2 pad=<PAD> unk=<UNK> min_freq=1",
                    '# asmsim vocab v2 pad=<PAD> unk=<UNK> min_freq=1 delimiters=""',
                    '# asmsim vocab v2 pad=<PAD> unk=<UNK> min_freq=1 delimiters="\\q"',
