@@ -25,7 +25,7 @@ from .evaluate import (
     DEFAULT_KS, DEFAULT_OPT_PAIRS, DEFAULT_POOL_SIZE, cosine_matrix,
     descending_order, evaluate_model,
 )
-from .manifest import file_sha256, load_manifest, write_manifest
+from .manifest import file_sha256, load_manifest, manifest_path_for, write_manifest
 from .models import VARIANTS, BackboneConfig, load_checkpoint, save_checkpoint
 from .tokenizer import (
     DEFAULT_DELIMITERS, DEFAULT_MIN_FREQ, Vocabulary, build_vocab,
@@ -48,15 +48,10 @@ def _warn(message: str):
 
 # ------------------------------------------------------------------ config files
 
-# TrainConfig fields settable from a config file, with their parsers
-_TRAIN_KEYS = {
-    "learning_rate": float,
-    "batch_size": int,
-    "epochs": int,
-    "negatives": int,
-    "margin": float,
-    "checkpoint_every": int,
-}
+# TrainConfig fields settable from a config file (all but the seed), each
+# parsed as the type of its default
+_TRAIN_KEYS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)
+               if f.name != "seed"}
 
 
 def read_config_file(path) -> dict:
@@ -126,7 +121,12 @@ def cmd_train(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     doc = load_manifest(args.vocab)
     if doc is not None:
-        recorded = doc.get("inputs", {}).get("dataset", {}).get("sha256")
+        inputs = doc.get("inputs", {})
+        dataset = inputs.get("dataset", {}) if isinstance(inputs, dict) else None
+        if not isinstance(dataset, dict):
+            raise DataError(f"{manifest_path_for(args.vocab)}: manifest `inputs.dataset` "
+                            f"is not a JSON object")
+        recorded = dataset.get("sha256")
         if recorded is not None and recorded != file_sha256(args.dataset):
             _warn(f"vocabulary {args.vocab} was built from a different dataset "
                   f"than {args.dataset} (manifest hash mismatch)")

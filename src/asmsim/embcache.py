@@ -70,8 +70,13 @@ def load_rows(path, key: tuple[bytes, bytes], width: int) -> tuple[np.ndarray, l
     if (head != [MAGIC, VERSION, *key] or e != width
             or len(raw) != rows_end + names_len + _DIGEST):
         return None
-    names = json.loads(raw[rows_end:rows_end + names_len])
-    if len(names) != n:
+    try:
+        names = json.loads(str(raw[rows_end:rows_end + names_len], "utf-8"))
+    except ValueError:                          # not UTF-8, or not JSON
+        return None
+    if not (isinstance(names, list) and len(names) == n
+            and all(isinstance(row, list) and len(row) == 4
+                    and all(isinstance(s, str) for s in row) for row in names)):
         return None
     return np.frombuffer(raw, dtype="<f4", count=n * e, offset=_HEADER.size).reshape(n, e), names
 

@@ -28,9 +28,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import numbers
 import os
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,13 +68,16 @@ class BackboneConfig:
         for name in ("vocab_size", "embed_dim", "tokens_per_instruction", "output_dim",
                      "max_positions", "conv_channels", "lstm_hidden", "mixer_layers",
                      "mixer_token_hidden", "mixer_channel_hidden", "mixer_seq_len"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.vocab_size < 2:
             raise ValueError("vocab_size must cover PAD and UNK")
         self.conv_widths = tuple(int(w) for w in self.conv_widths)
-        if any(w < 1 for w in self.conv_widths):
-            raise ValueError("conv widths must be >= 1")
+        if not self.conv_widths or any(w < 1 for w in self.conv_widths):
+            raise ValueError("conv_widths must be one or more widths >= 1")
         if not 0.0 <= self.mixer_dropout < 1.0:
             raise ValueError("mixer_dropout must be in [0, 1)")
         if self.variant == "lstm" and self.lstm_hidden != self.output_dim:
@@ -89,14 +93,6 @@ class BackboneConfig:
         d["conv_widths"] = list(self.conv_widths)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "BackboneConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise DataError(f"unknown backbone config keys: {sorted(unknown)}")
-        return cls(**d)
-
 
 def _kaiming(rng, shape, dtype, fan_in):
     bound = np.sqrt(6.0 / fan_in)
@@ -109,13 +105,6 @@ def _embedding_init(rng, shape, dtype):
 
 def _uniform(fan_in):
     return functools.partial(_kaiming, fan_in=fan_in)
-
-
-def _conv_init(rng, shape, dtype):
-    """A [C_in, W, C_out] kernel drawn as [C_out, C_in, W], then transposed."""
-    c_in, width, c_out = shape
-    w = _kaiming(rng, (c_out, c_in, width), dtype, fan_in=c_in * width)
-    return np.ascontiguousarray(w.transpose(1, 2, 0))
 
 
 class Backbone:
@@ -269,7 +258,7 @@ class TextCNN(Backbone):
         h = cfg.grid_width
         out = super().layout(cfg)
         for i, w in enumerate(cfg.conv_widths):
-            out += [(f"conv{i}.w", (h, w, cfg.conv_channels), _conv_init),
+            out += [(f"conv{i}.w", (h, w, cfg.conv_channels), _uniform(h * w)),
                     (f"conv{i}.b", (cfg.conv_channels,), 0.0)]
         pooled = cfg.conv_channels * len(cfg.conv_widths)
         return out + [("fc.w", (pooled, cfg.output_dim), _uniform(pooled)),
@@ -300,38 +289,21 @@ class LSTMNet(Backbone):
     Gates follow the classic coupled form on the concatenation [h_{t-1}, x_t]:
     input, forget, and output gates are sigmoids, the candidate cell is a tanh,
     the cell accumulates f*C + i*C~, and h = o * tanh(C). h_0 = C_0 = 0.
-    The four gates' weights are stored fused, in i, f, c~, o column order, in
+    The four gates' weights sit side by side in i, f, c~, o column order, in
     the layouts the two kernels read: the x side `w_x` as the [H, 1, 4h]
     kernel of a width-1 `token_conv`, which projects each distinct token once
     into the input side of all four gates, and the h side `w_h` as the
-    [h, 4h] recurrence weight of `ad.lstm`, which runs as a single node.
+    [h, 4h] recurrence weight of `ad.lstm`, which runs as a single node. Both
+    are drawn in those shapes, with the fan-in h + H of [h_{t-1}, x_t].
     """
-
-    GATES = ("i", "f", "c", "o")
 
     @classmethod
     def layout(cls, cfg):
-        hid, zin = cfg.lstm_hidden, cfg.lstm_hidden + cfg.grid_width
-        x_rows = []
-
-        def w_h_init(rng, shape, dtype):
-            """Draws each gate's [h + H, h] block in gate order, keeping its x rows for w_x."""
-            blocks = [_kaiming(rng, (zin, hid), dtype, fan_in=zin) for _ in cls.GATES]
-            w_h, w_x = cls._fuse(blocks, hid)
-            x_rows.append(w_x)
-            return w_h
-
-        return super().layout(cfg) + [
-            ("w_h", (hid, 4 * hid), w_h_init),
-            ("w_x", (cfg.grid_width, 1, 4 * hid), lambda rng, shape, dtype: x_rows.pop()),
-            ("b", (4 * hid,), 0.0)]
-
-    @staticmethod
-    def _fuse(blocks, hid):
-        """Per-gate [h + H, h] weights -> the fused w_h [h, 4h] and w_x [H, 1, 4h]."""
-        w_h = np.concatenate([w[:hid] for w in blocks], axis=1)
-        w_x = np.concatenate([w[hid:] for w in blocks], axis=1)
-        return w_h, w_x.reshape(-1, 1, w_x.shape[1])
+        hid, h = cfg.lstm_hidden, cfg.grid_width
+        init = _uniform(hid + h)
+        return super().layout(cfg) + [("w_h", (hid, 4 * hid), init),
+                                      ("w_x", (h, 1, 4 * hid), init),
+                                      ("b", (4 * hid,), 0.0)]
 
     def _rows(self, encs):
         return np.array([e.n_instructions for e in encs])
@@ -407,7 +379,7 @@ def build_backbone(cfg: BackboneConfig, seed: int | np.random.SeedSequence | np.
 
 CHECKPOINT_MAGIC = b"ASMSIMB1"
 # 64-byte aligned blocks in each variant's `layout`: conv kernels as
-# [C_in, W, C_out], the lstm's gates fused as w_x [H, 1, 4h], w_h [h, 4h], b [4h]
+# [C_in, W, C_out], the lstm's four gates as w_x [H, 1, 4h], w_h [h, 4h], b [4h]
 CHECKPOINT_VERSION = 3
 _ALIGN = 64
 
@@ -480,7 +452,14 @@ def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version} (this release "
                         f"reads version {CHECKPOINT_VERSION} only; retrain the model)")
-    cfg = BackboneConfig.from_dict(json.loads(str(r.take(r.unpack("<I")), "utf-8")))
+    cfg_bytes = r.take(r.unpack("<I"))
+    try:
+        cfg = json.loads(str(cfg_bytes, "utf-8"))
+        if not isinstance(cfg, dict):
+            raise ValueError("not a JSON object")
+        cfg = BackboneConfig(**cfg)
+    except (ValueError, TypeError) as exc:   # not UTF-8 or JSON, or a missing, unknown or bad field
+        raise DataError(f"{path}: bad backbone config: {exc}") from None
     vocab = Vocabulary.from_bytes(bytes(r.take(r.unpack("<Q"))), where=str(path))
     if vocab.size != cfg.vocab_size:
         raise DataError(f"{path}: vocabulary size {vocab.size} != config {cfg.vocab_size}")

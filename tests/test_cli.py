@@ -452,9 +452,42 @@ def _version_4(where, workdir):
     _stamp_version(where, 4)
 
 
+def _reseal_names(where, names: bytes):
+    """The sidecar with `names` as its names block, under a valid trailer."""
+    sidecar = where / "index.jsonl.embcache"
+    raw = sidecar.read_bytes()
+    *head, n, e, names_len = embcache._HEADER.unpack_from(raw)
+    rows_end = embcache._HEADER.size + 4 * n * e
+    body = (embcache._HEADER.pack(*head, n, e, len(names)) + raw[embcache._HEADER.size:rows_end]
+            + names)
+    sidecar.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def _names_not_utf8(where, workdir):
+    _reseal_names(where, b"\xff" * 8)
+
+
+def _names_not_json(where, workdir):
+    _reseal_names(where, b"[[")
+
+
+def _names_not_lists(where, workdir):
+    _reseal_names(where, json.dumps("x" * N_INDEX).encode())
+
+
+def _names_of_ints(where, workdir):
+    _reseal_names(where, json.dumps([[1, 2, 3, 4]] * N_INDEX).encode())
+
+
+def _names_of_three_strings(where, workdir):
+    _reseal_names(where, json.dumps([["a", "b", "c"]] * N_INDEX).encode())
+
+
 @pytest.mark.parametrize("change", [_retrain, _edit_record, _truncate, _flip_payload_byte,
                                     _wrong_magic, _version_1, _version_2, _version_3,
-                                    _version_4])
+                                    _version_4, _names_not_utf8, _names_not_json,
+                                    _names_not_lists, _names_of_ints,
+                                    _names_of_three_strings])
 def test_search_rebuilds_a_stale_or_damaged_sidecar(searchdir, workdir, capsys, embedded,
                                                     change):
     first = _search(searchdir, capsys)
@@ -624,6 +657,32 @@ def test_corrupt_vocab_manifest_is_data_error(workdir, tmp_path, capsys, manifes
                  "--out", str(tmp_path / "m.ckpt"), "--seed", "9", "--epochs", "0"]) == 2
     _one_error_line(capsys, f"{vocab}.manifest.json: manifest is not a JSON object")
     assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("manifest", [b'{"inputs": [1]}', b'{"inputs": {"dataset": "x"}}'])
+def test_vocab_manifest_dataset_entry_not_an_object_is_data_error(workdir, tmp_path, capsys,
+                                                                  manifest):
+    vocab = tmp_path / "vocab.txt"
+    shutil.copy(workdir / "vocab.txt", vocab)
+    (tmp_path / "vocab.txt.manifest.json").write_bytes(manifest)
+    assert main(["train", str(workdir / "data.jsonl"), str(vocab),
+                 "--out", str(tmp_path / "m.ckpt"), "--seed", "9", "--epochs", "0"]) == 2
+    _one_error_line(capsys,
+                    f"{vocab}.manifest.json: manifest `inputs.dataset` is not a JSON object")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_embed_rejects_a_bad_checkpoint_config(workdir, tmp_path, capsys):
+    """A config block of `[]` under a checksum that still holds."""
+    path = tmp_path / "model.ckpt"
+    body = bytearray((workdir / "model.ckpt").read_bytes()[:-32])
+    (n,) = struct.unpack_from("<I", body, 12)
+    body[12:16 + n] = struct.pack("<I", 2) + b"[]"
+    path.write_bytes(bytes(body) + hashlib.sha256(body).digest())    # a valid trailer
+    assert main(["embed", str(workdir / "data.jsonl"), str(path),
+                 "--out", str(tmp_path / "e.jsonl")]) == 2
+    _one_error_line(capsys, f"{path}: bad backbone config: not a JSON object")
+    assert not (tmp_path / "e.jsonl").exists()
 
 
 @pytest.mark.parametrize("version", [1, 2])

@@ -1,6 +1,7 @@
 """Backbone shapes, parameter counts, architecture traces, and checkpoints."""
 
 import hashlib
+import json
 import os
 import re
 import struct
@@ -469,23 +470,40 @@ def test_lstm_reads_its_weights_in_place(monkeypatch):
     assert all(model.params[k].grad is not None for k in ("w_x", "w_h", "b"))
 
 
-def test_lstm_init_draws_the_per_gate_blocks():
-    """w_h, w_x and b hold the rows of the four [h + H, h] gate weights drawn
-    from the rng in i, f, c~, o order after the two tables, as when each gate
-    was a parameter of its own."""
-    cfg = small_cfg("lstm")
-    model = build_backbone(cfg, seed=17)
-    rng = np.random.default_rng(17)
-    for rows in (cfg.vocab_size, cfg.max_positions):
-        rng.normal(0.0, 0.02, size=(rows, cfg.embed_dim))
-    hid, zin = cfg.lstm_hidden, cfg.lstm_hidden + cfg.grid_width
-    bound = np.sqrt(6.0 / zin)
-    gates = [rng.uniform(-bound, bound, size=(zin, hid)).astype(np.float32) for _ in "ifco"]
-    w = np.concatenate(gates, axis=1)
-    assert model.params["w_h"].data.tobytes() == w[:hid].tobytes()
-    assert model.params["w_x"].shape == (cfg.grid_width, 1, 4 * hid)
-    assert model.params["w_x"].data.tobytes() == w[hid:].tobytes()
-    np.testing.assert_array_equal(model.params["b"].data, np.zeros(4 * hid, np.float32))
+def test_init_draws_each_weight_in_its_stored_shape():
+    """After the two tables, every weight is drawn from the rng in the shape
+    it is stored and read, in layout order, uniform over +-sqrt(6 / fan_in);
+    biases and the PAD row are zero."""
+    for variant in ("textcnn", "lstm"):
+        cfg = small_cfg(variant)
+        model = build_backbone(cfg, seed=17)
+        rng = np.random.default_rng(17)
+        h, hid, zeros = cfg.grid_width, cfg.lstm_hidden, np.zeros
+
+        def uniform(shape, fan_in):
+            bound = np.sqrt(6.0 / fan_in)
+            return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+
+        want = {name: rng.normal(0.0, 0.02, size=(rows, cfg.embed_dim)).astype(np.float32)
+                for name, rows in (("token_table", cfg.vocab_size),
+                                   ("pos_table", cfg.max_positions))}
+        want["token_table"][PAD_ID] = 0.0
+        if variant == "textcnn":
+            for i, width in enumerate(cfg.conv_widths):
+                want[f"conv{i}.w"] = uniform((h, width, cfg.conv_channels), h * width)
+                want[f"conv{i}.b"] = zeros(cfg.conv_channels, np.float32)
+            pooled = cfg.conv_channels * len(cfg.conv_widths)
+            want["fc.w"] = uniform((pooled, cfg.output_dim), pooled)
+            want["fc.b"] = zeros(cfg.output_dim, np.float32)
+        else:
+            want["w_h"] = uniform((hid, 4 * hid), hid + h)
+            want["w_x"] = uniform((h, 1, 4 * hid), hid + h)
+            want["b"] = zeros(4 * hid, np.float32)
+        assert list(model.params) == list(want)
+        for name, value in want.items():
+            got = model.params[name].data
+            assert got.shape == value.shape and got.tobytes() == value.tobytes(), (variant, name)
+        assert not model.params["token_table"].data[PAD_ID].any()
 
 
 def test_lstm_graph_does_not_grow_with_length(monkeypatch):
@@ -744,6 +762,43 @@ def test_checkpoint_rejects_unknown_version_and_non_zero_padding(tmp_path):
     _reseal(path, lambda body: body.__setitem__(shape_end, 1))
     with pytest.raises(DataError, match="non-zero padding before parameter 'conv0.w'"):
         load_checkpoint(path)
+
+
+def _config(**changes):
+    """A small textcnn config as JSON bytes, a key set to None left out."""
+    doc = {**small_cfg("textcnn").to_dict(), **changes}
+    return json.dumps({k: v for k, v in doc.items() if v is not None}).encode("utf-8")
+
+
+@pytest.mark.parametrize("config, message", [
+    pytest.param(b"\xff{}", "utf-8", id="not-utf8"),
+    pytest.param(b"{not json", "Expecting property name", id="not-json"),
+    pytest.param(b"[]", "not a JSON object", id="not-an-object"),
+    pytest.param(_config(vocab_size=1), "vocab_size must cover PAD and UNK", id="vocab-size-1"),
+    pytest.param(_config(variant=None), "variant", id="no-variant"),
+    pytest.param(_config(bogus=1), "unexpected keyword argument 'bogus'", id="unknown-key"),
+    pytest.param(_config(embed_dim=4.5), "embed_dim must be an integer, got 4.5",
+                 id="float-width"),
+    pytest.param(_config(embed_dim="4"), "embed_dim must be an integer, got '4'",
+                 id="string-width"),
+    pytest.param(_config(conv_widths=[]), "conv_widths must be one or more widths",
+                 id="no-conv-widths"),
+    pytest.param(_config(mixer_dropout="x"), "'<=' not supported", id="string-dropout"),
+])
+def test_checkpoint_rejects_a_bad_config_block(tmp_path, config, message):
+    """A config block that is not UTF-8, not JSON, not an object or not a
+    valid BackboneConfig, under a checksum that still holds."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, build_backbone(small_cfg("textcnn"), seed=26), tiny_vocab())
+
+    def swap(body):
+        (n,) = struct.unpack_from("<I", body, 12)
+        body[12:16 + n] = struct.pack("<I", len(config)) + config
+
+    _reseal(path, swap)
+    with pytest.raises(DataError, match=re.escape(f"{path}: bad backbone config: ")) as exc:
+        load_checkpoint(path)
+    assert message in str(exc.value)
 
 
 def test_checkpoint_loaded_model_trains_and_resaves_byte_stable(tmp_path):
