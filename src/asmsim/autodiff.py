@@ -531,27 +531,28 @@ def segment_max(x: Tensor, lengths) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
-def lstm(xp: Tensor, w_h: Tensor, lengths) -> Tensor:
+def lstm(xp: Tensor, w_h: Tensor, b: Tensor, lengths) -> Tensor:
     """Final hidden states of an LSTM over functions packed end to end, as one node.
 
-    Function b is the next lengths[b] rows; its state starts at h = c = 0.
+    Function j is the next lengths[j] rows; its state starts at h = c = 0.
     Row n of xp holds the input side of the i, f, c~ and o gate
-    pre-activations of one instruction, bias included. A step adds
-    h_{t-1} @ w_h to them; i, f and o are sigmoids, c~ a tanh,
+    pre-activations of one instruction. A step adds the bias b to its rows
+    as it gathers them, then h_{t-1} @ w_h; i, f and o are sigmoids, c~ a tanh,
     c_t = f * c_{t-1} + i * c~ and h_t = o * tanh(c_t). The state runs in
     ascending length order, so the running functions are a suffix and a step
     is one GEMM plus one row gather. While recording it keeps each row's gate
     activations, h_{t-1}, c_{t-1} and tanh(c_t), and its backward runs the
     steps in reverse. A function of length 0 gives h = 0.
 
-    xp [N, 4h], w_h [h, 4h], lengths int [B] summing to N -> [B, h], in caller order.
+    xp [N, 4h], w_h [h, 4h], b [4h], lengths int [B] summing to N -> [B, h] in caller order.
     """
     lengths = np.asarray(lengths)
     if lengths.dtype.kind not in "iu":
         raise TypeError("lstm lengths must be integers")
     if (xp.ndim != 2 or w_h.ndim != 2 or xp.shape[1] != w_h.shape[1]
-            or w_h.shape[1] != 4 * w_h.shape[0]):
-        raise ValueError(f"lstm needs xp [N, 4h] and w_h [h, 4h], got {xp.shape} and {w_h.shape}")
+            or w_h.shape[1] != 4 * w_h.shape[0] or b.shape != (w_h.shape[1],)):
+        raise ValueError(f"lstm needs xp [N, 4h], w_h [h, 4h] and b [4h], "
+                         f"got {xp.shape}, {w_h.shape} and {b.shape}")
     n, hid = xp.shape[0], w_h.shape[0]
     if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 0 or lengths.sum() != n:
         raise ValueError(f"lstm lengths must be a non-empty [B], each >= 0, summing to {n} rows")
@@ -561,7 +562,7 @@ def lstm(xp: Tensor, w_h: Tensor, lengths) -> Tensor:
     done = np.searchsorted(lens, np.arange(lens[-1]), side="right").tolist()
     h = np.zeros((lengths.size, hid), dtype=xp.dtype)
     c = np.zeros_like(h)
-    record = _recording(xp, w_h)
+    record = _recording(xp, w_h, b)
     gates = h_prev = c_prev = tanh_c = None
     if record:
         gates = np.empty_like(xp.data)                # every row is some function's step
@@ -570,7 +571,7 @@ def lstm(xp: Tensor, w_h: Tensor, lengths) -> Tensor:
     for t, lo in enumerate(done):
         rows = firsts[lo:] + t
         a = h[lo:] @ w_h.data
-        a += xp.data[rows]
+        a += xp.data[rows] + b.data                 # b joins x first, as seeded runs round
         for blocks in sig:                          # i and f, then o
             expit(a[blocks], out=a[blocks])
         np.tanh(a[cand], out=a[cand])
@@ -601,9 +602,10 @@ def lstm(xp: Tensor, w_h: Tensor, lengths) -> Tensor:
             dc[lo:] = dc_t * f
             dh[lo:] = d @ w_h.data.T
         _accum(w_h, h_prev.T @ dpre)
+        _accum(b, dpre.sum(axis=0))
         _accum(xp, dpre)
 
-    return _node(out_data, (xp, w_h), backward)
+    return _node(out_data, (xp, w_h, b), backward)
 
 
 def sum_(x: Tensor, axis=None) -> Tensor:

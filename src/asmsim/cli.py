@@ -5,10 +5,10 @@ identical inputs and seed give byte-identical artifacts (timestamps live
 only in manifests). Exit codes: 0 success, 1 usage, 2 data, 3 numeric.
 
 `search` also keeps `<index>.embcache` next to its index: the index's
-embeddings and printed names under that checkpoint, reused by the next search
-of the pair without parsing the index (see `embcache`). It is a cache, not an
-artifact, so it carries no manifest; a search that cannot write it warns and
-still answers.
+embeddings and printed names under the checkpoint and index bytes it read,
+reused by the next search of the pair without parsing the index (see
+`embcache`). It is a cache, not an artifact, so it carries no manifest; a
+search that cannot write it warns and still answers.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def cmd_train(args) -> int:
             raise DataError(f"{manifest_path_for(args.vocab)}: manifest `inputs.dataset` "
                             f"is not a JSON object")
         recorded = dataset.get("sha256")
-        if recorded is not None and recorded != file_sha256(args.dataset):
+        if recorded is not None and recorded != corpus.sha256:
             _warn(f"vocabulary {args.vocab} was built from a different dataset "
                   f"than {args.dataset} (manifest hash mismatch)")
     tcfg = _merge_train_config(args)
@@ -219,9 +219,6 @@ def cmd_embed(args) -> int:
 def cmd_search(args) -> int:
     if args.top_k < 1:
         raise DataError("--top-k must be >= 1")
-    # the sidecar key is taken before and after the files are read, so it
-    # describes the bytes this call loaded or it is not used
-    key = embcache.cache_key(args.checkpoint, args.index)
     backbone, vocab = load_checkpoint(args.checkpoint)
     if args.vocab:
         external = Vocabulary.load(args.vocab)
@@ -232,27 +229,25 @@ def cmd_search(args) -> int:
     if len(queries) != 1:
         raise DataError(
             f"query file must hold exactly one function, got {len(queries)}")
-    cache = embcache.sidecar_path(args.index)
-    hit = embcache.load_rows(cache, key, backbone.cfg.output_dim) if key else None
-    if hit is not None and key != embcache.cache_key(args.checkpoint, args.index):
-        hit = key = None            # a file changed under the reads: read the index itself
+    # the sidecar is keyed on the bytes this call read: the checkpoint trailer
+    # load_checkpoint verified, and the index bytes hashed for a hit or parsed on a miss
+    cache, trailer = embcache.sidecar_path(args.index), backbone.checkpoint_trailer
+    hit = embcache.load_rows(cache, (trailer, bytes.fromhex(file_sha256(args.index))),
+                             backbone.cfg.output_dim)
     if hit is None:
-        index = load_dataset(args.index).records
-        if not index:
+        index = load_dataset(args.index)
+        if not index.records:
             _warn("search index is empty; no results")
             return 0
-        if key != embcache.cache_key(args.checkpoint, args.index):
-            key = None
     q = backbone.embed_matrix(_encode_all(backbone, vocab, queries))
     if hit is None:
-        t = backbone.embed_matrix(_encode_all(backbone, vocab, index))
-        names = [[r.project, r.binary, r.function_name, r.opt_level] for r in index]
-        if key is not None:
-            try:
-                embcache.save_rows(cache, key, t, names)
-            except OSError as exc:
-                _warn(f"could not write the index embedding cache {cache}: "
-                      f"{exc.strerror or exc}")
+        t = backbone.embed_matrix(_encode_all(backbone, vocab, index.records))
+        names = [[r.project, r.binary, r.function_name, r.opt_level] for r in index.records]
+        try:
+            embcache.save_rows(cache, (trailer, bytes.fromhex(index.sha256)), t, names)
+        except OSError as exc:
+            _warn(f"could not write the index embedding cache {cache}: "
+                  f"{exc.strerror or exc}")
     else:
         t, names = hit
     scores = cosine_matrix(q, t)[0]

@@ -8,6 +8,7 @@ a family; cross-level members of one family are the positive pairs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -48,10 +49,12 @@ class FunctionFamily:
 
 
 class CorpusIndex:
-    """Loaded records plus the family index. Treat as read-only after load."""
+    """Loaded records plus the family index. Treat as read-only after load.
+    `sha256`: hex SHA-256 of the file bytes parsed (`load_dataset`), else None."""
 
-    def __init__(self, records: list[FunctionRecord]):
+    def __init__(self, records: list[FunctionRecord], sha256: str | None = None):
         self.records = list(records)
+        self.sha256 = sha256
         self.families: dict[tuple, FunctionFamily] = {}
         for rec in self.records:
             fam = self.families.setdefault(rec.family_key, FunctionFamily(rec.family_key))
@@ -101,10 +104,13 @@ def _reject_dup_keys(pairs):
 
 
 def load_dataset(path) -> CorpusIndex:
-    """Parse a JSON-Lines dataset; every error cites the 1-based line number."""
+    """Parse a JSON-Lines dataset, hashing every line read, blank ones too, into
+    its `sha256`; every error cites the 1-based line number."""
     records = []
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
+            digest.update(line)
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
@@ -115,7 +121,7 @@ def load_dataset(path) -> CorpusIndex:
             if not isinstance(obj, dict):
                 raise DataError(f"{where}: expected a JSON object")
             records.append(_record_from_obj(obj, where))
-    return CorpusIndex(records)
+    return CorpusIndex(records, sha256=digest.hexdigest())
 
 
 def save_dataset(records, path):

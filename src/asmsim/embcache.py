@@ -19,16 +19,13 @@ so a change to how embeddings are computed must bump VERSION.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import os
-import secrets
 import struct
 
 import numpy as np
 
-from .manifest import file_sha256
+from .manifest import write_atomic
 
 MAGIC = b"ASMSIMX1"
 VERSION = 5                 # 5: each row's printed names follow the rows
@@ -38,19 +35,6 @@ _DIGEST = 32
 
 def sidecar_path(index_path) -> str:
     return f"{index_path}.embcache"
-
-
-def cache_key(checkpoint_path, index_path) -> tuple[bytes, bytes] | None:
-    """(checkpoint SHA-256 trailer, index file SHA-256), or None when either
-    file cannot be read; the loads that follow report why."""
-    try:
-        with open(checkpoint_path, "rb") as fh:
-            size = fh.seek(0, os.SEEK_END)
-            fh.seek(max(size - _DIGEST, 0))
-            trailer = fh.read()
-        return trailer, bytes.fromhex(file_sha256(index_path))
-    except OSError:
-        return None
 
 
 def load_rows(path, key: tuple[bytes, bytes], width: int) -> tuple[np.ndarray, list] | None:
@@ -82,19 +66,9 @@ def load_rows(path, key: tuple[bytes, bytes], width: int) -> tuple[np.ndarray, l
 
 
 def save_rows(path, key: tuple[bytes, bytes], rows: np.ndarray, names: list):
-    """Write the sidecar atomically: a temp file in the same directory, then
-    `os.replace`. Raises OSError if it cannot; no temp file is left behind."""
+    """Write the sidecar with `write_atomic`; raises OSError if it cannot."""
     rows = np.ascontiguousarray(rows, dtype="<f4")
     names_b = json.dumps(names, separators=(",", ":")).encode("utf-8")
     out = _HEADER.pack(MAGIC, VERSION, *key, *rows.shape, len(names_b))
     out += rows.tobytes() + names_b
-    out += hashlib.sha256(out).digest()
-    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(out)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, out + hashlib.sha256(out).digest())

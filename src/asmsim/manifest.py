@@ -2,13 +2,16 @@
 
 Artifacts themselves stay byte-reproducible for identical inputs and seed;
 anything wall-clock-dependent (the creation timestamp) lives only here.
-A manifest sits next to its artifact as `<artifact>.manifest.json`.
+A manifest sits next to its artifact as `<artifact>.manifest.json`. The
+artifact writers and readers share this module's `file_sha256` and `write_atomic`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 from datetime import datetime, timezone
 
 from . import __version__
@@ -21,6 +24,21 @@ def file_sha256(path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
+
+
+def write_atomic(path, data: bytes):
+    """Write `data` to `path` whole or not at all: a temp file in the same
+    directory, then `os.replace`. Raises OSError if it cannot; the previous
+    file is left as it was and no temp file is left behind."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def manifest_path_for(artifact_path) -> str:

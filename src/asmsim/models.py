@@ -38,6 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
+from .manifest import write_atomic
 from .tokenizer import (
     DEFAULT_MAX_POSITIONS, DEFAULT_TOKENS_PER_INSTRUCTION, EncodedFunction, PAD_ID, Vocabulary,
 )
@@ -110,6 +111,8 @@ def _uniform(fan_in):
 class Backbone:
     """Shared embedding tables plus a variant-specific head."""
 
+    checkpoint_trailer: bytes | None = None     # load_checkpoint: the file's verified trailer
+
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator | None,
                  dtype=np.float32, data: dict[str, np.ndarray] | None = None):
         """Parameters are drawn from `rng` in layout order, or, when `data`
@@ -150,8 +153,9 @@ class Backbone:
         if enc.position_ids.size and enc.position_ids.max() >= self.cfg.max_positions:
             raise DataError("position id exceeds the model's position table")
 
-    # input rows per packed group; a forward's functions are grouped in caller
-    # order under it, which bounds memory (a longer function is a group of its own)
+    # input rows per packed group; a forward's functions are grouped in caller order
+    # under it (a longer function is a group of its own). It bounds an inference
+    # forward's memory; training keeps every group's graph until backward()
     PACK_ROWS = 4096
 
     def _rows(self, encs) -> np.ndarray:
@@ -293,8 +297,9 @@ class LSTMNet(Backbone):
     the layouts the two kernels read: the x side `w_x` as the [H, 1, 4h]
     kernel of a width-1 `token_conv`, which projects each distinct token once
     into the input side of all four gates, and the h side `w_h` as the
-    [h, 4h] recurrence weight of `ad.lstm`, which runs as a single node. Both
-    are drawn in those shapes, with the fan-in h + H of [h_{t-1}, x_t].
+    [h, 4h] recurrence weight of `ad.lstm`, which runs as a single node and
+    adds the gate bias `b` itself. Both weights are drawn in those shapes,
+    with the fan-in h + H of [h_{t-1}, x_t].
     """
 
     @classmethod
@@ -311,7 +316,7 @@ class LSTMNet(Backbone):
     def _head(self, ids, pos, rows, training, rng):
         xp = ad.token_conv(self.params["token_table"], self.params["pos_table"], ids, pos,
                            rows, self.params["w_x"])
-        return ad.lstm(xp + self.params["b"], self.params["w_h"], rows)
+        return ad.lstm(xp, self.params["w_h"], self.params["b"], rows)
 
 
 class Mixer(Backbone):
@@ -387,7 +392,7 @@ _ALIGN = 64
 def save_checkpoint(path, backbone: Backbone, vocab: Vocabulary):
     """Write magic, version, config JSON, vocabulary bytes, named float32 blocks
     (each block's data zero-padded to start on a 64-byte boundary of the file),
-    and a SHA-256 trailer over everything before it."""
+    and a SHA-256 trailer over everything before it, whole or not at all (`write_atomic`)."""
     cfg_json = json.dumps(backbone.cfg.to_dict(), sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
     vocab_bytes = vocab.file_bytes()
@@ -408,8 +413,7 @@ def save_checkpoint(path, backbone: Backbone, vocab: Vocabulary):
         out += bytes(-len(out) % _ALIGN)
         out += np.ascontiguousarray(p.data, dtype="<f4").tobytes()
     out += hashlib.sha256(out).digest()
-    with open(path, "wb") as fh:
-        fh.write(out)
+    write_atomic(path, out)
 
 
 class _Reader:
@@ -435,7 +439,7 @@ class _Reader:
 def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
     """Read a version 3 checkpoint; any other version is a DataError. The file
     is read once into one 64-byte aligned buffer, and each block is a writable
-    float32 view into it."""
+    float32 view into it. The backbone keeps the verified trailer as `checkpoint_trailer`."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         store = np.empty(size + _ALIGN, dtype=np.uint8)
@@ -482,4 +486,6 @@ def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
             raise DataError(f"{path}: non-zero padding before parameter '{name}'")
         count = int(np.prod(shape)) if shape else 1
         blocks[name] = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
-    return cls(cfg, None, data=blocks), vocab
+    backbone = cls(cfg, None, data=blocks)
+    backbone.checkpoint_trailer = raw[-32:].tobytes()
+    return backbone, vocab

@@ -51,15 +51,9 @@ class TrainConfig:
 
 
 def cosine_pair_loss(e1: Tensor, e2: Tensor, y: int, margin: float = DEFAULT_MARGIN) -> Tensor:
-    """Scalar loss for one pair of embeddings with label y in {+1, -1}."""
-    if y not in (1, -1):
-        raise ValueError(f"pair label must be +1 or -1, got {y}")
-    if not 0.0 <= margin <= 1.0:
-        raise ValueError(f"margin must be in [0, 1], got {margin}")
-    c = ad.cosine(e1, e2)
-    if y == 1:
-        return 1.0 - c
-    return ad.relu(c - margin)
+    """Scalar loss for one pair of [E] embeddings with label y in {+1, -1}:
+    the batch loss over that one pair."""
+    return cosine_pair_loss_batch(ad.reshape(e1, (1, -1)), ad.reshape(e2, (1, -1)), [y], margin)
 
 
 def cosine_pair_loss_batch(e1: Tensor, e2: Tensor, labels, margin: float = DEFAULT_MARGIN) -> Tensor:

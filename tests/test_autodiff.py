@@ -292,53 +292,58 @@ LSTM_LENGTHS = np.array([7, 1, 4, 4, 2])
 
 
 def lstm_case(rng, lengths, hid=3):
-    """float64 xp [N, 4h] of functions of `lengths` rows packed end to end, and w_h [h, 4h]."""
-    return p64(rng, int(np.sum(lengths)), 4 * hid), p64(rng, hid, 4 * hid)
+    """float64 xp [N, 4h] of functions of `lengths` rows packed end to end,
+    w_h [h, 4h] and b [4h]."""
+    return p64(rng, int(np.sum(lengths)), 4 * hid), p64(rng, hid, 4 * hid), p64(rng, 4 * hid)
 
 
-def ref_lstm(xp, w_h, lengths):
+def ref_lstm(xp, w_h, b, lengths):
     """float64 loop, one function and one step at a time."""
     hid = w_h.shape[0]
     out = np.zeros((len(lengths), hid))
-    for b, (start, n) in enumerate(zip(np.cumsum(lengths) - lengths, lengths)):
+    for j, (start, n) in enumerate(zip(np.cumsum(lengths) - lengths, lengths)):
         h = c = np.zeros(hid)
         for t in range(n):
-            z = xp[start + t] + h @ w_h
+            z = xp[start + t] + b + h @ w_h
             i, f, o = (1.0 / (1.0 + np.exp(-z[k * hid:(k + 1) * hid])) for k in (0, 1, 3))
             c = f * c + i * np.tanh(z[2 * hid:3 * hid])
             h = o * np.tanh(c)
-        out[b] = h
+        out[j] = h
     return out
 
 
 def test_lstm_matches_step_loop():
     rng = np.random.default_rng(40)
     for lengths in (LSTM_LENGTHS, np.array([3, 0, 5, 0]), np.array([1])):
-        xp, w_h = lstm_case(rng, lengths)
-        expected = ref_lstm(xp.data, w_h.data, lengths)
-        np.testing.assert_allclose(ad.lstm(xp, w_h, lengths).data, expected,
+        xp, w_h, b = lstm_case(rng, lengths)
+        expected = ref_lstm(xp.data, w_h.data, b.data, lengths)
+        np.testing.assert_allclose(ad.lstm(xp, w_h, b, lengths).data, expected,
                                    rtol=1e-12, atol=1e-14)
         with ad.no_grad():
-            out = ad.lstm(xp, w_h, lengths)
+            out = ad.lstm(xp, w_h, b, lengths)
         assert out._backward is None
         np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_lstm_rejects_bad_shapes_and_rows():
-    xp, w_h = c64(np.zeros((6, 8))), c64(np.zeros((2, 8)))
+    xp, w_h, b = c64(np.zeros((6, 8))), c64(np.zeros((2, 8))), c64(np.zeros(8))
     lengths = np.array([3, 3])
-    assert ad.lstm(xp, w_h, lengths).shape == (2, 2)
-    assert ad.lstm(xp, w_h, np.array([0, 6, 0])).shape == (3, 2)
-    with pytest.raises(ValueError, match=r"xp \[N, 4h\] and w_h \[h, 4h\]"):
-        ad.lstm(c64(np.zeros((6, 6))), w_h, lengths)
-    with pytest.raises(ValueError, match=r"xp \[N, 4h\] and w_h \[h, 4h\]"):
-        ad.lstm(c64(np.zeros((6, 12))), c64(np.zeros((2, 12))), lengths)
+    assert ad.lstm(xp, w_h, b, lengths).shape == (2, 2)
+    assert ad.lstm(xp, w_h, b, np.array([0, 6, 0])).shape == (3, 2)
+    shapes = r"xp \[N, 4h\], w_h \[h, 4h\] and b \[4h\]"
+    with pytest.raises(ValueError, match=shapes):
+        ad.lstm(c64(np.zeros((6, 6))), w_h, b, lengths)
+    with pytest.raises(ValueError, match=shapes):
+        ad.lstm(c64(np.zeros((6, 12))), c64(np.zeros((2, 12))), c64(np.zeros(12)), lengths)
+    for bad_b in (np.zeros(6), np.zeros((1, 8)), np.zeros(())):
+        with pytest.raises(ValueError, match=shapes):
+            ad.lstm(xp, w_h, c64(bad_b), lengths)
     # short of the 6 rows, past them, a negative length, none at all, not 1-D
     for bad in ([3, 2], [3, 4], [7, -1], [], [[3, 3]]):
         with pytest.raises(ValueError, match="summing to 6 rows"):
-            ad.lstm(xp, w_h, np.array(bad, dtype=np.int64))
+            ad.lstm(xp, w_h, b, np.array(bad, dtype=np.int64))
     with pytest.raises(TypeError, match="integers"):
-        ad.lstm(xp, w_h, lengths.astype(float))
+        ad.lstm(xp, w_h, b, lengths.astype(float))
 
 
 def test_embedding_gradient_distinct_and_repeated_ids():
@@ -549,7 +554,7 @@ def test_float32_stays_float32():
                                             np.array([0, 1, 2, -1, -1, 0, 1, 2, 3, 4]),
                                             np.array([5, 5]), p32(3, 2, 4)),
         "segment_max": lambda: ad.segment_max(ad.reshape(x, (10, 3)), np.array([2, 1, 7])),
-        "lstm": lambda: ad.lstm(p32(7, 8), p32(2, 8), np.array([3, 4])),
+        "lstm": lambda: ad.lstm(p32(7, 8), p32(2, 8), p32(8), np.array([3, 4])),
         "sum_": lambda: ad.sum_(x, axis=1),
         "mean_": lambda: ad.mean_(x, axis=1),
         "pairwise_cosine": lambda: ad.pairwise_cosine(p32(2, 3), p32(2, 3)),
@@ -719,10 +724,10 @@ def test_lstm_gradients():
     """Through lengths in caller order with a tie and a length of 1."""
     rng = np.random.default_rng(41)
     for _ in range(TRIALS // 4):
-        xp, w_h = lstm_case(rng, LSTM_LENGTHS)
+        xp, w_h, b = lstm_case(rng, LSTM_LENGTHS)
         proj = rng.standard_normal((len(LSTM_LENGTHS), w_h.shape[0]))
-        assert_grads_match(lambda: ad.sum_(ad.lstm(xp, w_h, LSTM_LENGTHS) * proj),
-                           {"xp": xp, "w_h": w_h}, rng)
+        assert_grads_match(lambda: ad.sum_(ad.lstm(xp, w_h, b, LSTM_LENGTHS) * proj),
+                           {"xp": xp, "w_h": w_h, "b": b}, rng)
 
 
 def test_cosine_gradients():

@@ -12,7 +12,7 @@ import struct
 import numpy as np
 import pytest
 
-from asmsim import embcache
+from asmsim import embcache, manifest
 from asmsim.cli import main, read_config_file
 from asmsim.corpus import save_dataset
 from asmsim.models import load_checkpoint
@@ -505,11 +505,12 @@ def test_search_rebuilds_a_stale_or_damaged_sidecar(searchdir, workdir, capsys, 
             == (fresh / "index.jsonl.embcache").read_bytes())
 
 
-def test_search_index_edited_while_read_writes_no_sidecar(searchdir, workdir, capsys,
-                                                          monkeypatch):
+def test_search_index_edited_after_its_parse_keys_the_sidecar_on_the_parsed_bytes(
+        searchdir, workdir, capsys, monkeypatch, embedded):
     import asmsim.cli as cli
 
-    expected = _search(_copy_inputs(searchdir, searchdir.parent / "before"), capsys)
+    before = _copy_inputs(searchdir, searchdir.parent / "before")
+    expected = _search(before, capsys)
     real = cli.load_dataset
 
     def load_then_edit(path):
@@ -519,18 +520,23 @@ def test_search_index_edited_while_read_writes_no_sidecar(searchdir, workdir, ca
         return result
 
     monkeypatch.setattr(cli, "load_dataset", load_then_edit)
-    assert _search(searchdir, capsys) == expected     # ranks what it read
-    assert not (searchdir / "index.jsonl.embcache").exists()
+    assert _search(searchdir, capsys) == expected     # ranks what it parsed
+    sidecar = searchdir / "index.jsonl.embcache"
+    assert sidecar.read_bytes() == (before / "index.jsonl.embcache").read_bytes()
+    monkeypatch.setattr(cli, "load_dataset", real)
+    edited = _copy_inputs(searchdir, searchdir.parent / "edited")
+    after = _search(edited, capsys)
+    assert after != expected
+    embedded.clear()
+    assert _search(searchdir, capsys) == after        # the edited bytes miss and rebuild
+    assert embedded == [1, N_INDEX]
+    assert sidecar.read_bytes() == (edited / "index.jsonl.embcache").read_bytes()
 
 
-def test_search_hit_whose_second_key_differs_is_not_used(searchdir, workdir, capsys,
-                                                        monkeypatch, embedded):
+def test_search_index_edited_after_a_hit_ranks_the_hashed_bytes(searchdir, workdir, capsys,
+                                                               monkeypatch, embedded):
     first = _search(searchdir, capsys)
     sidecar = (searchdir / "index.jsonl.embcache").read_bytes()
-    edited = _copy_inputs(searchdir, searchdir.parent / "edited")
-    _edit_record(edited, workdir)
-    expected = _search(edited, capsys)
-    assert expected != first
     real = embcache.load_rows
 
     def load_then_edit(*args):
@@ -540,9 +546,55 @@ def test_search_hit_whose_second_key_differs_is_not_used(searchdir, workdir, cap
 
     monkeypatch.setattr(embcache, "load_rows", load_then_edit)
     embedded.clear()
-    assert _search(searchdir, capsys) == expected      # ranks the index it then read
-    assert embedded == [1, N_INDEX]
+    assert _search(searchdir, capsys) == first         # the rows of the bytes it hashed
+    assert embedded == [1]
     assert (searchdir / "index.jsonl.embcache").read_bytes() == sidecar
+
+
+def test_search_checkpoint_replaced_after_its_load_keys_the_sidecar_on_the_loaded_trailer(
+        searchdir, workdir, capsys, monkeypatch, embedded):
+    import asmsim.cli as cli
+
+    before = _copy_inputs(searchdir, searchdir.parent / "before")
+    expected = _search(before, capsys)
+    retrained = _copy_inputs(searchdir, searchdir.parent / "retrained")
+    _retrain(retrained, workdir)
+    capsys.readouterr()
+    after = _search(retrained, capsys)
+    assert after != expected
+    real = cli.load_checkpoint
+
+    def load_then_replace(path):
+        result = real(path)
+        shutil.copy(retrained / "model.ckpt", searchdir / "model.ckpt")
+        return result
+
+    monkeypatch.setattr(cli, "load_checkpoint", load_then_replace)
+    assert _search(searchdir, capsys) == expected     # ranks with the checkpoint it loaded
+    sidecar = searchdir / "index.jsonl.embcache"
+    assert sidecar.read_bytes() == (before / "index.jsonl.embcache").read_bytes()
+    monkeypatch.setattr(cli, "load_checkpoint", real)
+    embedded.clear()
+    assert _search(searchdir, capsys) == after        # another trailer: a miss, rebuilt
+    assert embedded == [1, N_INDEX]
+    assert sidecar.read_bytes() == (retrained / "index.jsonl.embcache").read_bytes()
+
+
+def test_search_sidecar_keyed_on_the_raw_file_bytes_is_a_hit(searchdir, capsys, embedded):
+    """The key is the checkpoint file's last 32 bytes and the SHA-256 of the
+    index file, so a sidecar written under them by hand is used as it is."""
+    assert _search(searchdir, capsys)[0] == 0
+    key = ((searchdir / "model.ckpt").read_bytes()[-32:],
+           hashlib.sha256((searchdir / "index.jsonl").read_bytes()).digest())
+    sidecar = searchdir / "index.jsonl.embcache"
+    width = embcache._HEADER.unpack_from(sidecar.read_bytes())[5]
+    rows, names = embcache.load_rows(sidecar, key, width)
+    marked = [[p, b, f"hit_{f}", o] for p, b, f, o in names]
+    embcache.save_rows(sidecar, key, rows, marked)
+    embedded.clear()
+    code, out, err = _search(searchdir, capsys)
+    assert (code, err, embedded) == (0, "", [1])
+    assert out and all(line.split("\t")[4].startswith("hit_") for line in out.splitlines())
 
 
 def _read_only_directory(monkeypatch, where):
@@ -553,7 +605,7 @@ def _read_only_directory(monkeypatch, where):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
         return builtins.open(path, mode, *args, **kwargs)
 
-    monkeypatch.setattr(embcache, "open", fake_open, raising=False)
+    monkeypatch.setattr(manifest, "open", fake_open, raising=False)
 
 
 def _full_disk(monkeypatch, where):
@@ -574,7 +626,7 @@ def _full_disk(monkeypatch, where):
 
         return Full()
 
-    monkeypatch.setattr(embcache, "open", fake_open, raising=False)
+    monkeypatch.setattr(manifest, "open", fake_open, raising=False)
 
 
 def _sidecar_is_a_directory(monkeypatch, where):

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from asmsim.corpus import (
-    FunctionRecord, load_dataset, make_pairs, normalize_text, save_dataset,
+    CorpusIndex, FunctionRecord, load_dataset, make_pairs, normalize_text, save_dataset,
 )
 from asmsim.errors import DataError
+from asmsim.manifest import file_sha256
 
 
 def rec(name, opt, instructions, project="proj", binary="bin"):
@@ -34,6 +35,18 @@ def test_load_and_group(tmp_path):
     assert len(corpus.families) == 2
     fam = corpus.families[("p", "b", "f1")]
     assert set(fam.members) == {"O0", "O3"}
+
+
+def test_load_hashes_every_byte_it_reads(tmp_path):
+    """Blank lines, CRLF endings and a last line without a newline all count."""
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(("\n" + obj("f1") + "\r\n  \n\n" + obj("f2", "O3")).encode("utf-8"))
+    corpus = load_dataset(path)
+    assert len(corpus) == 2
+    assert corpus.sha256 == file_sha256(path)
+    assert load_dataset(write_lines(tmp_path, [], "empty.jsonl")).sha256 == file_sha256(
+        tmp_path / "empty.jsonl")
+    assert CorpusIndex(corpus.records).sha256 is None
 
 
 def test_malformed_json_cites_line(tmp_path):

@@ -1,5 +1,6 @@
 """Backbone shapes, parameter counts, architecture traces, and checkpoints."""
 
+import errno
 import hashlib
 import json
 import os
@@ -595,7 +596,7 @@ rows = build_backbone(BackboneConfig(variant, vocab.size), seed=0).embed_matrix(
 assert rows.shape == (len(funcs), 192)
 """ + PEAK_LINE
 
-MIXER_STEP_MEMORY = """
+TRAIN_STEP_MEMORY = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
@@ -604,11 +605,14 @@ from asmsim.optim import Adam
 from asmsim.synthetic import SynthConfig, generate
 from asmsim.tokenizer import build_vocab, encode_function
 from asmsim.train import cosine_pair_loss_batch
-pairs = int(sys.argv[2])
-recs = generate(SynthConfig(n_families=200, seed=1))
+variant, pairs = sys.argv[2], int(sys.argv[3])
+n_families, join = int(sys.argv[4]), int(sys.argv[5])
+recs = generate(SynthConfig(n_families=n_families, seed=1))
 vocab = build_vocab(recs)
-encs = [encode_function(vocab, r) for r in recs[:2 * pairs]]
-model = build_backbone(BackboneConfig("mixer", vocab.size), seed=0)
+funcs = [[i for r in recs[j:j + join] for i in r.instructions]
+         for j in range(0, 2 * pairs * join, join)]
+encs = [encode_function(vocab, f) for f in funcs]
+model = build_backbone(BackboneConfig(variant, vocab.size), seed=0)
 opt = Adam(model.params)
 rng = np.random.default_rng(0)
 e1 = model.embed_batch(encs[0::2], training=True, rng=rng)
@@ -634,6 +638,13 @@ def child_peak_mb(script, *args):
                           capture_output=True, text=True, timeout=600, env=env)
     assert proc.returncode == 0, proc.stderr
     return float(proc.stdout)
+
+
+def train_step_peak_mb(variant, pairs, n_families, join):
+    """Peak RSS in MB of one default `variant` training step, Adam included,
+    over `pairs` pairs of the stock corpus of `n_families` families, `join`
+    consecutive functions' instructions per function."""
+    return child_peak_mb(TRAIN_STEP_MEMORY, variant, pairs, n_families, join)
 
 
 def embed_peak_mb(variant, n_families, join):
@@ -678,7 +689,21 @@ MIXER_STEP_MEMORY_BOUND_MB = 950
 def test_mixer_training_step_memory_stays_bounded():
     """A default mixer's training step over 8 stock pairs, Adam included,
     stays under a peak RSS bound."""
-    assert child_peak_mb(MIXER_STEP_MEMORY, 8) < MIXER_STEP_MEMORY_BOUND_MB
+    assert train_step_peak_mb("mixer", 8, 200, 1) < MIXER_STEP_MEMORY_BOUND_MB
+
+
+# MB: one training step over 48 pairs of functions of about 410 instructions
+# (each 20 stock functions end to end) peaked at 549-562 MB while the gate bias
+# was its own `xp + b` node, whose [N, 4h] output the graph held, and reads
+# 434-441 MB with the bias added inside `ad.lstm`.
+LSTM_STEP_MEMORY_BOUND_MB = 490
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_lstm_training_step_memory_stays_bounded():
+    """A default lstm's training step over 48 pairs of long functions, Adam
+    included, stays under a peak RSS bound."""
+    assert train_step_peak_mb("lstm", 48, 640, 20) < LSTM_STEP_MEMORY_BOUND_MB
 
 
 # MB: embedding 300 stock functions (groups of 16 under PACK_ROWS) peaked at
@@ -722,6 +747,51 @@ def test_checkpoint_round_trip(tmp_path):
     path2 = tmp_path / "model2.ckpt"
     save_checkpoint(path2, loaded, loaded_vocab)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_keeps_the_trailer_it_verified(tmp_path):
+    cfg = small_cfg("lstm")
+    model = build_backbone(cfg, seed=22)
+    assert model.checkpoint_trailer is None
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, tiny_vocab(cfg.vocab_size - 2))
+    assert load_checkpoint(path)[0].checkpoint_trailer == path.read_bytes()[-32:]
+
+
+def test_checkpoint_write_that_fails_leaves_the_previous_file(tmp_path, monkeypatch):
+    """A checkpoint is written whole or not at all: a disk that fills partway
+    through a rewrite leaves the previous file byte-identical and no temp file."""
+    import builtins
+
+    import asmsim.manifest as manifest
+
+    cfg = small_cfg("textcnn")
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, build_backbone(cfg, seed=23), tiny_vocab(cfg.vocab_size - 2))
+    before = path.read_bytes()
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        handle = builtins.open(file, mode, *args, **kwargs)
+
+        class Full:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                handle.close()
+
+            def write(self, data):
+                handle.write(bytes(data[:len(data) // 2]))
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), file)
+
+        return Full()
+
+    monkeypatch.setattr(manifest, "open", fake_open, raising=False)
+    with pytest.raises(OSError) as info:
+        save_checkpoint(path, build_backbone(cfg, seed=24), tiny_vocab(cfg.vocab_size - 2))
+    assert info.value.errno == errno.ENOSPC
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_checkpoint_load_draws_no_initialisation(tmp_path, monkeypatch):
