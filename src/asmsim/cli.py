@@ -1,8 +1,9 @@
 """Command-line surface: vocab, train, eval, embed, and search.
 
-Every command is one process run producing files plus a manifest sidecar;
-identical inputs and seed give byte-identical artifacts (timestamps live
-only in manifests). Exit codes: 0 success, 1 usage, 2 data, 3 numeric.
+Every command is one process run producing files plus a manifest sidecar,
+each written whole or not at all (`write_atomic`); identical inputs and seed
+give byte-identical artifacts (timestamps live only in manifests). Exit
+codes: 0 success, 1 usage, 2 data, 3 numeric.
 
 `search` also keeps `<index>.embcache` next to its index: the index's
 embeddings and printed names under the checkpoint and index bytes it read,
@@ -25,7 +26,7 @@ from .evaluate import (
     DEFAULT_KS, DEFAULT_OPT_PAIRS, DEFAULT_POOL_SIZE, cosine_matrix,
     descending_order, evaluate_model,
 )
-from .manifest import file_sha256, load_manifest, manifest_path_for, write_manifest
+from .manifest import file_sha256, load_manifest, manifest_path_for, write_atomic, write_manifest
 from .models import VARIANTS, BackboneConfig, load_checkpoint, save_checkpoint
 from .tokenizer import (
     DEFAULT_DELIMITERS, DEFAULT_MIN_FREQ, Vocabulary, build_vocab,
@@ -108,10 +109,9 @@ def cmd_vocab(args) -> int:
                             delimiters=args.delimiters)
     except ValueError as exc:              # --min-freq below 1, empty --delimiters
         raise DataError(str(exc)) from exc
-    vocab.save(args.out)
-    write_manifest(args.out, command="vocab",
+    write_manifest((args.out, vocab.save(args.out)), command="vocab",
                    config={"min_freq": args.min_freq, "delimiters": args.delimiters},
-                   inputs={"dataset": args.dataset})
+                   inputs={"dataset": (args.dataset, corpus.sha256)})
     print(f"wrote {vocab.size} tokens to {args.out}")
     return 0
 
@@ -119,17 +119,14 @@ def cmd_vocab(args) -> int:
 def cmd_train(args) -> int:
     corpus = load_dataset(args.dataset)
     vocab = Vocabulary.load(args.vocab)
-    doc = load_manifest(args.vocab)
-    if doc is not None:
-        inputs = doc.get("inputs", {})
-        dataset = inputs.get("dataset", {}) if isinstance(inputs, dict) else None
-        if not isinstance(dataset, dict):
-            raise DataError(f"{manifest_path_for(args.vocab)}: manifest `inputs.dataset` "
-                            f"is not a JSON object")
-        recorded = dataset.get("sha256")
-        if recorded is not None and recorded != corpus.sha256:
-            _warn(f"vocabulary {args.vocab} was built from a different dataset "
-                  f"than {args.dataset} (manifest hash mismatch)")
+    inputs = (load_manifest(args.vocab) or {}).get("inputs", {})
+    dataset = inputs.get("dataset", {}) if isinstance(inputs, dict) else None
+    if not isinstance(dataset, dict):
+        raise DataError(f"{manifest_path_for(args.vocab)}: manifest `inputs.dataset` "
+                        f"is not a JSON object")
+    if dataset.get("sha256") not in (None, corpus.sha256):
+        _warn(f"vocabulary {args.vocab} was built from a different dataset "
+              f"than {args.dataset} (manifest hash mismatch)")
     tcfg = _merge_train_config(args)
     bcfg = BackboneConfig(variant=args.backbone, vocab_size=vocab.size)
 
@@ -137,14 +134,15 @@ def cmd_train(args) -> int:
         save_checkpoint(args.out, backbone, vocab)
 
     result = train(corpus, vocab, bcfg, tcfg, checkpoint_cb=save_cb)
-    save_checkpoint(args.out, result.backbone, vocab)
+    checkpoint_sha256 = save_checkpoint(args.out, result.backbone, vocab)
     loss_csv = args.loss_csv or f"{args.out}.loss.csv"
-    write_loss_csv(loss_csv, result.losses)
+    loss_csv_sha256 = write_loss_csv(loss_csv, result.losses)
     write_manifest(
-        args.out, command="train", seed=args.seed,
+        (args.out, checkpoint_sha256), command="train", seed=args.seed,
         config={"backbone": args.backbone, **dataclasses.asdict(tcfg)},
-        inputs={"dataset": args.dataset, "vocab": args.vocab},
-        outputs={"loss_csv": loss_csv},
+        inputs={"dataset": (args.dataset, corpus.sha256),
+                "vocab": (args.vocab, vocab.sha256)},
+        outputs={"loss_csv": (loss_csv, loss_csv_sha256)},
     )
     last = f"{result.losses[-1]:.6f}" if result.losses else "n/a"
     print(f"trained {args.backbone} for {result.n_batches} batches "
@@ -160,6 +158,8 @@ def _parse_opt_pairs(items) -> tuple:
             raise DataError(
                 f"bad optimization pair {item!r}: expected LOW,HIGH with levels "
                 f"from {', '.join(OPT_LEVELS)}")
+        if (parts[0], parts[1]) in pairs:
+            raise DataError(f"duplicate optimization pair {item!r}")
         pairs.append((parts[0], parts[1]))
     return tuple(pairs)
 
@@ -168,26 +168,25 @@ def cmd_eval(args) -> int:
     corpus = load_dataset(args.dataset)
     backbone, vocab = load_checkpoint(args.checkpoint)
     pairs = _parse_opt_pairs(args.opt_pairs) if args.opt_pairs else DEFAULT_OPT_PAIRS
-    if any(k < 1 for k in args.ks):
-        raise DataError("recall cutoffs must be >= 1")
+    if any(k < 1 for k in args.ks) or len(set(args.ks)) != len(args.ks):
+        raise DataError("recall cutoffs must be distinct and >= 1")
     if args.pool_size < 1:
         raise DataError("pool size must be >= 1")
     report = evaluate_model(backbone, vocab, corpus, opt_pairs=pairs,
                             n=args.pool_size, ks=tuple(args.ks), seed=args.seed)
-    payload = report.to_json_dict(checkpoint_sha256=file_sha256(args.checkpoint))
+    payload = report.to_json_dict(checkpoint_sha256=backbone.checkpoint_sha256)
     json_path, txt_path = f"{args.out}.json", f"{args.out}.txt"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    json_sha256 = write_atomic(
+        json_path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     table = report.format_table()
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write(table)
-    write_manifest(json_path, command="eval", seed=args.seed,
+    txt_sha256 = write_atomic(txt_path, table.encode("utf-8"))
+    write_manifest((json_path, json_sha256), command="eval", seed=args.seed,
                    config={"pool_size": args.pool_size,
                            "opt_pairs": [f"{a},{b}" for a, b in pairs],
                            "ks": list(args.ks)},
-                   inputs={"dataset": args.dataset, "checkpoint": args.checkpoint},
-                   outputs={"table": txt_path})
+                   inputs={"dataset": (args.dataset, corpus.sha256),
+                           "checkpoint": (args.checkpoint, backbone.checkpoint_sha256)},
+                   outputs={"table": (txt_path, txt_sha256)})
     print(table, end="")
     return 0
 
@@ -202,16 +201,15 @@ def cmd_embed(args) -> int:
     corpus = load_dataset(args.dataset)
     backbone, vocab = load_checkpoint(args.checkpoint)
     matrix = backbone.embed_matrix(_encode_all(backbone, vocab, corpus.records))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for rec, row in zip(corpus.records, matrix):
-            fh.write(json.dumps({
-                "project": rec.project, "binary": rec.binary,
-                "function": rec.function_name, "opt_level": rec.opt_level,
-                "embedding": [float(v) for v in row],
-            }, sort_keys=True) + "\n")
-    write_manifest(args.out, command="embed",
+    lines = "".join(json.dumps({
+        "project": rec.project, "binary": rec.binary,
+        "function": rec.function_name, "opt_level": rec.opt_level,
+        "embedding": [float(v) for v in row],
+    }, sort_keys=True) + "\n" for rec, row in zip(corpus.records, matrix))
+    write_manifest((args.out, write_atomic(args.out, lines.encode("utf-8"))), command="embed",
                    config={"backbone": backbone.cfg.variant},
-                   inputs={"dataset": args.dataset, "checkpoint": args.checkpoint})
+                   inputs={"dataset": (args.dataset, corpus.sha256),
+                           "checkpoint": (args.checkpoint, backbone.checkpoint_sha256)})
     print(f"wrote {len(corpus.records)} embeddings to {args.out}")
     return 0
 

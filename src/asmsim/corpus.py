@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .manifest import write_atomic
 
 OPT_LEVELS = ("O0", "O1", "O2", "O3", "Os")
 
@@ -124,10 +125,10 @@ def load_dataset(path) -> CorpusIndex:
     return CorpusIndex(records, sha256=digest.hexdigest())
 
 
-def save_dataset(records, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+def save_dataset(records, path) -> str:
+    """Write one JSON line per record with `write_atomic`; returns their SHA-256."""
+    return write_atomic(path, "".join(json.dumps(rec.to_json(), sort_keys=True) + "\n"
+                                      for rec in records).encode("utf-8"))
 
 
 @dataclass(frozen=True)

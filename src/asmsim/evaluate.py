@@ -152,33 +152,32 @@ class EvalReport:
     def mean_recall(self, k: int) -> float:
         return float(np.mean([r.recalls[k] for r in self.results]))
 
+    @property
+    def labels(self) -> list[str]:
+        return [f"{a},{b}" for a, b in (r.opt_pair for r in self.results)]
+
     def to_json_dict(self, checkpoint_sha256: str | None = None) -> dict:
         return {
             "pool_size": self.pool_size,
             "seed": self.seed,
             "checkpoint_sha256": checkpoint_sha256,
-            "opt_pairs": [f"{a},{b}" for a, b in (r.opt_pair for r in self.results)],
-            "mrr": {f"{r.opt_pair[0]},{r.opt_pair[1]}": r.mrr for r in self.results}
+            "opt_pairs": self.labels,
+            "mrr": dict(zip(self.labels, (r.mrr for r in self.results)))
                    | {"average": self.mean_mrr},
-            "recall": {
-                str(k): {f"{r.opt_pair[0]},{r.opt_pair[1]}": r.recalls[k] for r in self.results}
-                        | {"average": self.mean_recall(k)}
-                for k in self.ks
-            },
+            "recall": {str(k): dict(zip(self.labels, (r.recalls[k] for r in self.results)))
+                               | {"average": self.mean_recall(k)} for k in self.ks},
         }
 
     def format_table(self) -> str:
-        cols = [f"{r.opt_pair[0]},{r.opt_pair[1]}" for r in self.results] + ["average"]
+        cols = self.labels + ["average"]
         width = max(9, *(len(c) for c in cols)) + 2
-        lines = [f"pool size: {self.pool_size}    seed: {self.seed}"]
-        header = "metric".ljust(12) + "".join(c.rjust(width) for c in cols)
-        lines.append(header)
-        mrr_row = "MRR".ljust(12) + "".join(
-            f"{v:.4f}".rjust(width) for v in [r.mrr for r in self.results] + [self.mean_mrr])
-        lines.append(mrr_row)
-        for k in self.ks:
-            vals = [r.recalls[k] for r in self.results] + [self.mean_recall(k)]
-            lines.append(f"Recall@{k}".ljust(12) + "".join(f"{v:.4f}".rjust(width) for v in vals))
+        rows = [("MRR", [r.mrr for r in self.results] + [self.mean_mrr])]
+        rows += [(f"Recall@{k}", [r.recalls[k] for r in self.results] + [self.mean_recall(k)])
+                 for k in self.ks]
+        lines = [f"pool size: {self.pool_size}    seed: {self.seed}",
+                 "metric".ljust(12) + "".join(c.rjust(width) for c in cols)]
+        lines += [name.ljust(12) + "".join(f"{v:.4f}".rjust(width) for v in vals)
+                  for name, vals in rows]
         return "\n".join(lines) + "\n"
 
 

@@ -2,8 +2,9 @@
 
 Artifacts themselves stay byte-reproducible for identical inputs and seed;
 anything wall-clock-dependent (the creation timestamp) lives only here.
-A manifest sits next to its artifact as `<artifact>.manifest.json`. The
-artifact writers and readers share this module's `file_sha256` and `write_atomic`.
+A manifest sits next to its artifact as `<artifact>.manifest.json`. It records
+the SHA-256 of the bytes its command parsed and wrote, never a second look at
+the files; every file is written by `write_atomic`.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_atomic(path, data: bytes):
-    """Write `data` to `path` whole or not at all: a temp file in the same
-    directory, then `os.replace`. Raises OSError if it cannot; the previous
-    file is left as it was and no temp file is left behind."""
+def write_atomic(path, data: bytes) -> str:
+    """Write `data` to `path` whole or not at all (a temp file in the same
+    directory, then `os.replace`) and return its hex SHA-256. Raises OSError if
+    it cannot, leaving the previous file as it was and no temp file behind."""
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         with open(tmp, "xb") as fh:
@@ -39,36 +40,34 @@ def write_atomic(path, data: bytes):
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+    return hashlib.sha256(data).hexdigest()
 
 
 def manifest_path_for(artifact_path) -> str:
     return f"{artifact_path}.manifest.json"
 
 
-def _hash_entry(path) -> dict:
-    return {"path": str(path), "sha256": file_sha256(path)}
+def _entries(files: dict) -> dict:
+    return {name: {"path": str(p), "sha256": sha} for name, (p, sha) in files.items()}
 
 
-def write_manifest(artifact_path, command: str, seed=None, config=None,
+def write_manifest(artifact, command: str, seed=None, config=None,
                    inputs=None, outputs=None) -> dict:
-    """Write the sidecar for `artifact_path` and return its contents.
-
-    `inputs` and `outputs` map role names to file paths; both get hashed.
-    The artifact itself is always recorded under outputs as "artifact".
-    """
-    outs = {"artifact": artifact_path, **(outputs or {})}
+    """Write the sidecar for `artifact` and return its contents. `artifact` and
+    the values of `inputs` and `outputs` (role name -> value) are `(path, sha256)`
+    pairs: the digests of the bytes the command parsed and wrote. The artifact is
+    always recorded under outputs as "artifact"."""
     doc = {
         "command": command,
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "seed": seed,
         "config": config or {},
-        "inputs": {name: _hash_entry(p) for name, p in (inputs or {}).items()},
-        "outputs": {name: _hash_entry(p) for name, p in outs.items()},
+        "inputs": _entries(inputs or {}),
+        "outputs": _entries({"artifact": artifact, **(outputs or {})}),
     }
-    with open(manifest_path_for(artifact_path), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(manifest_path_for(artifact[0]),
+                 (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return doc
 
 

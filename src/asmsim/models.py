@@ -112,6 +112,7 @@ class Backbone:
     """Shared embedding tables plus a variant-specific head."""
 
     checkpoint_trailer: bytes | None = None     # load_checkpoint: the file's verified trailer
+    checkpoint_sha256: str | None = None        # load_checkpoint: the whole file's SHA-256
 
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator | None,
                  dtype=np.float32, data: dict[str, np.ndarray] | None = None):
@@ -389,10 +390,10 @@ CHECKPOINT_VERSION = 3
 _ALIGN = 64
 
 
-def save_checkpoint(path, backbone: Backbone, vocab: Vocabulary):
+def save_checkpoint(path, backbone: Backbone, vocab: Vocabulary) -> str:
     """Write magic, version, config JSON, vocabulary bytes, named float32 blocks
-    (each block's data zero-padded to start on a 64-byte boundary of the file),
-    and a SHA-256 trailer over everything before it, whole or not at all (`write_atomic`)."""
+    (each zero-padded to start on a 64-byte boundary of the file) and a SHA-256
+    trailer over all before it with `write_atomic`; returns the file's SHA-256."""
     cfg_json = json.dumps(backbone.cfg.to_dict(), sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
     vocab_bytes = vocab.file_bytes()
@@ -413,7 +414,7 @@ def save_checkpoint(path, backbone: Backbone, vocab: Vocabulary):
         out += bytes(-len(out) % _ALIGN)
         out += np.ascontiguousarray(p.data, dtype="<f4").tobytes()
     out += hashlib.sha256(out).digest()
-    write_atomic(path, out)
+    return write_atomic(path, out)
 
 
 class _Reader:
@@ -438,16 +439,17 @@ class _Reader:
 
 def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
     """Read a version 3 checkpoint; any other version is a DataError. The file
-    is read once into one 64-byte aligned buffer, and each block is a writable
-    float32 view into it. The backbone keeps the verified trailer as `checkpoint_trailer`."""
+    is read once into one 64-byte aligned buffer, each block a writable float32
+    view into it; the backbone keeps its trailer and SHA-256 (`checkpoint_*`)."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         store = np.empty(size + _ALIGN, dtype=np.uint8)
         raw = store[-store.ctypes.data % _ALIGN:][:size]
         if fh.readinto(raw) != size or len(raw) < len(CHECKPOINT_MAGIC) + 32:
             raise DataError(f"{path}: truncated checkpoint")
-    body = memoryview(raw)[:-32]
-    if hashlib.sha256(body).digest() != raw[-32:].tobytes():
+    body, trailer = memoryview(raw)[:-32], raw[-32:].tobytes()
+    h = hashlib.sha256(body)
+    if h.digest() != trailer:
         raise DataError(f"{path}: checkpoint checksum mismatch (file corrupted?)")
     r = _Reader(body, str(path))
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
@@ -487,5 +489,6 @@ def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
         count = int(np.prod(shape)) if shape else 1
         blocks[name] = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
     backbone = cls(cfg, None, data=blocks)
-    backbone.checkpoint_trailer = raw[-32:].tobytes()
+    h.update(trailer)
+    backbone.checkpoint_trailer, backbone.checkpoint_sha256 = trailer, h.hexdigest()
     return backbone, vocab

@@ -12,11 +12,12 @@ import hashlib
 import json
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
+from .manifest import write_atomic
 
 DEFAULT_DELIMITERS = " \t+-*:,;[]()"
 DEFAULT_MIN_FREQ = 32
@@ -53,6 +54,8 @@ class Vocabulary:
     frequencies: list[int]
     min_freq: int
     delimiters: str = DEFAULT_DELIMITERS
+    # `load`: the SHA-256 of the file bytes it parsed
+    sha256: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.id_to_token[PAD_ID] != PAD_TOKEN or self.id_to_token[UNK_ID] != UNK_TOKEN:
@@ -72,26 +75,21 @@ class Vocabulary:
         i = self.token_to_id.get(token)
         return 0 if i is None else self.frequencies[i]
 
-    def _body_bytes(self) -> bytes:
+    def file_bytes(self) -> bytes:
         for tok in self.id_to_token:
             if "\t" in tok or "\n" in tok:
                 raise DataError(f"token {tok!r} cannot be serialized (contains tab/newline)")
-        lines = [f"{tok}\t{freq}\n" for tok, freq in zip(self.id_to_token, self.frequencies)]
-        return "".join(lines).encode("utf-8")
-
-    def file_bytes(self) -> bytes:
-        body = self._body_bytes()
-        digest = hashlib.sha256(body).hexdigest()
+        body = "".join(map("{}\t{}\n".format, self.id_to_token, self.frequencies)).encode("utf-8")
         header = (
             f"# asmsim vocab v2 pad={PAD_TOKEN} unk={UNK_TOKEN} min_freq={self.min_freq}"
             f" delimiters={json.dumps(self.delimiters)}\n"
-            f"# sha256={digest}\n"
+            f"# sha256={hashlib.sha256(body).hexdigest()}\n"
         )
         return header.encode("utf-8") + body
 
-    def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(self.file_bytes())
+    def save(self, path) -> str:
+        """Write `file_bytes()` with `write_atomic`; returns their SHA-256."""
+        return write_atomic(path, self.file_bytes())
 
     @classmethod
     def from_bytes(cls, raw: bytes, where: str = "vocabulary") -> "Vocabulary":
@@ -135,7 +133,9 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         with open(path, "rb") as fh:
             raw = fh.read()
-        return cls.from_bytes(raw, where=str(path))
+        vocab = cls.from_bytes(raw, where=str(path))
+        vocab.sha256 = hashlib.sha256(raw).hexdigest()
+        return vocab
 
 
 def build_vocab(records, min_freq: int = DEFAULT_MIN_FREQ,

@@ -16,6 +16,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import CorpusIndex, make_pairs
 from .errors import DataError, NumericError
+from .manifest import write_atomic
 from .models import Backbone, BackboneConfig, build_backbone
 from .optim import Adam
 from .tokenizer import Vocabulary, encode_function
@@ -126,9 +127,8 @@ def train(corpus: CorpusIndex, vocab: Vocabulary, backbone_cfg: BackboneConfig,
     return result
 
 
-def write_loss_csv(path, losses):
-    """Loss trace as `batch_index,loss`; repr keeps runs byte-comparable."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("batch_index,loss\n")
-        for i, value in enumerate(losses):
-            fh.write(f"{i},{value!r}\n")
+def write_loss_csv(path, losses) -> str:
+    """Loss trace as `batch_index,loss`, written with `write_atomic`; repr keeps
+    runs byte-comparable. Returns the SHA-256 of the bytes written."""
+    rows = "".join(f"{i},{value!r}\n" for i, value in enumerate(losses))
+    return write_atomic(path, f"batch_index,loss\n{rows}".encode("utf-8"))

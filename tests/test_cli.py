@@ -1,9 +1,12 @@
 """End-to-end command behavior: artifacts, exit codes, warnings."""
 
+import ast
 import builtins
+import collections
 import dataclasses
 import errno
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -12,6 +15,7 @@ import struct
 import numpy as np
 import pytest
 
+import asmsim.cli as cli
 from asmsim import embcache, manifest
 from asmsim.cli import main, read_config_file
 from asmsim.corpus import save_dataset
@@ -210,9 +214,13 @@ def test_eval_pool_of_one_is_perfect(workdir, tmp_path):
 
 
 def test_eval_bad_opt_pair_is_data_error(workdir, tmp_path, capsys):
-    """A bad optimization pair, recall cutoff or pool size is a one-line data error."""
+    """A bad or repeated optimization pair or recall cutoff, or a bad pool size,
+    is a one-line data error."""
     for option, message in ((["--opt-pairs", "O0,O9"], "O0,O9"),
+                            (["--opt-pairs", "O0,O3", "O0,O3", "O1,O3"],
+                             "duplicate optimization pair 'O0,O3'"),
                             (["--ks", "0"], "recall cutoffs"),
+                            (["--ks", "1", "1"], "recall cutoffs must be distinct"),
                             (["--pool-size", "0"], "pool size must be >= 1"),
                             (["--pool-size", "-3"], "pool size must be >= 1")):
         code = main(["eval", str(workdir / "data.jsonl"), str(workdir / "model.ckpt"),
@@ -756,3 +764,191 @@ def test_train_rejects_a_v1_vocabulary(workdir, tmp_path, capsys):
     assert main(["train", str(workdir / "data.jsonl"), str(vocab),
                  "--out", str(tmp_path / "m.ckpt"), "--seed", "9", "--epochs", "0"]) == 2
     _one_error_line(capsys, "# asmsim vocab v1 pad=<PAD>", "v2 header only")
+
+
+# ------------------------------------------------------------------ provenance
+
+@pytest.fixture(scope="module")
+def others(workdir, tmp_path_factory):
+    """A different dataset, vocabulary and checkpoint under the pipeline's file names."""
+    root = tmp_path_factory.mktemp("others")
+    save_dataset(generate(SynthConfig(n_families=12, seed=4)), root / "data.jsonl")
+    assert main(["vocab", str(workdir / "data.jsonl"), "--out", str(root / "vocab.txt"),
+                 "--min-freq", "1"]) == 0
+    assert main(["train", str(workdir / "data.jsonl"), str(workdir / "vocab.txt"),
+                 "--out", str(root / "model.ckpt"), "--seed", "6", "--epochs", "0"]) == 0
+    return root
+
+
+def _inputs(workdir, where):
+    where.mkdir()
+    for name in ("data.jsonl", "vocab.txt", "model.ckpt"):
+        shutil.copy(workdir / name, where / name)
+    return where
+
+
+def _argv(command, where):
+    data, vocab, ckpt = (str(where / n) for n in ("data.jsonl", "vocab.txt", "model.ckpt"))
+    return {
+        "vocab": ["vocab", data, "--out", str(where / "out.txt"), "--min-freq", "4"],
+        "train": ["train", data, vocab, "--out", str(where / "out.ckpt"), "--seed", "5",
+                  "--epochs", "1", "--batch-size", "64", "--negatives", "2"],
+        "eval": ["eval", data, ckpt, "--out", str(where / "out"), "--seed", "7",
+                 "--pool-size", "3"],
+        "embed": ["embed", data, ckpt, "--out", str(where / "out.jsonl")],
+    }[command]
+
+
+# each command's outputs, the artifact first (its manifest is `<artifact>.manifest.json`)
+_OUTPUTS = {"vocab": ["out.txt"], "train": ["out.ckpt", "out.ckpt.loss.csv"],
+            "eval": ["out.json", "out.txt"], "embed": ["out.jsonl"]}
+# each command's inputs by manifest role
+_INPUTS = {"vocab": {"dataset": "data.jsonl"},
+           "train": {"dataset": "data.jsonl", "vocab": "vocab.txt"},
+           "eval": {"dataset": "data.jsonl", "checkpoint": "model.ckpt"},
+           "embed": {"dataset": "data.jsonl", "checkpoint": "model.ckpt"}}
+
+
+@pytest.mark.parametrize("command, role", [("vocab", "dataset"), ("train", "vocab"),
+                                           ("eval", "checkpoint"), ("embed", "dataset")])
+def test_manifest_records_the_bytes_the_command_loaded(workdir, others, tmp_path, monkeypatch,
+                                                       command, role):
+    """An input replaced just after its loader returns changes neither the
+    outputs nor the digest the manifest records for it: that of the bytes loaded."""
+    ref = _inputs(workdir, tmp_path / "ref")
+    assert main(_argv(command, ref)) == 0
+    where = _inputs(workdir, tmp_path / "run")
+    name = _INPUTS[command][role]
+    loaded = manifest.file_sha256(where / name)
+    owner, attr = {"dataset": (cli, "load_dataset"), "checkpoint": (cli, "load_checkpoint"),
+                   "vocab": (cli.Vocabulary, "load")}[role]
+    real = getattr(owner, attr)
+
+    def load_then_replace(path):
+        result = real(path)
+        if os.path.basename(path) == name:
+            shutil.copy(others / name, path)
+        return result
+
+    monkeypatch.setattr(owner, attr, load_then_replace if owner is cli
+                        else staticmethod(load_then_replace))
+    assert main(_argv(command, where)) == 0
+    assert manifest.file_sha256(where / name) != loaded
+    for out in _OUTPUTS[command]:
+        assert (where / out).read_bytes() == (ref / out).read_bytes(), out
+    doc = json.loads((where / f"{_OUTPUTS[command][0]}.manifest.json").read_text())
+    assert doc["inputs"][role] == {"path": str(where / name), "sha256": loaded}
+    recorded = {e["path"]: e["sha256"] for e in doc["outputs"].values()}
+    assert recorded == {str(where / out): manifest.file_sha256(where / out)
+                        for out in _OUTPUTS[command]}
+
+
+@pytest.mark.parametrize("command", list(_OUTPUTS))
+def test_command_opens_each_input_once_and_hashes_no_file(workdir, tmp_path, monkeypatch,
+                                                          command):
+    """Each input is read once and every digest comes from the bytes read or
+    written, and each recorded digest is that of its file."""
+    where = _inputs(workdir, tmp_path / "run")
+    hashed, opened = [], collections.Counter()
+    file_sha256 = manifest.file_sha256
+
+    def hash_spy(path):
+        hashed.append(path)
+        return file_sha256(path)
+
+    def open_spy(path, mode="r", *args, **kwargs):
+        if not set(mode) & set("wax+"):
+            opened[os.path.basename(path)] += 1
+        return builtins.open(path, mode, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "file_sha256", hash_spy)
+        patch.setattr(manifest, "file_sha256", hash_spy)
+        for module in ("cli", "corpus", "models", "tokenizer", "manifest"):
+            patch.setattr(importlib.import_module(f"asmsim.{module}"), "open", open_spy,
+                          raising=False)
+        assert main(_argv(command, where)) == 0
+    assert hashed == []
+    inputs = _INPUTS[command].values()
+    assert {name: opened[name] for name in inputs} == dict.fromkeys(inputs, 1)
+    doc = json.loads((where / f"{_OUTPUTS[command][0]}.manifest.json").read_text())
+    for entry in [*doc["inputs"].values(), *doc["outputs"].values()]:
+        assert entry["sha256"] == manifest.file_sha256(entry["path"])
+
+
+# ------------------------------------------------------------------ artifact writes
+
+def _full_disk_from(monkeypatch, where, writer):
+    """The disk fills when `cli.<writer>` is called."""
+    real = getattr(cli, writer)
+
+    def fill_then_write(*args, **kwargs):
+        _full_disk(monkeypatch, where)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, writer, fill_then_write)
+
+
+@pytest.mark.parametrize("command, writer, kept", [
+    ("vocab", None, ["out.txt", "out.txt.manifest.json"]),
+    ("eval", None, ["out.json", "out.txt", "out.json.manifest.json"]),
+    ("embed", None, ["out.jsonl", "out.jsonl.manifest.json"]),
+    ("train", "write_loss_csv", ["out.ckpt.loss.csv", "out.ckpt.manifest.json"]),
+    ("embed", "write_manifest", ["out.jsonl.manifest.json"]),
+])
+def test_full_disk_leaves_the_previous_artifact(workdir, tmp_path, capsys, monkeypatch,
+                                                command, writer, kept):
+    """A write that fails exits 2 with one error line and leaves each file it
+    did not finish as it was, with no temp file."""
+    where = _inputs(workdir, tmp_path / "run")
+    for name in kept:
+        (where / name).write_bytes(b"previous\n")
+    if writer is None:
+        _full_disk(monkeypatch, where)
+    else:
+        _full_disk_from(monkeypatch, where, writer)
+    assert main(_argv(command, where)) == 2
+    _one_error_line(capsys, os.strerror(errno.ENOSPC))
+    for name in kept:
+        assert (where / name).read_bytes() == b"previous\n", name
+    assert not [p.name for p in where.iterdir() if p.name.endswith(".tmp")]
+
+
+def _open_calls(node, function=None):
+    """(enclosing function, call) for each `open` call under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _open_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and getattr(child.func, "id",
+                                                   getattr(child.func, "attr", None)) == "open":
+            yield function, child
+        yield from _open_calls(child, function)
+
+
+def _mode(call) -> str:
+    """The mode an `open` call passes; one the source does not spell out reads as "?"."""
+    given = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    if not given:
+        return "r"
+    return given[0].value if isinstance(given[0], ast.Constant) else "?"
+
+
+def test_write_atomic_is_the_only_code_that_writes_a_file():
+    src = os.path.dirname(manifest.__file__)
+    reads, writes = 0, []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for function, call in _open_calls(tree):
+            if set(str(_mode(call))) & set("wax+?"):
+                writes.append((name, function))
+            else:
+                reads += 1
+        writes += [(name, node.func.attr) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in ("write_text", "write_bytes")]
+    assert writes == [("manifest.py", "write_atomic")]
+    assert reads >= 6                      # the walk does see the readers

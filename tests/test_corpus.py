@@ -91,9 +91,10 @@ def test_duplicate_json_key_rejected(tmp_path):
 def test_save_load_round_trip(tmp_path):
     records = [rec("f1", "O0", ["mov eax, 1", "ret"]), rec("f1", "Os", ["ret"])]
     path = tmp_path / "ds.jsonl"
-    save_dataset(records, path)
+    written = save_dataset(records, path)
     corpus = load_dataset(path)
     assert corpus.records == records
+    assert corpus.sha256 == written == file_sha256(path)
 
 
 def test_normalize_collapses_whitespace():

@@ -750,12 +750,16 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_keeps_the_trailer_it_verified(tmp_path):
+    """The loaded backbone keeps the trailer and the whole file's SHA-256, which
+    is also what `save_checkpoint` returns; a built backbone has neither."""
     cfg = small_cfg("lstm")
     model = build_backbone(cfg, seed=22)
-    assert model.checkpoint_trailer is None
+    assert model.checkpoint_trailer is None and model.checkpoint_sha256 is None
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, tiny_vocab(cfg.vocab_size - 2))
-    assert load_checkpoint(path)[0].checkpoint_trailer == path.read_bytes()[-32:]
+    written = save_checkpoint(path, model, tiny_vocab(cfg.vocab_size - 2))
+    loaded = load_checkpoint(path)[0]
+    assert loaded.checkpoint_trailer == path.read_bytes()[-32:]
+    assert loaded.checkpoint_sha256 == written == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_checkpoint_write_that_fails_leaves_the_previous_file(tmp_path, monkeypatch):

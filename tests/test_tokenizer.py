@@ -1,5 +1,6 @@
 """Tokenization, vocabulary mining, file round-trips, and grid encoding."""
 
+import hashlib
 
 import numpy as np
 import pytest
@@ -61,9 +62,11 @@ def test_vocab_round_trip_byte_identical(tmp_path):
     records = [rec([f"mov r{i % 4}, 0x{i % 8:x}" for i in range(400)])]
     vocab = build_vocab(records, min_freq=32)
     path = tmp_path / "vocab.txt"
-    vocab.save(path)
+    written = vocab.save(path)
     first = path.read_bytes()
     loaded = Vocabulary.load(path)
+    assert written == loaded.sha256 == hashlib.sha256(first).hexdigest()
+    assert vocab.sha256 is None
     path2 = tmp_path / "vocab2.txt"
     loaded.save(path2)
     assert path2.read_bytes() == first

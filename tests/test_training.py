@@ -1,5 +1,6 @@
 """Pair-loss contract, siamese loop behavior, and run-to-run determinism."""
 
+import hashlib
 import importlib
 import weakref
 
@@ -329,8 +330,9 @@ def test_train_config_validation():
 
 def test_loss_csv_format(tmp_path):
     path = tmp_path / "loss.csv"
-    write_loss_csv(path, [0.5, 0.25])
+    written = write_loss_csv(path, [0.5, 0.25])
     assert path.read_text() == "batch_index,loss\n0,0.5\n1,0.25\n"
+    assert written == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_lstm_and_mixer_train_smoke():
