@@ -15,8 +15,10 @@ search that cannot write it warns and still answers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import sys
 
 from . import __version__, embcache
@@ -130,11 +132,14 @@ def cmd_train(args) -> int:
     tcfg = _merge_train_config(args)
     bcfg = BackboneConfig(variant=args.backbone, vocab_size=vocab.size)
 
-    def save_cb(backbone, batch_index, reason):
-        save_checkpoint(args.out, backbone, vocab)
+    def save(backbone):
+        # the previous run's manifest must not outlive the checkpoint it describes
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(manifest_path_for(args.out))
+        return save_checkpoint(args.out, backbone, vocab)
 
-    result = train(corpus, vocab, bcfg, tcfg, checkpoint_cb=save_cb)
-    checkpoint_sha256 = save_checkpoint(args.out, result.backbone, vocab)
+    result = train(corpus, vocab, bcfg, tcfg, checkpoint_cb=lambda bb, i, reason: save(bb))
+    checkpoint_sha256 = save(result.backbone)
     loss_csv = args.loss_csv or f"{args.out}.loss.csv"
     loss_csv_sha256 = write_loss_csv(loss_csv, result.losses)
     write_manifest(

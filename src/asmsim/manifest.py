@@ -30,15 +30,18 @@ def file_sha256(path) -> str:
 def write_atomic(path, data: bytes) -> str:
     """Write `data` to `path` whole or not at all (a temp file in the same
     directory, then `os.replace`) and return its hex SHA-256. Raises OSError if
-    it cannot, leaving the previous file as it was and no temp file behind."""
+    it cannot, naming `path`, not the temp file, and leaving the previous file
+    as it was and no temp file behind."""
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         with open(tmp, "xb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:   # the temp file is gone
+            exc.filename, exc.filename2 = path, None
         raise
     return hashlib.sha256(data).hexdigest()
 

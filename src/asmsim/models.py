@@ -15,8 +15,9 @@ distinct token: each textcnn function max-pools over its own output rows,
 and the lstm's width-1 convolution is the input side of its four gates, one
 unpadded row per instruction, which one `lstm` node runs through the
 recurrence. Every backbone has one forward, `embed_batch`, which maps each
-function to a fixed-width embedding in caller order; both sides of a
-training pair run through the same parameter set.
+function to a fixed-width embedding in caller order; a training step runs
+it once over its batch's distinct functions and gathers both pair sides from
+those rows.
 
 The PAD embedding row (id 0) is never read, so nothing trains it: it is
 zeroed at init, left out of the parameter count, and its gradient is exactly

@@ -2,8 +2,11 @@
 
 Positive pairs (label +1) are pulled toward cosine 1 via 1 - cos; negative
 pairs (label -1) are pushed below the margin via max(0, cos - margin), so a
-negative pair already under the margin contributes nothing. Both sides of a
-pair are embedded by the same parameter set within the same step.
+negative pair already under the margin contributes nothing. A step embeds
+each distinct function of its batch once, in one forward, and gathers both
+pair sides from those rows, so both sides see the same parameters and a
+function's repeats share one row: their gradients sum in the gather's
+backward, and the mixer draws one dropout mask per distinct function.
 """
 
 from __future__ import annotations
@@ -85,7 +88,8 @@ def train(corpus: CorpusIndex, vocab: Vocabulary, backbone_cfg: BackboneConfig,
           cfg: TrainConfig, checkpoint_cb=None) -> TrainResult:
     """Run the siamese loop; returns the trained backbone and per-batch losses.
 
-    Records are encoded once; batch k holds stream pairs [k*B, (k+1)*B).
+    Records are encoded once; batch k holds stream pairs [k*B, (k+1)*B) and
+    makes one forward over their distinct records.
     `checkpoint_cb(backbone, batch_index, reason)` fires every
     `checkpoint_every` batches ("interval") and at each epoch end ("epoch").
     Identical seeds reproduce the stream, the updates, and the loss trace.
@@ -108,17 +112,19 @@ def train(corpus: CorpusIndex, vocab: Vocabulary, backbone_cfg: BackboneConfig,
             raise DataError("corpus yields no training pairs (identical variants or one family)")
         for start in range(0, len(stream), cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
-            e1 = backbone.embed_batch([encs[i] for i in stream.anchor[batch]],
-                                      training=True, rng=dropout_rng)
-            e2 = backbone.embed_batch([encs[i] for i in stream.other[batch]],
-                                      training=True, rng=dropout_rng)
+            # one forward over the batch's distinct records, gathered into both sides
+            uniq, inv = np.unique(np.concatenate([stream.anchor[batch], stream.other[batch]]),
+                                  return_inverse=True)
+            emb = backbone.embed_batch([encs[i] for i in uniq], training=True, rng=dropout_rng)
+            n = len(inv) // 2
+            e1, e2 = ad.embedding(emb, inv[:n]), ad.embedding(emb, inv[n:])
             loss = cosine_pair_loss_batch(e1, e2, stream.labels[batch], margin=cfg.margin)
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss at batch {result.n_batches}")
             loss.backward()
             opt.step()              # consumes the gradients: the returned backbone holds none
-            del e1, e2, loss  # this batch's graph must not live through the next forward
+            del emb, e1, e2, loss  # this batch's graph must not live through the next forward
             result.losses.append(value)
             if checkpoint_cb is not None and result.n_batches % cfg.checkpoint_every == 0:
                 checkpoint_cb(backbone, result.n_batches, "interval")

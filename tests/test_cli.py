@@ -893,7 +893,7 @@ def _full_disk_from(monkeypatch, where, writer):
     ("vocab", None, ["out.txt", "out.txt.manifest.json"]),
     ("eval", None, ["out.json", "out.txt", "out.json.manifest.json"]),
     ("embed", None, ["out.jsonl", "out.jsonl.manifest.json"]),
-    ("train", "write_loss_csv", ["out.ckpt.loss.csv", "out.ckpt.manifest.json"]),
+    ("train", "write_loss_csv", ["out.ckpt.loss.csv"]),   # its manifest is removed, below
     ("embed", "write_manifest", ["out.jsonl.manifest.json"]),
 ])
 def test_full_disk_leaves_the_previous_artifact(workdir, tmp_path, capsys, monkeypatch,
@@ -912,6 +912,39 @@ def test_full_disk_leaves_the_previous_artifact(workdir, tmp_path, capsys, monke
     for name in kept:
         assert (where / name).read_bytes() == b"previous\n", name
     assert not [p.name for p in where.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_train_failed_write_leaves_no_stale_manifest(workdir, tmp_path, capsys, monkeypatch):
+    """The previous run's manifest is gone before the first checkpoint write,
+    an interval one included, so a run that fails after it leaves no manifest
+    describing another checkpoint."""
+    where = _inputs(workdir, tmp_path / "run")
+    assert main(_argv("train", where)) == 0
+    capsys.readouterr()
+    stale = where / "out.ckpt.manifest.json"
+    assert stale.exists()
+    real_save, at_save = cli.save_checkpoint, []
+
+    def spy_save(path, *args):
+        at_save.append(stale.exists())
+        return real_save(path, *args)
+
+    def fail(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "save_checkpoint", spy_save)
+    monkeypatch.setattr(cli, "write_loss_csv", fail)
+    assert main(_argv("train", where) + ["--checkpoint-every", "1"]) == 2
+    _one_error_line(capsys, os.strerror(errno.ENOSPC))
+    assert len(at_save) > 2 and not any(at_save)
+    assert not stale.exists()
+
+
+def test_write_failure_names_the_artifact_not_its_temp_file(workdir, tmp_path, capsys):
+    out = tmp_path / "nodir" / "v.txt"
+    assert main(["vocab", str(workdir / "data.jsonl"), "--out", str(out)]) == 2
+    _one_error_line(capsys, f"{os.strerror(errno.ENOENT)}: {out}\n")
+    assert not out.parent.exists()
 
 
 def _open_calls(node, function=None):

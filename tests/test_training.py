@@ -1,5 +1,6 @@
 """Pair-loss contract, siamese loop behavior, and run-to-run determinism."""
 
+import dataclasses
 import hashlib
 import importlib
 import weakref
@@ -10,7 +11,7 @@ import pytest
 import asmsim.autodiff as ad
 from asmsim.corpus import CorpusIndex, FunctionRecord
 from asmsim.errors import DataError, NumericError
-from asmsim.models import VARIANTS, BackboneConfig
+from asmsim.models import VARIANTS, BackboneConfig, build_backbone
 from asmsim.optim import finite_diff_check
 from asmsim.tokenizer import PAD_ID, build_vocab, encode_function
 from asmsim.train import (
@@ -130,8 +131,9 @@ def test_train_runs_and_counts_batches():
 
 
 def test_batches_are_consecutive_stream_slices(monkeypatch):
-    """Batch k embeds and scores exactly the stream's pairs [k*B, (k+1)*B),
-    in stream order, with a short last batch in each epoch."""
+    """Batch k makes one forward over exactly the distinct records of the
+    stream's pairs [k*B, (k+1)*B) and scores those pairs in stream order,
+    with a short last batch in each epoch."""
     from asmsim.models import Backbone
 
     train_mod = importlib.import_module("asmsim.train")  # the package re-exports train()
@@ -147,11 +149,13 @@ def test_batches_are_consecutive_stream_slices(monkeypatch):
         return streams[-1]
 
     def spy_embed(self, encs, training=False, rng=None):
-        embedded.append([e.token_ids for e in encs])
-        return orig_embed(self, encs, training=training, rng=rng)
+        out = orig_embed(self, encs, training=training, rng=rng)
+        embedded.append({e.token_ids.tobytes(): row for e, row in zip(encs, out.data)})
+        assert len(embedded[-1]) == len(encs)         # no record twice in one forward
+        return out
 
     def spy_loss(e1, e2, labels, margin):
-        scored.append(list(labels))
+        scored.append((e1.data, e2.data, list(labels)))
         return orig_loss(e1, e2, labels, margin=margin)
 
     monkeypatch.setattr(train_mod, "make_pairs", spy_pairs)
@@ -160,20 +164,25 @@ def test_batches_are_consecutive_stream_slices(monkeypatch):
     train(corpus, vocab, bcfg, TrainConfig(seed=13, batch_size=batch, epochs=2, negatives=2))
 
     ids = [encode_function(vocab, r, k_tokens=bcfg.tokens_per_instruction,
-                           max_positions=bcfg.max_positions).token_ids for r in corpus.records]
+                           max_positions=bcfg.max_positions).token_ids.tobytes()
+           for r in corpus.records]
+    assert len(set(ids)) == len(ids)                  # a record is known by its token ids
     expected = []
     for stream in streams:
         assert len(stream) % batch != 0
         pairs = list(stream)
         expected += [pairs[s:s + batch] for s in range(0, len(pairs), batch)]
-    assert len(streams) == 2 and len(scored) == len(expected) and len(embedded) == 2 * len(expected)
+    assert len(streams) == 2 and len(scored) == len(embedded) == len(expected)
+    repeats = 0
     for k, pairs in enumerate(expected):
-        for side, got in zip(("anchor", "other"), embedded[2 * k:2 * k + 2]):
-            want = [ids[corpus.records.index(getattr(p, side))] for p in pairs]
-            assert len(got) == len(want)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (k, side)
-        assert scored[k] == [p.label for p in pairs]
-    assert len(expected[-1]) < batch
+        sides = [[ids[corpus.records.index(getattr(p, side))] for p in pairs]
+                 for side in ("anchor", "other")]
+        assert set(embedded[k]) == set(sides[0] + sides[1]), k
+        repeats += len(sides[0] + sides[1]) - len(embedded[k])
+        for got, want in zip(scored[k][:2], sides):
+            np.testing.assert_array_equal(got, [embedded[k][key] for key in want])
+        assert scored[k][2] == [p.label for p in pairs]
+    assert repeats > 0 and len(expected[-1]) < batch
 
 
 def test_batch_graph_freed_before_next_forward(monkeypatch):
@@ -238,25 +247,123 @@ def test_zero_epochs_returns_seeded_init():
     assert a.backbone.fingerprint() == b.backbone.fingerprint()
 
 
-def test_pair_sides_share_parameters():
+def test_pair_sides_share_parameters(monkeypatch):
+    """Both sides of every pair are rows gathered from the batch's one
+    forward, so they see the same parameters."""
+    from asmsim.models import Backbone
+
+    train_mod = importlib.import_module("asmsim.train")
     corpus, vocab, bcfg = setup()
-    cfg = TrainConfig(seed=41, batch_size=8, epochs=1, negatives=1)
-    fingerprints = []
-    from asmsim.models import TextCNN
-    orig = TextCNN.embed_batch
+    forwards, sides = [], []
+    orig_embed, orig_loss = Backbone.embed_batch, train_mod.cosine_pair_loss_batch
 
-    def spy(self, encs, training=False, rng=None):
-        fingerprints.append(self.fingerprint())
-        return orig(self, encs, training=training, rng=rng)
+    def spy_embed(self, encs, training=False, rng=None):
+        forwards.append(orig_embed(self, encs, training=training, rng=rng))
+        return forwards[-1]
 
-    TextCNN.embed_batch = spy
-    try:
-        train(corpus, vocab, bcfg, cfg)
-    finally:
-        TextCNN.embed_batch = orig
-    assert len(fingerprints) >= 2 and len(fingerprints) % 2 == 0
-    for i in range(0, len(fingerprints), 2):
-        assert fingerprints[i] == fingerprints[i + 1]  # same params for both sides
+    def spy_loss(e1, e2, labels, margin):
+        sides.append((e1, e2))
+        return orig_loss(e1, e2, labels, margin=margin)
+
+    monkeypatch.setattr(Backbone, "embed_batch", spy_embed)
+    monkeypatch.setattr(train_mod, "cosine_pair_loss_batch", spy_loss)
+    result = train(corpus, vocab, bcfg, TrainConfig(seed=41, batch_size=8, epochs=1,
+                                                    negatives=1))
+    assert len(forwards) == len(sides) == result.n_batches >= 2
+    for out, pair_sides in zip(forwards, sides):
+        for side in pair_sides:
+            assert side._parents == (out,)
+            assert all((out.data == row).all(axis=1).any() for row in side.data)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_forward_step_matches_two_per_side_forwards(monkeypatch, variant):
+    """The gathers' backward sums the gradients of a record's repeats, so the
+    parameter gradients of a training step equal those of embedding each pair
+    side in a forward of its own (the mixer without dropout)."""
+    train_mod = importlib.import_module("asmsim.train")
+    corpus, vocab, _ = setup()
+    bcfg = dataclasses.replace(tiny_cfg(vocab.size, variant), mixer_dropout=0.0)
+    cfg = TrainConfig(seed=43, batch_size=16, negatives=2)
+    streams, steps = [], []
+    orig_pairs = train_mod.make_pairs
+
+    def spy_pairs(*args, **kwargs):
+        streams.append(orig_pairs(*args, **kwargs))
+        return streams[-1]
+
+    class SpyAdam(train_mod.Adam):
+        def step(self):
+            steps.append({n: (p.data.copy(), p.grad.copy()) for n, p in self.params.items()})
+            super().step()
+
+    monkeypatch.setattr(train_mod, "make_pairs", spy_pairs)
+    monkeypatch.setattr(train_mod, "Adam", SpyAdam)
+    train(corpus, vocab, bcfg, cfg)
+    batch = slice(0, cfg.batch_size)
+    anchor, other = streams[0].anchor[batch], streams[0].other[batch]
+    assert len(np.unique(np.concatenate([anchor, other]))) < 2 * len(anchor)   # repeats
+
+    # the reference: the first step's parameters, each side in a forward of its own
+    model = build_backbone(bcfg)
+    for name, (data, _) in steps[0].items():
+        model.params[name].data = data
+    encs = [encode_function(vocab, r, k_tokens=bcfg.tokens_per_instruction,
+                            max_positions=bcfg.max_positions) for r in corpus.records]
+    e1 = model.embed_batch([encs[i] for i in anchor], training=True)
+    e2 = model.embed_batch([encs[i] for i in other], training=True)
+    cosine_pair_loss_batch(e1, e2, streams[0].labels[batch], margin=cfg.margin).backward()
+    # float32 sums in another order; an atol on the step's largest gradient
+    # covers parameters whose gradient is zero up to rounding (the mixer's tok.b2)
+    atol = 1e-6 * max(np.abs(p.grad).max() for p in model.params.values())
+    for name, (_, grad) in steps[0].items():
+        np.testing.assert_allclose(grad, model.params[name].grad, rtol=1e-5, atol=atol,
+                                   err_msg=name)
+
+
+def test_mixer_dropout_masks_each_distinct_record_once(monkeypatch):
+    """With dropout on, every occurrence of a record in a batch gets the same
+    row: one mask per distinct record per step."""
+    from asmsim.models import Backbone
+
+    train_mod = importlib.import_module("asmsim.train")
+    corpus, vocab, _ = setup()
+    bcfg = tiny_cfg(vocab.size, "mixer")
+    assert bcfg.mixer_dropout > 0
+    streams, scored, dropped = [], [], []
+    orig_pairs, orig_embed, orig_loss = (train_mod.make_pairs, Backbone.embed_batch,
+                                         train_mod.cosine_pair_loss_batch)
+
+    def spy_pairs(*args, **kwargs):
+        streams.append(orig_pairs(*args, **kwargs))
+        return streams[-1]
+
+    def spy_embed(self, encs, training=False, rng=None):
+        out = orig_embed(self, encs, training=training, rng=rng)
+        with ad.no_grad():
+            dropped.append(not np.array_equal(out.data, orig_embed(self, encs).data))
+        return out
+
+    def spy_loss(e1, e2, labels, margin):
+        scored.append((e1.data, e2.data))
+        return orig_loss(e1, e2, labels, margin=margin)
+
+    monkeypatch.setattr(train_mod, "make_pairs", spy_pairs)
+    monkeypatch.setattr(Backbone, "embed_batch", spy_embed)
+    monkeypatch.setattr(train_mod, "cosine_pair_loss_batch", spy_loss)
+    cfg = TrainConfig(seed=47, batch_size=16, negatives=2)
+    train(corpus, vocab, bcfg, cfg)
+    assert all(dropped)
+    stream, repeats = streams[0], 0
+    for k, (e1, e2) in enumerate(scored):
+        batch = slice(k * cfg.batch_size, (k + 1) * cfg.batch_size)
+        records = np.concatenate([stream.anchor[batch], stream.other[batch]])
+        rows = np.concatenate([e1, e2])
+        for r in np.unique(records):
+            same = rows[records == r]
+            repeats += len(same) - 1
+            np.testing.assert_array_equal(same, np.broadcast_to(same[0], same.shape))
+    assert repeats > 0
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
