@@ -19,13 +19,13 @@ from .models import (
     BackboneConfig, build_backbone, load_checkpoint, save_checkpoint,
 )
 from .tokenizer import Vocabulary, build_vocab, encode_function
-from .train import TrainConfig, cosine_pair_loss, train
+from .train import TrainConfig, train
 
 __all__ = [
     "AsmsimError", "BackboneConfig", "CorpusIndex", "DEFAULT_OPT_PAIRS",
     "DataError", "EvalReport", "FunctionRecord", "NumericError", "OPT_LEVELS",
     "TrainConfig", "Vocabulary", "__version__", "build_backbone", "build_pool",
-    "build_vocab", "cosine_pair_loss", "encode_function", "evaluate_model",
+    "build_vocab", "encode_function", "evaluate_model",
     "load_checkpoint", "load_dataset", "make_pairs", "mrr", "recall_at_k",
     "save_checkpoint", "save_dataset", "train",
 ]

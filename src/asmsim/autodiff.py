@@ -10,13 +10,13 @@ packing as one [B] array of per-function row counts over consecutive rows:
 [N, C] input and keeps every window inside one function, `segment_max` pools
 each function's run of output rows, and `lstm` runs a whole recurrence as one
 node, with a hand-written backward through time. `mlp` runs a mixer MLP
-(affine, GELU, dropout, affine, dropout) as one node that keeps two float
-arrays and two bool masks for its backward.
+(affine, GELU, dropout, affine with or without bias, dropout) as one node
+that keeps two float arrays and two bool masks for its backward.
 `affine`, `layer_norm`, `mlp` and the elementwise kernels accept any leading axes.
 The lookup kernels, `embedding` and `token_conv`, share one padding rule: id
 -1, token or position, reads a zero vector and sends no gradient to any row.
 A graph stays in the dtype of its leaves: training runs in float32, the
-gradient-check harness builds float64 graphs.
+tests' finite-difference checks build float64 graphs.
 """
 
 from __future__ import annotations
@@ -143,10 +143,6 @@ class Tensor:
         return mul(self, 1.0 / float(other))
 
 
-def parameter(data, dtype=np.float32) -> Tensor:
-    return Tensor(np.array(data, dtype=dtype), requires_grad=True)
-
-
 def constant(data, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=False, dtype=dtype)
 
@@ -268,7 +264,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _node(out_data, (x, gamma, beta), backward)
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None, rate: float,
         rng: np.random.Generator | None) -> Tensor:
     """affine -> exact GELU -> dropout -> affine -> dropout over the last axis, as one node.
 
@@ -281,14 +277,15 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
     backward, not copied here); the GELU output and both dropout outputs are
     recomputed from them. Recomputing cdf would cost an erf, about one GEMM.
 
-    x [..., n], w1 [n, k], b1 [k], w2 [k, m], b2 [m] -> [..., m].
+    x [..., n], w1 [n, k], b1 [k], w2 [k, m], b2 [m] or None (no output
+    bias) -> [..., m].
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate and rng is None:
         raise ValueError("a training-mode mixer needs an RNG for dropout")
     for w, b in ((w1, b1), (w2, b2)):
-        if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[1]:
+        if w.ndim != 2 or (b is not None and b.shape != (w.shape[1],)):
             raise ValueError(f"mlp weight/bias mismatch: w {w.shape}, b {b.shape}")
     if x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
         raise ValueError(f"mlp widths do not chain: x {x.shape}, w1 {w1.shape}, w2 {w2.shape}")
@@ -299,7 +296,8 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
     def keep(mask):                       # the float mask dropout scales by
         return mask.astype(dt) / scale
 
-    record = _recording(x, w1, b1, w2, b2)
+    inputs = (x, w1, b1, w2) if b2 is None else (x, w1, b1, w2, b2)
+    record = _recording(*inputs)
     h = x.data.reshape(-1, x.data.shape[-1]) @ w1.data + b1.data
     cdf = 0.5 * (1.0 + erf(h * INV_SQRT2))
     a = h * cdf
@@ -309,7 +307,9 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
     if rate:
         mask1 = rng.random(lead + (hid,)).reshape(a.shape) >= rate
         a *= keep(mask1)
-    y = a @ w2.data + b2.data
+    y = a @ w2.data
+    if b2 is not None:
+        y += b2.data
     del a
     if rate:
         mask2 = rng.random(lead + (m,)).reshape(y.shape) >= rate
@@ -325,7 +325,8 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
             g2 = g2 * keep(mask2)
             a *= keep(mask1)
         _accum(w2, a.T @ g2)
-        _accum(b2, g2.sum(axis=0))
+        if b2 is not None:
+            _accum(b2, g2.sum(axis=0))
         del a
         gh = g2 @ w2.data.T
         if rate:
@@ -340,7 +341,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float,
         _accum(b1, gh.sum(axis=0))
         _accum(x, (gh @ w1.data.T).reshape(x.data.shape))
 
-    return _node(out_data, (x, w1, b1, w2, b2), backward)
+    return _node(out_data, inputs, backward)
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -660,12 +661,3 @@ def pairwise_cosine(u: Tensor, v: Tensor, eps: float = 1e-8) -> Tensor:
 
     return _node(cos, (u, v), backward)
 
-
-def cosine(u, v, eps: float = 1e-8) -> Tensor:
-    """Cosine similarity of two vectors as a scalar tensor."""
-    u = _wrap(u, None)
-    v = _wrap(v, u.dtype)
-    if u.ndim != 1 or v.shape != u.shape:
-        raise ValueError(f"cosine needs two equal-length vectors, got {u.shape}, {v.shape}")
-    row = pairwise_cosine(reshape(u, (1, -1)), reshape(v, (1, -1)), eps=eps)
-    return reshape(row, ())

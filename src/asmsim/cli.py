@@ -58,8 +58,9 @@ _TRAIN_KEYS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)
 
 
 def read_config_file(path) -> dict:
-    """`key = value` per line; blank lines and '#' comments are ignored."""
-    out = {}
+    """`key = value` per line, each key at most once; blank lines and '#'
+    comments are ignored."""
+    out, first_line = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -77,6 +78,10 @@ def read_config_file(path) -> dict:
             raise DataError(
                 f"{path}:{lineno}: unknown key {key!r} "
                 f"(expected one of {', '.join(sorted(_TRAIN_KEYS))})")
+        if key in first_line:
+            raise DataError(f"{path}:{lineno}: repeated key {key!r} "
+                            f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
         try:
             out[key] = _TRAIN_KEYS[key](value)
         except ValueError:
@@ -132,14 +137,18 @@ def cmd_train(args) -> int:
     tcfg = _merge_train_config(args)
     bcfg = BackboneConfig(variant=args.backbone, vocab_size=vocab.size)
 
-    def save(backbone):
-        # the previous run's manifest must not outlive the checkpoint it describes
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(manifest_path_for(args.out))
-        return save_checkpoint(args.out, backbone, vocab)
+    written = {}   # batch index -> SHA-256 of its checkpoint: each state is written once
 
-    result = train(corpus, vocab, bcfg, tcfg, checkpoint_cb=lambda bb, i, reason: save(bb))
-    checkpoint_sha256 = save(result.backbone)
+    def save(backbone, batch):
+        if batch not in written:
+            # the previous run's manifest must not outlive the checkpoint it describes
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(manifest_path_for(args.out))
+            written[batch] = save_checkpoint(args.out, backbone, vocab)
+        return written[batch]
+
+    result = train(corpus, vocab, bcfg, tcfg, checkpoint_cb=lambda bb, i, reason: save(bb, i))
+    checkpoint_sha256 = save(result.backbone, result.n_batches)
     loss_csv = args.loss_csv or f"{args.out}.loss.csv"
     loss_csv_sha256 = write_loss_csv(loss_csv, result.losses)
     write_manifest(
@@ -170,6 +179,8 @@ def _parse_opt_pairs(items) -> tuple:
 
 
 def cmd_eval(args) -> int:
+    if args.seed < 0:
+        raise DataError(f"--seed must be >= 0, got {args.seed}")
     corpus = load_dataset(args.dataset)
     backbone, vocab = load_checkpoint(args.checkpoint)
     pairs = _parse_opt_pairs(args.opt_pairs) if args.opt_pairs else DEFAULT_OPT_PAIRS

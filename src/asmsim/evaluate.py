@@ -115,19 +115,6 @@ def _encode_all(backbone: Backbone, vocab: Vocabulary, records):
                             max_positions=cfg.max_positions) for r in records]
 
 
-def rank_target_pool(backbone: Backbone, vocab: Vocabulary,
-                     query: FunctionRecord, targets) -> tuple[np.ndarray, np.ndarray]:
-    """Rank `targets` against `query`: returns (order, scores).
-
-    `order` is a permutation of target indices, best first; `scores` are the
-    cosine similarities in original target order.
-    """
-    q = backbone.embed_matrix(_encode_all(backbone, vocab, [query]))
-    t = backbone.embed_matrix(_encode_all(backbone, vocab, list(targets)))
-    scores = cosine_matrix(q, t)[0]
-    return descending_order(scores), scores
-
-
 @dataclass
 class PoolResult:
     opt_pair: tuple[str, str]

@@ -57,7 +57,6 @@ class BackboneConfig:
     max_positions: int = DEFAULT_MAX_POSITIONS
     conv_widths: tuple[int, ...] = (5, 5, 5, 5, 3, 3)
     conv_channels: int = 192
-    lstm_hidden: int = 192
     mixer_layers: int = 2
     mixer_token_hidden: int = 256
     mixer_channel_hidden: int = 1152
@@ -68,7 +67,7 @@ class BackboneConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         for name in ("vocab_size", "embed_dim", "tokens_per_instruction", "output_dim",
-                     "max_positions", "conv_channels", "lstm_hidden", "mixer_layers",
+                     "max_positions", "conv_channels", "mixer_layers",
                      "mixer_token_hidden", "mixer_channel_hidden", "mixer_seq_len"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -82,9 +81,6 @@ class BackboneConfig:
             raise ValueError("conv_widths must be one or more widths >= 1")
         if not 0.0 <= self.mixer_dropout < 1.0:
             raise ValueError("mixer_dropout must be in [0, 1)")
-        if self.variant == "lstm" and self.lstm_hidden != self.output_dim:
-            raise ValueError("the LSTM's final hidden state is the embedding, so "
-                             "lstm_hidden must equal output_dim")
 
     @property
     def grid_width(self) -> int:
@@ -224,11 +220,6 @@ class Backbone:
             self._validate_ids(e)
         return self._forward(encs, training, rng)
 
-    def embed(self, enc: EncodedFunction, training: bool = False,
-              rng: np.random.Generator | None = None) -> Tensor:
-        """One function's [E] embedding: the single row of embed_batch([enc])."""
-        return ad.reshape(self.embed_batch([enc], training=training, rng=rng), (-1,))
-
     def embed_matrix(self, encs) -> np.ndarray:
         """Inference embeddings as a plain [N, E] array."""
         if not encs:
@@ -290,7 +281,8 @@ class TextCNN(Backbone):
 
 
 class LSTMNet(Backbone):
-    """Single-layer LSTM over instruction vectors; the last hidden state is the embedding.
+    """Single-layer LSTM over instruction vectors; the last hidden state is the
+    embedding, so the hidden width is output_dim.
 
     Gates follow the classic coupled form on the concatenation [h_{t-1}, x_t]:
     input, forget, and output gates are sigmoids, the candidate cell is a tanh,
@@ -306,7 +298,7 @@ class LSTMNet(Backbone):
 
     @classmethod
     def layout(cls, cfg):
-        hid, h = cfg.lstm_hidden, cfg.grid_width
+        hid, h = cfg.output_dim, cfg.grid_width
         init = _uniform(hid + h)
         return super().layout(cfg) + [("w_h", (hid, 4 * hid), init),
                                       ("w_x", (h, 1, 4 * hid), init),
@@ -329,7 +321,9 @@ class Mixer(Backbone):
     token sequence. Each token-mixing and channel-mixing MLP is one `ad.mlp`
     node, which keeps only its pre-activation, its GELU cdf and two bool
     dropout masks for the backward. Dropout applies inside the MLPs on
-    training passes only.
+    training passes only. The token-mixing MLP has no output bias: it would
+    add one constant per instruction row across all channels, which the
+    channel-wise `layer_norm` after every residual sum removes again.
     """
 
     @classmethod
@@ -341,7 +335,7 @@ class Mixer(Backbone):
             p = f"layer{layer}."
             out += [(p + "ln1.g", (c,), 1.0), (p + "ln1.b", (c,), 0.0),
                     (p + "tok.w1", (s, th), _uniform(s)), (p + "tok.b1", (th,), 0.0),
-                    (p + "tok.w2", (th, s), _uniform(th)), (p + "tok.b2", (s,), 0.0),
+                    (p + "tok.w2", (th, s), _uniform(th)),
                     (p + "ln2.g", (c,), 1.0), (p + "ln2.b", (c,), 0.0),
                     (p + "ch.w1", (c, ch), _uniform(c)), (p + "ch.b1", (ch,), 0.0),
                     (p + "ch.w2", (ch, c), _uniform(ch)), (p + "ch.b2", (c,), 0.0)]
@@ -359,8 +353,8 @@ class Mixer(Backbone):
         rate = cfg.mixer_dropout if training else 0.0
 
         def mlp(x, name):
-            w1, b1, w2, b2 = (self.params[name + k] for k in ("w1", "b1", "w2", "b2"))
-            return ad.mlp(x, w1, b1, w2, b2, rate, rng)
+            w1, b1, w2 = (self.params[name + k] for k in ("w1", "b1", "w2"))
+            return ad.mlp(x, w1, b1, w2, self.params.get(name + "b2"), rate, rng)  # tok.: none
 
         for layer in range(cfg.mixer_layers):
             p = f"layer{layer}."
@@ -378,16 +372,17 @@ _VARIANT_CLASSES = {"textcnn": TextCNN, "lstm": LSTMNet, "mixer": Mixer}
 
 def build_backbone(cfg: BackboneConfig, seed: int | np.random.SeedSequence | np.random.Generator = 0,
                    dtype=np.float32) -> Backbone:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _VARIANT_CLASSES[cfg.variant](cfg, rng, dtype=dtype)
+    # default_rng returns a Generator as it is
+    return _VARIANT_CLASSES[cfg.variant](cfg, np.random.default_rng(seed), dtype=dtype)
 
 
 # ------------------------------------------------------------------ checkpoints
 
 CHECKPOINT_MAGIC = b"ASMSIMB1"
 # 64-byte aligned blocks in each variant's `layout`: conv kernels as
-# [C_in, W, C_out], the lstm's four gates as w_x [H, 1, 4h], w_h [h, 4h], b [4h]
-CHECKPOINT_VERSION = 3
+# [C_in, W, C_out], the lstm's four gates as w_x [H, 1, 4h], w_h [h, 4h], b [4h],
+# the mixer's token MLPs without an output bias
+CHECKPOINT_VERSION = 4
 _ALIGN = 64
 
 
@@ -439,7 +434,7 @@ class _Reader:
 
 
 def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
-    """Read a version 3 checkpoint; any other version is a DataError. The file
+    """Read a version 4 checkpoint; any other version is a DataError. The file
     is read once into one 64-byte aligned buffer, each block a writable float32
     view into it; the backbone keeps its trailer and SHA-256 (`checkpoint_*`)."""
     with open(path, "rb") as fh:

@@ -40,6 +40,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.seed is None:
             raise ValueError("training requires an explicit seed")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
@@ -52,12 +54,6 @@ class TrainConfig:
             raise ValueError(f"margin must be in [0, 1], got {self.margin}")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-
-
-def cosine_pair_loss(e1: Tensor, e2: Tensor, y: int, margin: float = DEFAULT_MARGIN) -> Tensor:
-    """Scalar loss for one pair of [E] embeddings with label y in {+1, -1}:
-    the batch loss over that one pair."""
-    return cosine_pair_loss_batch(ad.reshape(e1, (1, -1)), ad.reshape(e2, (1, -1)), [y], margin)
 
 
 def cosine_pair_loss_batch(e1: Tensor, e2: Tensor, labels, margin: float = DEFAULT_MARGIN) -> Tensor:

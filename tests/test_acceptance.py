@@ -13,19 +13,21 @@ import asmsim.autodiff as ad
 from asmsim.cli import main
 from asmsim.corpus import CorpusIndex, FunctionRecord, save_dataset
 from asmsim.evaluate import (
-    build_pool, evaluate_model, mrr, rank_target_pool, recall_at_k,
+    build_pool, cosine_matrix, descending_order, evaluate_model, evaluate_pool, mrr,
+    recall_at_k,
 )
 from asmsim.models import BackboneConfig, build_backbone
-from asmsim.optim import finite_diff_check
 from asmsim.synthetic import SynthConfig, generate
 from asmsim.tokenizer import (
     UNK_ID, EncodedFunction, Vocabulary, build_vocab, encode_function,
 )
-from asmsim.train import TrainConfig, cosine_pair_loss, train
+from asmsim.train import TrainConfig, cosine_pair_loss_batch, train
+from gradcheck import finite_diff_check
 
 
 def vec(values):
-    return ad.parameter(np.asarray(values, dtype=np.float64), dtype=np.float64)
+    """One float64 [1, E] pair side: a batch of one pair."""
+    return ad.Tensor(np.asarray(values, dtype=np.float64).reshape(1, -1), requires_grad=True)
 
 
 # ------------------------------------------------------------- 1: gradients
@@ -41,9 +43,7 @@ def _small_config(variant, rng):
         kwargs["conv_widths"] = tuple(
             int(w) for w in rng.choice([2, 3, 4], size=int(rng.integers(2, 4))))
         kwargs["conv_channels"] = int(rng.integers(3, 6))
-    elif variant == "lstm":
-        kwargs["lstm_hidden"] = e
-    else:
+    elif variant == "mixer":
         kwargs.update(mixer_layers=int(rng.integers(1, 3)),
                       mixer_token_hidden=int(rng.integers(3, 6)),
                       mixer_channel_hidden=int(rng.integers(4, 8)),
@@ -74,8 +74,8 @@ def test_1_gradients_match_finite_differences():
             y = 1 if trial % 2 == 0 else -1
 
             def f():
-                return cosine_pair_loss(backbone.embed(enc_a),
-                                        backbone.embed(enc_b), y, margin=0.2)
+                return cosine_pair_loss_batch(backbone.embed_batch([enc_a]),
+                                              backbone.embed_batch([enc_b]), [y], margin=0.2)
 
             report = finite_diff_check(f, backbone.params, rng=rng,
                                        max_coords_per_param=8)
@@ -87,7 +87,7 @@ def test_1_gradients_match_finite_differences():
         e1, e2 = vec(a), vec(b)
         for y in (1, -1):
             report = finite_diff_check(
-                lambda: cosine_pair_loss(e1, e2, y, margin=0.2),
+                lambda: cosine_pair_loss_batch(e1, e2, [y], margin=0.2),
                 {"e1": e1, "e2": e2}, rng=rng)
             assert report.passed, report.per_param
     assert time.monotonic() - t0 < 120.0
@@ -133,11 +133,15 @@ def test_3_metrics_and_ranking_match_brute_force():
                          max_positions=64, conv_widths=(3, 2), conv_channels=6)
     backbone = build_backbone(cfg, seed=5)
     pool = build_pool(corpus, ("O0", "O3"), n=100, seed=3)
-    for query in pool.queries[:5]:
-        order, scores = rank_target_pool(backbone, vocab, query, pool.targets)
+    ranks = evaluate_pool(backbone, vocab, pool).ranks
+    embedded = [backbone.embed_matrix([encode_function(vocab, r, k_tokens=4, max_positions=64)
+                                       for r in side]) for side in (pool.queries, pool.targets)]
+    for q, scores in enumerate(cosine_matrix(*embedded)[:5]):
+        order = descending_order(scores)
         expected = sorted(range(len(pool.targets)),
                           key=lambda i: (-scores[i], i))
         assert list(order) == expected
+        assert ranks[q] == expected.index(q) + 1
 
 
 # ------------------------------------------------------------ 4: loss contract
@@ -148,14 +152,14 @@ def test_4_pair_loss_contract():
     rng = np.random.default_rng(4)
     for _ in range(5):
         e = rng.standard_normal(12)
-        assert cosine_pair_loss(vec(e), vec(e.copy()), y=1).item() == 0.0
+        assert cosine_pair_loss_batch(vec(e), vec(e.copy()), [1]).item() == 0.0
 
     for target in (0.0, 0.25, 0.5, 0.75, 0.88):
         u = vec([1.0, 0.0])
         v = vec([target, np.sqrt(1.0 - target * target)])
-        cos = ad.cosine(u, v).item()
+        cos = ad.pairwise_cosine(u, v).item()
         assert cos <= 0.9
-        assert cosine_pair_loss(u, v, y=-1, margin=0.9).item() == 0.0
+        assert cosine_pair_loss_batch(u, v, [-1], margin=0.9).item() == 0.0
 
     # boundary: find h with ||(0.9, h)|| rounding to exactly 1.0, so the
     # computed cosine equals the margin and the flat side of the hinge applies
@@ -168,15 +172,15 @@ def test_4_pair_loss_contract():
             break
     assert boundary_h is not None
     u, v = vec([1.0, 0.0]), vec([0.9, boundary_h])
-    assert ad.cosine(u, v).item() == 0.9
-    loss = cosine_pair_loss(u, v, y=-1, margin=0.9)
+    assert ad.pairwise_cosine(u, v).item() == 0.9
+    loss = cosine_pair_loss_batch(u, v, [-1], margin=0.9)
     assert loss.item() == 0.0
     loss.backward()
     np.testing.assert_array_equal(u.grad, 0.0)  # subgradient from the flat side
 
     u = vec([1.0, 0.0])
     v = vec([0.95, np.sqrt(1.0 - 0.95 ** 2)])
-    assert abs(cosine_pair_loss(u, v, y=-1, margin=0.9).item() - 0.05) <= 1e-7
+    assert abs(cosine_pair_loss_batch(u, v, [-1], margin=0.9).item() - 0.05) <= 1e-7
 
 
 # --------------------------------------------------------- 5: long functions

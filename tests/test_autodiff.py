@@ -1,5 +1,6 @@
 """Kernel-level checks: pinned examples plus finite-difference trials per kernel."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,13 +9,13 @@ from scipy import sparse
 from scipy.special import erf
 
 import asmsim.autodiff as ad
-from asmsim.optim import finite_diff_check
+from gradcheck import finite_diff_check
 
 TRIALS = 20
 
 
 def p64(rng, *shape):
-    return ad.parameter(rng.standard_normal(shape), dtype=np.float64)
+    return ad.Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
 
 
 def assert_grads_match(f, params, rng):
@@ -263,10 +264,10 @@ def test_segment_max_rejects_bad_segments():
 
 def test_segment_max_ties_send_gradient_to_first():
     """Tied maxima: only the first row of each segment and column gets the gradient."""
-    x = ad.parameter([[5.0, 1.0], [5.0, 2.0], [3.0, 2.0],     # segment 0: a tie in each column
-                      [0.0, 0.0],                            # segment 1: one row
-                      [1.0, 6.0], [4.0, 6.0], [4.0, 6.0]],   # segment 2: the first tie at row 1
-                     dtype=np.float64)
+    x = ad.Tensor([[5.0, 1.0], [5.0, 2.0], [3.0, 2.0],     # segment 0: a tie in each column
+                   [0.0, 0.0],                            # segment 1: one row
+                   [1.0, 6.0], [4.0, 6.0], [4.0, 6.0]],   # segment 2: the first tie at row 1
+                  requires_grad=True, dtype=np.float64)
     out = ad.segment_max(x, np.array([3, 1, 3]))
     np.testing.assert_array_equal(out.data, [[5.0, 2.0], [0.0, 0.0], [4.0, 6.0]])
     ad.sum_(out * np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])).backward()
@@ -280,7 +281,8 @@ def test_segment_max_ties_send_gradient_to_first():
 def test_segment_max_nan_segment():
     """A NaN pools to NaN; the backward pass sends that column nothing and still
     routes the other segments' gradients."""
-    x = ad.parameter([[1.0, 2.0], [np.nan, 0.0], [3.0, -1.0], [2.0, 5.0]], dtype=np.float64)
+    x = ad.Tensor([[1.0, 2.0], [np.nan, 0.0], [3.0, -1.0], [2.0, 5.0]],
+                  requires_grad=True, dtype=np.float64)
     out = ad.segment_max(x, np.array([2, 2]))
     np.testing.assert_array_equal(out.data, [[np.nan, 2.0], [3.0, 5.0]])
     ad.sum_(out * np.array([[1.0, 2.0], [3.0, 4.0]])).backward()
@@ -368,10 +370,16 @@ def test_embedding_gradient_distinct_and_repeated_ids():
             np.add.at(expected, ids[live], proj[live])
 
 
+def row(values):
+    """One float64 [1, E] row, the batch of one pair side that pairwise_cosine takes."""
+    return ad.constant(np.asarray(values, dtype=np.float64).reshape(1, -1))
+
+
 def test_cosine_examples():
-    assert ad.cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0])).item() == pytest.approx(0.70710678, abs=1e-8)
-    u = np.array([0.3, -1.2, 4.0])
-    assert ad.cosine(u, u).item() == 1.0
+    cos = ad.pairwise_cosine(row([1.0, 0.0]), row([1.0, 1.0]))
+    assert cos.item() == pytest.approx(0.70710678, abs=1e-8)
+    u = row([0.3, -1.2, 4.0])
+    assert ad.pairwise_cosine(u, u).item() == 1.0
 
 
 def test_cosine_scale_invariance():
@@ -379,14 +387,14 @@ def test_cosine_scale_invariance():
     for _ in range(50):
         u = rng.standard_normal(8)
         v = rng.standard_normal(8)
-        c1 = ad.cosine(u, v).item()
-        c2 = ad.cosine(1000.0 * u, v).item()
+        c1 = ad.pairwise_cosine(row(u), row(v)).item()
+        c2 = ad.pairwise_cosine(row(1000.0 * u), row(v)).item()
         assert abs(c1 - c2) <= 1e-12
 
 
 def test_cosine_zero_norm_warns_and_returns_zero():
     with pytest.warns(RuntimeWarning, match="norm"):
-        out = ad.cosine(np.zeros(4), np.ones(4))
+        out = ad.pairwise_cosine(row(np.zeros(4)), row(np.ones(4)))
     assert out.item() == 0.0
 
 
@@ -399,7 +407,7 @@ def test_layer_norm_constant_vector_is_zero_pre_affine():
 
 
 def test_relu_subgradient_zero_at_kink():
-    x = ad.parameter([0.0, -1.0, 2.0], dtype=np.float64)
+    x = ad.Tensor([0.0, -1.0, 2.0], requires_grad=True, dtype=np.float64)
     out = ad.sum_(ad.relu(x))
     out.backward()
     np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
@@ -415,7 +423,7 @@ def test_concat_errors():
 
 
 def test_embedding_out_of_range():
-    table = ad.parameter(np.zeros((4, 2)))
+    table = ad.Tensor(np.zeros((4, 2)), requires_grad=True, dtype=np.float32)
     for bad in (4, -2):
         with pytest.raises(ValueError, match=r"out of range \[-1, 4\)"):
             ad.embedding(table, np.array([0, bad]))
@@ -426,9 +434,11 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)    # a Python float keeps float32 arrays float3
 
 def ref_mlp(x, w1, b1, w2, b2, rate, rng):
     """numpy affine -> gelu -> dropout -> affine -> dropout, drawing each
-    inverted-dropout mask from rng as one rng.random over the layer's output."""
+    inverted-dropout mask from rng as one rng.random over the layer's output;
+    b2 None is a second affine without bias."""
     def affine(v, w, b):
-        return (v.reshape(-1, v.shape[-1]) @ w + b).reshape(*v.shape[:-1], w.shape[1])
+        out = v.reshape(-1, v.shape[-1]) @ w
+        return (out if b is None else out + b).reshape(*v.shape[:-1], w.shape[1])
 
     def drop(v):
         if not rate:
@@ -442,20 +452,22 @@ def ref_mlp(x, w1, b1, w2, b2, rate, rng):
 
 
 def mlp_args(rng, n, k, m, dtype):
-    return [ad.parameter(rng.standard_normal(shape), dtype=dtype)
+    return [ad.Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype)
             for shape in ((n, k), (k,), (k, m), (m,))]
 
 
 def test_mlp_matches_numpy_reference_bitwise():
     """float32, rate 0.1, from one seed: the node's forward is bit for bit the
     old composition's, on a transposed view (token mixing) and on a
-    contiguous input (channel mixing)."""
+    contiguous input (channel mixing), with and without the output bias."""
     rng = np.random.default_rng(40)
-    base = ad.parameter(rng.standard_normal((3, 7, 5)), dtype=np.float32)
-    for x in (ad.transpose(base, (0, 2, 1)), base):
+    base = ad.Tensor(rng.standard_normal((3, 7, 5)), requires_grad=True, dtype=np.float32)
+    for x, out_bias in itertools.product((ad.transpose(base, (0, 2, 1)), base), (True, False)):
         params = mlp_args(rng, x.shape[-1], 9, 4, np.float32)
+        if not out_bias:
+            params[3] = None
         out = ad.mlp(x, *params, 0.1, np.random.default_rng(41))
-        want = ref_mlp(x.data, *(p.data for p in params), 0.1, np.random.default_rng(41))
+        want = ref_mlp(x.data, *(None if p is None else p.data for p in params), 0.1, np.random.default_rng(41))
         assert out.dtype == np.float32 and out.shape == x.shape[:-1] + (4,)
         np.testing.assert_array_equal(out.data, want)
         assert np.any(want == 0.0) and np.all(np.isfinite(want))
@@ -463,7 +475,7 @@ def test_mlp_matches_numpy_reference_bitwise():
 
 def test_mlp_deterministic_given_seed():
     rng = np.random.default_rng(42)
-    x = ad.parameter(rng.standard_normal((6, 5)), dtype=np.float64)
+    x = ad.Tensor(rng.standard_normal((6, 5)), requires_grad=True, dtype=np.float64)
     params = mlp_args(rng, 5, 8, 5, np.float64)
     a = ad.mlp(x, *params, 0.4, np.random.default_rng(11)).data
     b = ad.mlp(x, *params, 0.4, np.random.default_rng(11)).data
@@ -489,7 +501,7 @@ def test_mlp_rate_and_rng_validation():
 
 
 def test_deep_graph_backward_is_iterative():
-    x = ad.parameter([1.0], dtype=np.float64)
+    x = ad.Tensor([1.0], requires_grad=True, dtype=np.float64)
     out = x
     for _ in range(5000):
         out = out + 0.0
@@ -498,7 +510,7 @@ def test_deep_graph_backward_is_iterative():
 
 
 def test_backward_frees_inner_gradients():
-    x = ad.parameter([1.0, -2.0], dtype=np.float64)
+    x = ad.Tensor([1.0, -2.0], requires_grad=True, dtype=np.float64)
     y = x * x
     z = ad.sum_(y * y)
     z.backward()
@@ -509,7 +521,7 @@ def test_backward_frees_inner_gradients():
 
 
 def test_no_grad_builds_no_graph():
-    x = ad.parameter(np.ones((2, 3)))
+    x = ad.Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float32)
     w1, b1, w2, b2 = mlp_args(np.random.default_rng(44), 3, 4, 2, np.float64)
     with ad.no_grad():
         outs = [ad.relu(x), ad.mlp(x, w1, b1, w2, b2, 0.0, None)]
@@ -535,7 +547,7 @@ def test_float32_stays_float32():
     rng = np.random.default_rng(4)
 
     def p32(*shape):
-        return ad.parameter(rng.standard_normal(shape), dtype=np.float32)
+        return ad.Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float32)
 
     x, w, b = p32(2, 5, 3), p32(3, 4), p32(4)
     kernels = {
@@ -599,7 +611,7 @@ def test_relu_gradients_away_from_kink():
     for _ in range(TRIALS):
         raw = rng.standard_normal((3, 4))
         raw = np.where(np.abs(raw) < 0.05, 0.2, raw)  # keep clear of the kink for FD
-        x = ad.parameter(raw, dtype=np.float64)
+        x = ad.Tensor(raw, requires_grad=True, dtype=np.float64)
         proj = rng.standard_normal(raw.shape)
         assert_grads_match(lambda: ad.sum_(ad.relu(x) * proj), {"x": x}, rng)
 
@@ -609,7 +621,7 @@ def test_layer_norm_gradients():
     for _ in range(TRIALS):
         rows, n = rng.integers(1, 5), rng.integers(2, 7)
         x = p64(rng, rows, n)
-        gamma = ad.parameter(1.0 + 0.1 * rng.standard_normal(n), dtype=np.float64)
+        gamma = ad.Tensor(1.0 + 0.1 * rng.standard_normal(n), requires_grad=True, dtype=np.float64)
         beta = p64(rng, n)
         proj = rng.standard_normal((rows, n))
         assert_grads_match(lambda: ad.sum_(ad.layer_norm(x, gamma, beta) * proj),
@@ -631,7 +643,8 @@ def test_dropout_gradients():
 
 def test_mlp_gradients():
     """Every input of the node, at rate 0 and at rate 0.3 (one seeded draw per
-    call), on contiguous inputs and on transposed views."""
+    call), on contiguous inputs and on transposed views, with and without the
+    output bias."""
     rng = np.random.default_rng(14)
     for trial in range(TRIALS):
         rate = 0.0 if trial % 2 else 0.3
@@ -641,6 +654,10 @@ def test_mlp_gradients():
         lead, n = ((b, c), s) if view else ((b, s), c)
         m = int(rng.integers(1, 5))
         w1, b1, w2, b2 = mlp_args(rng, n, int(rng.integers(1, 6)), m, np.float64)
+        params = {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2}
+        if trial % 3 == 0:              # no output bias, as in the mixer's token mixing
+            del params["b2"]
+            b2 = None
         proj = rng.standard_normal(lead + (m,))
         seed = 1000 + trial
 
@@ -649,7 +666,7 @@ def test_mlp_gradients():
             out = ad.mlp(inp, w1, b1, w2, b2, rate, np.random.default_rng(seed))
             return ad.sum_(out * proj)
 
-        assert_grads_match(f, {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2}, rng)
+        assert_grads_match(f, params, rng)
 
 
 def test_max_pool_gradients():
@@ -659,7 +676,7 @@ def test_max_pool_gradients():
         c, length = rng.integers(1, 5), rng.integers(2, 7)
         raw = rng.standard_normal((length, c))
         raw += np.arange(length)[:, None] * 1e-2  # break near-ties so FD keeps the same argmax
-        x = ad.parameter(raw, dtype=np.float64)
+        x = ad.Tensor(raw, requires_grad=True, dtype=np.float64)
         proj = rng.standard_normal((1, c))
         assert_grads_match(lambda: ad.sum_(ad.segment_max(x, np.array([length])) * proj),
                            {"x": x}, rng)
@@ -673,7 +690,7 @@ def test_max_pool_ragged_gradients():
         lens = rng.integers(1, 5, size=rng.integers(1, 5))
         lens[rng.integers(lens.size)] = 1
         raw = rng.standard_normal((lens.sum(), c)) + np.arange(lens.sum())[:, None] * 1e-2
-        x = ad.parameter(raw, dtype=np.float64)
+        x = ad.Tensor(raw, requires_grad=True, dtype=np.float64)
         proj = rng.standard_normal((lens.size, c))
         assert_grads_match(lambda: ad.sum_(ad.segment_max(x, lens) * proj), {"x": x}, rng)
 
@@ -740,9 +757,9 @@ def test_cosine_gradients():
         denom = np.linalg.norm(u_raw) * np.linalg.norm(v_raw)
         if denom < 0.5 or abs(u_raw @ v_raw) / denom > 0.99:
             continue
-        u = ad.parameter(u_raw, dtype=np.float64)
-        v = ad.parameter(v_raw, dtype=np.float64)
-        assert_grads_match(lambda: ad.cosine(u, v), {"u": u, "v": v}, rng)
+        u = ad.Tensor(u_raw[None], requires_grad=True, dtype=np.float64)
+        v = ad.Tensor(v_raw[None], requires_grad=True, dtype=np.float64)
+        assert_grads_match(lambda: ad.sum_(ad.pairwise_cosine(u, v)), {"u": u, "v": v}, rng)
         done += 1
 
 
@@ -750,8 +767,8 @@ def test_pairwise_cosine_gradients():
     rng = np.random.default_rng(21)
     for _ in range(TRIALS):
         b, e = int(rng.integers(1, 4)), int(rng.integers(2, 6))
-        u = ad.parameter(rng.standard_normal((b, e)) + 0.5, dtype=np.float64)
-        v = ad.parameter(rng.standard_normal((b, e)) - 0.5, dtype=np.float64)
+        u = ad.Tensor(rng.standard_normal((b, e)) + 0.5, requires_grad=True, dtype=np.float64)
+        v = ad.Tensor(rng.standard_normal((b, e)) - 0.5, requires_grad=True, dtype=np.float64)
         proj = rng.standard_normal(b)
         assert_grads_match(lambda: ad.sum_(ad.pairwise_cosine(u, v) * proj), {"u": u, "v": v}, rng)
 

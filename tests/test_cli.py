@@ -180,6 +180,52 @@ def test_train_config_file_and_flag_precedence(workdir, tmp_path, capsys):
         assert "learning_rate must be positive and finite" in capsys.readouterr().err
 
 
+def test_config_file_rejects_a_repeated_key(workdir, tmp_path, capsys):
+    """A key set twice is a data error naming both lines, not a silent last-wins."""
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 0\n# later\nmargin = 0.5\nepochs = 3\n")
+    assert main(["train", str(workdir / "data.jsonl"), str(workdir / "vocab.txt"),
+                 "--out", str(tmp_path / "m.ckpt"), "--seed", "9",
+                 "--config", str(cfg)]) == 2
+    _one_error_line(capsys, f"{cfg}:4: repeated key 'epochs' (first set on line 1)")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_negative_seed_is_a_data_error(workdir, tmp_path, capsys, command):
+    where = _inputs(workdir, tmp_path / "run")
+    argv = _argv(command, where)
+    argv[argv.index("--seed") + 1] = "-1"
+    assert main(argv) == 2
+    _one_error_line(capsys, "seed must be >= 0, got -1")
+    assert not [p for p in where.iterdir() if p.name.startswith("out")]
+
+
+@pytest.mark.parametrize("flags, writes", [
+    ([], lambda batches: 1),                      # the last epoch's state is the final one
+    (["--epochs", "2"], lambda batches: 2),       # one per epoch end
+    (["--epochs", "0"], lambda batches: 1),       # the seeded init, at the end
+    (["--checkpoint-every", "1"], lambda batches: batches),   # with the epoch's write
+], ids=["default", "epochs-2", "epochs-0", "every-1"])
+def test_train_writes_each_state_once(workdir, tmp_path, capsys, monkeypatch, flags, writes):
+    """Each trained state is written once, however many callbacks reach it."""
+    where = _inputs(workdir, tmp_path / "run")
+    real_save, written = cli.save_checkpoint, []
+
+    def spy_save(*args):
+        written.append(real_save(*args))
+        return written[-1]
+
+    monkeypatch.setattr(cli, "save_checkpoint", spy_save)
+    assert main(_argv("train", where) + flags) == 0
+    batches = int(capsys.readouterr().out.split(" for ")[1].split()[0])
+    assert len(written) == writes(batches)
+    assert len(set(written)) == len(written)
+    doc = json.loads((where / "out.ckpt.manifest.json").read_text())
+    assert doc["outputs"]["artifact"]["sha256"] == written[-1]
+    assert hashlib.sha256((where / "out.ckpt").read_bytes()).hexdigest() == written[-1]
+
+
 def test_read_config_file_parses_values(tmp_path):
     cfg = tmp_path / "t.cfg"
     cfg.write_text("# comment\nlearning_rate = 0.01\n\nmargin=0.8\nepochs = 3\n")
@@ -745,7 +791,7 @@ def test_embed_rejects_a_bad_checkpoint_config(workdir, tmp_path, capsys):
     assert not (tmp_path / "e.jsonl").exists()
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_embed_rejects_an_earlier_checkpoint_version(workdir, tmp_path, capsys, version):
     path = tmp_path / "model.ckpt"
     body = bytearray((workdir / "model.ckpt").read_bytes()[:-32])
@@ -753,7 +799,8 @@ def test_embed_rejects_an_earlier_checkpoint_version(workdir, tmp_path, capsys, 
     path.write_bytes(bytes(body) + hashlib.sha256(body).digest())    # a valid trailer
     assert main(["embed", str(workdir / "data.jsonl"), str(path),
                  "--out", str(tmp_path / "e.jsonl")]) == 2
-    _one_error_line(capsys, f"unsupported checkpoint version {version} ")
+    _one_error_line(capsys, f"unsupported checkpoint version {version} (this release "
+                            f"reads version 4 only; retrain the model)")
 
 
 def test_train_rejects_a_v1_vocabulary(workdir, tmp_path, capsys):
@@ -936,7 +983,7 @@ def test_train_failed_write_leaves_no_stale_manifest(workdir, tmp_path, capsys, 
     monkeypatch.setattr(cli, "write_loss_csv", fail)
     assert main(_argv("train", where) + ["--checkpoint-every", "1"]) == 2
     _one_error_line(capsys, os.strerror(errno.ENOSPC))
-    assert len(at_save) > 2 and not any(at_save)
+    assert len(at_save) >= 2 and not any(at_save)     # an interval write per batch
     assert not stale.exists()
 
 

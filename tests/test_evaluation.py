@@ -1,5 +1,6 @@
 """Retrieval metrics against brute-force oracles, pool construction, ranking."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,11 +10,11 @@ from asmsim.corpus import CorpusIndex, FunctionRecord
 from asmsim.errors import DataError
 from asmsim.evaluate import (
     DEFAULT_OPT_PAIRS, EvalReport, PoolResult, build_pool, cosine_matrix,
-    descending_order, eligible_families, evaluate_model, mrr, rank_target_pool,
+    descending_order, eligible_families, evaluate_model, evaluate_pool, mrr,
     recall_at_k,
 )
 from asmsim.models import BackboneConfig, build_backbone
-from asmsim.tokenizer import build_vocab
+from asmsim.tokenizer import build_vocab, encode_function
 
 
 # ------------------------------------------------------------------ metrics
@@ -143,35 +144,49 @@ def small_setup(n_families=12):
     return corpus, vocab, backbone
 
 
-def test_rank_target_pool_matches_sort_oracle():
+def pool_scores(backbone, vocab, pool):
+    """[n, n] cosines of every query against every target, embedded as
+    evaluate_pool embeds them: all queries in one forward, all targets in another."""
+    cfg = backbone.cfg
+    q, t = (backbone.embed_matrix([encode_function(vocab, r, k_tokens=cfg.tokens_per_instruction,
+                                                   max_positions=cfg.max_positions)
+                                   for r in side]) for side in (pool.queries, pool.targets))
+    return cosine_matrix(q, t)
+
+
+def test_evaluate_pool_ranks_match_sort_oracle():
     corpus, vocab, backbone = small_setup()
     pool = build_pool(corpus, ("O0", "O3"), n=10, seed=9)
-    order, scores = rank_target_pool(backbone, vocab, pool.queries[0], pool.targets)
-    expected = sorted(range(len(pool.targets)), key=lambda i: (-scores[i], i))
-    assert list(order) == expected
+    ranks = evaluate_pool(backbone, vocab, pool).ranks
+    for q, scores in enumerate(pool_scores(backbone, vocab, pool)):
+        expected = sorted(range(len(pool.targets)), key=lambda i: (-scores[i], i))
+        assert ranks[q] == expected.index(q) + 1
 
 
-def test_rank_target_pool_ties_break_by_original_index():
+def test_evaluate_pool_ties_break_by_original_index():
     corpus, vocab, backbone = small_setup()
     pool = build_pool(corpus, ("O0", "O3"), n=6, seed=9)
-    # duplicate one target's instruction text so two targets embed identically
+    # target 5 repeats target 4's instruction text, so the two embed identically
     dup = pool.targets[4]
     clone = FunctionRecord(dup.project, dup.binary, "clone", dup.opt_level,
                            dup.instructions)
-    targets = list(pool.targets[:4]) + [dup, clone]
-    order, scores = rank_target_pool(backbone, vocab, pool.queries[0], targets)
-    assert scores[4] == scores[5]
-    assert list(order).index(4) + 1 == list(order).index(5)
+    pool = dataclasses.replace(pool, targets=list(pool.targets[:5]) + [clone])
+    ranks = evaluate_pool(backbone, vocab, pool).ranks
+    scores = pool_scores(backbone, vocab, pool)
+    for q in (4, 5):
+        assert scores[q, 4] == scores[q, 5]
+        ahead = np.count_nonzero(scores[q] > scores[q, q])
+        assert ranks[q] == ahead + 1 + (q == 5)     # the tie ranks target 4 first
 
 
 def test_identical_query_and_target_ranks_first():
     corpus, vocab, backbone = small_setup()
     pool = build_pool(corpus, ("O0", "O3"), n=8, seed=9)
     targets = list(pool.targets)
-    targets[3] = FunctionRecord("p", "b", "self", "O3", pool.queries[0].instructions)
-    order, scores = rank_target_pool(backbone, vocab, pool.queries[0], targets)
-    assert order[0] == 3
-    assert scores[3] == pytest.approx(1.0, abs=1e-6)
+    targets[3] = FunctionRecord("p", "b", "self", "O3", pool.queries[3].instructions)
+    pool = dataclasses.replace(pool, targets=targets)
+    assert evaluate_pool(backbone, vocab, pool).ranks[3] == 1
+    assert pool_scores(backbone, vocab, pool)[3, 3] == pytest.approx(1.0, abs=1e-6)
 
 
 # ------------------------------------------------------------------ reports

@@ -1,5 +1,6 @@
 """Backbone shapes, parameter counts, architecture traces, and checkpoints."""
 
+import dataclasses
 import errno
 import hashlib
 import json
@@ -26,7 +27,7 @@ def small_cfg(variant, **kw):
     base = dict(
         variant=variant, vocab_size=11, embed_dim=4, tokens_per_instruction=3,
         output_dim=6, max_positions=8, conv_widths=(3, 2), conv_channels=5,
-        lstm_hidden=6, mixer_layers=2, mixer_token_hidden=5,
+        mixer_layers=2, mixer_token_hidden=5,
         mixer_channel_hidden=7, mixer_seq_len=6, mixer_dropout=0.1,
     )
     base.update(kw)
@@ -177,11 +178,6 @@ def test_init_pad_row_zero_biases_zero():
     np.testing.assert_array_equal(model.params["fc.b"].data, 0.0)
 
 
-def test_lstm_config_requires_hidden_equals_output():
-    with pytest.raises(ValueError, match="lstm_hidden"):
-        small_cfg("lstm", lstm_hidden=5, output_dim=6)
-
-
 # ------------------------------------------------------------------ forward traces
 
 def all_variants():
@@ -197,8 +193,8 @@ def test_embedding_shapes_and_finite():
     for cfg in all_variants():
         model = build_backbone(cfg, seed=2)
         for s in (1, 2, 7, 40):
-            out = model.embed(enc(rng, s, cfg))
-            assert out.shape == (cfg.output_dim,)
+            out = model.embed_batch([enc(rng, s, cfg)])
+            assert out.shape == (1, cfg.output_dim)
             assert np.all(np.isfinite(out.data))
 
 
@@ -206,8 +202,8 @@ def test_short_function_below_kernel_width():
     cfg = small_cfg("textcnn", conv_widths=(5, 3))
     model = build_backbone(cfg, seed=2)
     rng = np.random.default_rng(6)
-    out = model.embed(enc(rng, 2, cfg))  # below both widths
-    assert out.shape == (cfg.output_dim,)
+    out = model.embed_batch([enc(rng, 2, cfg)])  # below both widths
+    assert out.shape == (1, cfg.output_dim)
     assert np.all(np.isfinite(out.data))
 
 
@@ -217,7 +213,7 @@ def test_lstm_zero_weights_give_zero_embedding():
     for name in ("w_x", "w_h", "b"):
         model.params[name].data[:] = 0.0
     rng = np.random.default_rng(7)
-    out = model.embed(enc(rng, 5, cfg))
+    out = model.embed_batch([enc(rng, 5, cfg)])
     np.testing.assert_array_equal(out.data, 0.0)
 
 
@@ -251,9 +247,9 @@ def ref_lstm(p, cfg, e):
     """The coupled-gate recurrence on z = [h_{t-1}, x_t], one instruction at a
     time; the fused [h + H, 4h] weight's columns are the i, f, c~, o gates."""
     grid = ref_grid(p, e, e.n_instructions)
-    h = np.zeros(cfg.lstm_hidden)
-    c = np.zeros(cfg.lstm_hidden)
-    w = np.concatenate([p["w_h"], p["w_x"].reshape(-1, 4 * cfg.lstm_hidden)])
+    h = np.zeros(cfg.output_dim)
+    c = np.zeros(cfg.output_dim)
+    w = np.concatenate([p["w_h"], p["w_x"].reshape(-1, 4 * cfg.output_dim)])
     for x_t in grid:
         z = np.concatenate([h, x_t]) @ w + p["b"]
         i, f, c_t, o = np.split(z, 4)
@@ -264,12 +260,13 @@ def ref_lstm(p, cfg, e):
 
 
 def ref_mixer(p, cfg, e):
-    """Token- and channel-mixing MLPs on the grid cut or zero-padded to mixer_seq_len."""
+    """Token- and channel-mixing MLPs on the grid cut or zero-padded to
+    mixer_seq_len; the token-mixing MLP has no output bias."""
     x = ref_grid(p, e, cfg.mixer_seq_len)          # [S, C]
     for layer in range(cfg.mixer_layers):
         q = {k[len(f"layer{layer}."):]: v for k, v in p.items() if k.startswith(f"layer{layer}.")}
         u = layer_norm(x, q["ln1.g"], q["ln1.b"]).T  # [C, S]
-        x = x + (gelu(u @ q["tok.w1"] + q["tok.b1"]) @ q["tok.w2"] + q["tok.b2"]).T
+        x = x + (gelu(u @ q["tok.w1"] + q["tok.b1"]) @ q["tok.w2"]).T
         v = layer_norm(x, q["ln2.g"], q["ln2.b"])
         x = x + gelu(v @ q["ch.w1"] + q["ch.b1"]) @ q["ch.w2"] + q["ch.b2"]
     x = layer_norm(x, p["ln_final.g"], p["ln_final.b"])
@@ -308,7 +305,7 @@ def test_lstm_matches_manual_recurrence():
     model = build_backbone(cfg, seed=9)
     rng = np.random.default_rng(8)
     e = enc(rng, 6, cfg)
-    out = model.embed(e).data
+    out = model.embed_batch([e]).data[0]
     p = {k: v.data.astype(np.float64) for k, v in model.params.items()}
     np.testing.assert_allclose(out, ref_lstm(p, cfg, e), rtol=1e-5, atol=1e-6)
 
@@ -321,7 +318,7 @@ def test_mixer_zero_mlps_reduce_to_skip_path():
             p.data[:] = 0.0
     rng = np.random.default_rng(9)
     e = enc(rng, cfg.mixer_seq_len, cfg)
-    out = model.embed(e).data
+    out = model.embed_batch([e]).data[0]
 
     # independent trace: skips pass the grid through, then LN -> mean -> FC
     grid = np.concatenate([
@@ -344,7 +341,8 @@ def test_mixer_truncates_beyond_fixed_length():
     e_long = enc(rng, cfg.mixer_seq_len + 5, cfg)
     e_trunc = EncodedFunction(e_long.token_ids[:cfg.mixer_seq_len],
                               e_long.position_ids[:cfg.mixer_seq_len])
-    np.testing.assert_array_equal(model.embed(e_long).data, model.embed(e_trunc).data)
+    np.testing.assert_array_equal(model.embed_batch([e_long]).data,
+                                  model.embed_batch([e_trunc]).data)
 
 
 def test_training_mode_mixer_needs_an_rng():
@@ -366,7 +364,7 @@ def test_textcnn_gelu_not_involved_relu_max_pool_path():
     model = build_backbone(cfg, seed=11)
     model.params["pos_table"].data[:] = 0.0
     e = EncodedFunction(np.full((1, 3), PAD_ID, dtype=np.int32), np.zeros(1, dtype=np.int32))
-    out = model.embed(e)
+    out = model.embed_batch([e])
     assert np.all(np.isfinite(out.data))
 
 
@@ -376,7 +374,7 @@ def test_batch_embed_matches_single():
         model = build_backbone(cfg, seed=13)
         encs = [enc(rng, s, cfg) for s in (1, 3, 8, 2)]
         batch = model.embed_batch(encs).data
-        singles = np.stack([model.embed(e).data for e in encs])
+        singles = np.concatenate([model.embed_batch([e]).data for e in encs])
         np.testing.assert_allclose(batch, singles, rtol=2e-4, atol=2e-6)
 
 
@@ -384,7 +382,7 @@ def test_long_function_embeds_finite():
     cfg = small_cfg("textcnn")
     model = build_backbone(cfg, seed=14)
     rng = np.random.default_rng(15)
-    out = model.embed(enc(rng, 2048, cfg))
+    out = model.embed_batch([enc(rng, 2048, cfg)])
     assert np.all(np.isfinite(out.data))
 
 
@@ -479,7 +477,7 @@ def test_init_draws_each_weight_in_its_stored_shape():
         cfg = small_cfg(variant)
         model = build_backbone(cfg, seed=17)
         rng = np.random.default_rng(17)
-        h, hid, zeros = cfg.grid_width, cfg.lstm_hidden, np.zeros
+        h, hid, zeros = cfg.grid_width, cfg.output_dim, np.zeros
 
         def uniform(shape, fan_in):
             bound = np.sqrt(6.0 / fan_in)
@@ -568,7 +566,7 @@ def test_textcnn_pack_groups_match_one_group_and_single_functions(monkeypatch):
             packs.clear()
             split, split_grads = forward()
             assert packs == PACKED_GROUPS[cfg.variant]
-        singles = np.stack([model.embed(e).data for e in encs])
+        singles = np.concatenate([model.embed_batch([e]).data for e in encs])
         np.testing.assert_allclose(split, one, rtol=2e-4, atol=2e-6, err_msg=cfg.variant)
         np.testing.assert_allclose(split, singles, rtol=2e-4, atol=2e-6, err_msg=cfg.variant)
         for name in one_grads:
@@ -821,10 +819,10 @@ def _reseal(path, edit):
 
 
 def test_checkpoint_rejects_unknown_version_and_non_zero_padding(tmp_path):
-    """Only version 3 reads: 0 was never written, and 1 and 2 are earlier layouts."""
+    """Only version 4 reads: 0 was never written, and 1 to 3 are earlier layouts."""
     model = build_backbone(small_cfg("textcnn"), seed=27)
     path = tmp_path / "model.ckpt"
-    for version in (0, 1, 2, 4):
+    for version in (0, 1, 2, 3, 5):
         save_checkpoint(path, model, tiny_vocab())
         _reseal(path, lambda body: body.__setitem__(slice(8, 12), struct.pack("<I", version)))
         with pytest.raises(DataError, match=f"unsupported checkpoint version {version} "):
@@ -898,7 +896,7 @@ def test_checkpoint_loaded_model_trains_and_resaves_byte_stable(tmp_path):
 @pytest.mark.parametrize("edit, message", [
     (lambda p: p.pop("fc.b"), "expected 8 parameter blocks, found 7"),
     (lambda p: p.__setitem__("bogus", p.pop("fc.b")), "unexpected parameter block 'bogus'"),
-    (lambda p: p.__setitem__("fc.b", ad.parameter(np.zeros(7))), "'fc.b' has shape"),
+    (lambda p: p.__setitem__("fc.b", ad.Tensor(np.zeros(7, dtype=np.float32))), "'fc.b' has shape"),
     ("duplicate", "unexpected parameter block 'conv0.b'"),
 ])
 def test_checkpoint_rejects_bad_blocks(tmp_path, edit, message):
@@ -951,7 +949,7 @@ def test_backbone_gradients_match_finite_differences():
     """Through embed_batch on a mixed-length batch, so padded rows, the pool
     mask, frozen LSTM rows and mixer truncation are all on the path; the
     mixer runs in training mode with the same dropout draws on every call."""
-    from asmsim.optim import finite_diff_check
+    from gradcheck import finite_diff_check
 
     rng = np.random.default_rng(31)
     for cfg in all_variants():
@@ -966,3 +964,25 @@ def test_backbone_gradients_match_finite_differences():
         report = finite_diff_check(f, model.params, rel_tolerance=1e-4, rng=rng,
                                    max_coords_per_param=6)
         assert report.passed, (cfg.variant, {k: c.max_rel_err for k, c in report.per_param.items()})
+
+
+def test_every_parameter_block_gets_a_gradient_above_rounding():
+    """float32, as training runs, mixer dropout off: each block's largest
+    gradient entry is at least 1e-4 of the median block's. A parameter that no
+    embedding depends on (a bias that a layer_norm subtracts again) gets only
+    rounding noise, about 1e-7 of it."""
+    rng = np.random.default_rng(34)
+    for cfg in all_variants():
+        model = build_backbone(dataclasses.replace(cfg, mixer_dropout=0.0), seed=35)
+        out = model.embed_batch([enc(rng, s, cfg) for s in MIXED_LENGTHS], training=True)
+        ad.sum_(out * rng.standard_normal(out.shape).astype(np.float32)).backward()
+        peaks = {name: np.abs(p.grad).max() for name, p in model.params.items()}
+        floor = 1e-4 * np.median(list(peaks.values()))
+        assert {name for name, g in peaks.items() if g < floor} == set(), cfg.variant
+
+
+def test_param_counts_at_the_stock_vocabulary():
+    """The quick-start corpus's 97 tokens, every other size at its default."""
+    counts = {v: build_backbone(BackboneConfig(variant=v, vocab_size=97)).param_count()
+              for v in ("textcnn", "lstm", "mixer")}
+    assert counts == {"textcnn": 6_090_048, "lstm": 1_149_696, "mixer": 5_925_312}

@@ -5,11 +5,12 @@ import pytest
 
 import asmsim.autodiff as ad
 from asmsim.errors import NumericError
-from asmsim.optim import Adam, finite_diff_check
+from asmsim.optim import Adam
+from gradcheck import finite_diff_check
 
 
 def test_zero_gradient_is_noop():
-    p = ad.parameter([1.0, -2.0, 3.0])
+    p = ad.Tensor([1.0, -2.0, 3.0], requires_grad=True, dtype=np.float32)
     before = p.data.copy()
     opt = Adam({"p": p}, lr=0.001)
     p.grad = np.zeros_like(p.data)
@@ -19,7 +20,7 @@ def test_zero_gradient_is_noop():
 
 
 def test_first_step_magnitude_is_about_lr():
-    p = ad.parameter([1.0])
+    p = ad.Tensor([1.0], requires_grad=True, dtype=np.float32)
     opt = Adam({"p": p}, lr=0.001)
     p.grad = np.array([4.0], dtype=np.float32)
     opt.step()
@@ -28,8 +29,8 @@ def test_first_step_magnitude_is_about_lr():
 
 
 def test_nonfinite_gradient_names_parameter():
-    p = ad.parameter([1.0])
-    q = ad.parameter([1.0])
+    p = ad.Tensor([1.0], requires_grad=True, dtype=np.float32)
+    q = ad.Tensor([1.0], requires_grad=True, dtype=np.float32)
     opt = Adam({"weight": p, "bias": q})
     p.grad = np.array([1.0], dtype=np.float32)
     q.grad = np.array([np.nan], dtype=np.float32)
@@ -38,7 +39,7 @@ def test_nonfinite_gradient_names_parameter():
 
 
 def test_missing_gradient_treated_as_zero():
-    p = ad.parameter([2.0])
+    p = ad.Tensor([2.0], requires_grad=True, dtype=np.float32)
     opt = Adam({"p": p})
     opt.step()
     np.testing.assert_array_equal(p.data, [2.0])
@@ -46,7 +47,7 @@ def test_missing_gradient_treated_as_zero():
 
 def test_adam_deterministic():
     def run():
-        p = ad.parameter(np.arange(4, dtype=np.float32))
+        p = ad.Tensor(np.arange(4, dtype=np.float32), requires_grad=True)
         opt = Adam({"p": p}, lr=0.01)
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -69,7 +70,7 @@ def test_adam_matches_reference_sequence():
         v = b2 * v + (1 - b2) * g * g
         x = x - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
 
-    p = ad.parameter([0.3, -0.4], dtype=np.float64)
+    p = ad.Tensor([0.3, -0.4], requires_grad=True, dtype=np.float64)
     opt = Adam({"p": p}, lr=lr)
     for g in g_seq:
         p.grad = g.copy()
@@ -83,7 +84,8 @@ def test_step_matches_the_out_of_place_update_bitwise():
     buffer, one of them without a gradient at one step."""
     rng = np.random.default_rng(11)
     shapes = [(3, 5), (), (2, 3, 4), (7,), (40, 6)]
-    params = {f"p{i}": ad.parameter(rng.standard_normal(s)) for i, s in enumerate(shapes)}
+    params = {f"p{i}": ad.Tensor(rng.standard_normal(s), requires_grad=True, dtype=np.float32)
+              for i, s in enumerate(shapes)}
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     x = {k: p.data.copy() for k, p in params.items()}
     m = {k: np.zeros_like(a) for k, a in x.items()}
@@ -109,18 +111,18 @@ def test_step_matches_the_out_of_place_update_bitwise():
 def test_invalid_lr_rejected():
     for lr in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive and finite"):
-            Adam({"p": ad.parameter([1.0])}, lr=lr)
+            Adam({"p": ad.Tensor([1.0], requires_grad=True, dtype=np.float32)}, lr=lr)
 
 
 def test_checker_accepts_correct_gradient():
-    x = ad.parameter([0.5, -1.5, 2.0], dtype=np.float64)
+    x = ad.Tensor([0.5, -1.5, 2.0], requires_grad=True, dtype=np.float64)
     report = finite_diff_check(lambda: ad.sum_(x * x), {"x": x})
     assert report.passed
     assert report.per_param["x"].n_checked == 3
 
 
 def test_checker_detects_wrong_gradient():
-    x = ad.parameter([0.5, -1.5, 2.0], dtype=np.float64)
+    x = ad.Tensor([0.5, -1.5, 2.0], requires_grad=True, dtype=np.float64)
 
     def bad_square(t):
         out_data = t.data ** 2
@@ -136,6 +138,6 @@ def test_checker_detects_wrong_gradient():
 
 
 def test_checker_requires_float64():
-    x = ad.parameter([1.0], dtype=np.float32)
+    x = ad.Tensor([1.0], requires_grad=True, dtype=np.float32)
     with pytest.raises(ValueError, match="float64"):
         finite_diff_check(lambda: ad.sum_(x), {"x": x})

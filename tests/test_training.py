@@ -12,15 +12,14 @@ import asmsim.autodiff as ad
 from asmsim.corpus import CorpusIndex, FunctionRecord
 from asmsim.errors import DataError, NumericError
 from asmsim.models import VARIANTS, BackboneConfig, build_backbone
-from asmsim.optim import finite_diff_check
 from asmsim.tokenizer import PAD_ID, build_vocab, encode_function
-from asmsim.train import (
-    TrainConfig, cosine_pair_loss, cosine_pair_loss_batch, train, write_loss_csv,
-)
+from asmsim.train import TrainConfig, cosine_pair_loss_batch, train, write_loss_csv
+from gradcheck import finite_diff_check
 
 
 def vec(v):
-    return ad.parameter(np.asarray(v, dtype=np.float64), dtype=np.float64)
+    """One float64 [1, E] pair side: a batch of one pair."""
+    return ad.Tensor(np.asarray(v, dtype=np.float64).reshape(1, -1), requires_grad=True)
 
 
 # ------------------------------------------------------------------ loss contract
@@ -29,27 +28,27 @@ def test_positive_identical_embeddings_loss_exactly_zero():
     rng = np.random.default_rng(0)
     for _ in range(10):
         e = rng.standard_normal(8)
-        loss = cosine_pair_loss(vec(e), vec(e.copy()), y=1)
+        loss = cosine_pair_loss_batch(vec(e), vec(e.copy()), [1])
         assert loss.item() == 0.0
 
 
 def test_negative_below_margin_loss_exactly_zero():
     # orthogonal embeddings: cosine 0, far below margin
-    loss = cosine_pair_loss(vec([1.0, 0.0]), vec([0.0, 1.0]), y=-1, margin=0.9)
+    loss = cosine_pair_loss_batch(vec([1.0, 0.0]), vec([0.0, 1.0]), [-1], margin=0.9)
     assert loss.item() == 0.0
 
 
 def test_negative_at_095_loss_is_005():
     e1 = vec([1.0, 0.0])
     e2 = vec([0.95, np.sqrt(1.0 - 0.95 ** 2)])
-    loss = cosine_pair_loss(e1, e2, y=-1, margin=0.9)
+    loss = cosine_pair_loss_batch(e1, e2, [-1], margin=0.9)
     assert abs(loss.item() - 0.05) <= 1e-7
 
 
 def test_inactive_negative_has_zero_gradient():
     e1 = vec([1.0, 0.0, 0.5])
     e2 = vec([0.0, 1.0, -0.5])
-    loss = cosine_pair_loss(e1, e2, y=-1, margin=0.9)
+    loss = cosine_pair_loss_batch(e1, e2, [-1], margin=0.9)
     loss.backward()
     np.testing.assert_array_equal(e1.grad, 0.0)
     np.testing.assert_array_equal(e2.grad, 0.0)
@@ -57,9 +56,9 @@ def test_inactive_negative_has_zero_gradient():
 
 def test_label_and_margin_validation():
     with pytest.raises(ValueError, match="label"):
-        cosine_pair_loss(vec([1.0]), vec([1.0]), y=0)
+        cosine_pair_loss_batch(vec([1.0]), vec([1.0]), [0])
     with pytest.raises(ValueError, match="margin"):
-        cosine_pair_loss(vec([1.0]), vec([1.0]), y=1, margin=1.5)
+        cosine_pair_loss_batch(vec([1.0]), vec([1.0]), [1], margin=1.5)
     with pytest.raises(ValueError, match="labels"):
         cosine_pair_loss_batch(vec([[1.0]]), vec([[1.0]]), [2])
 
@@ -71,7 +70,7 @@ def test_batch_loss_is_mean_of_singles():
     ys = np.array([1, -1, 1, -1, -1, 1])
     batch = cosine_pair_loss_batch(
         ad.constant(e1, dtype=np.float64), ad.constant(e2, dtype=np.float64), ys, margin=0.5)
-    singles = [cosine_pair_loss(vec(e1[i]), vec(e2[i]), int(ys[i]), margin=0.5).item()
+    singles = [cosine_pair_loss_batch(vec(e1[i]), vec(e2[i]), ys[i:i + 1], margin=0.5).item()
                for i in range(6)]
     assert batch.item() == pytest.approx(np.mean(singles), rel=1e-12)
 
@@ -84,7 +83,8 @@ def test_loss_gradients_match_finite_differences():
             b = 0.8 * a + 0.3 * rng.standard_normal(6)  # keep some negatives above margin
             e1, e2 = vec(a), vec(b)
             report = finite_diff_check(
-                lambda: cosine_pair_loss(e1, e2, y, margin=0.5), {"e1": e1, "e2": e2}, rng=rng)
+                lambda: cosine_pair_loss_batch(e1, e2, [y], margin=0.5), {"e1": e1, "e2": e2},
+                rng=rng)
             assert report.passed, report.per_param
 
 
@@ -109,7 +109,7 @@ def tiny_cfg(vocab_size, variant="textcnn"):
         variant=variant, vocab_size=vocab_size, embed_dim=4,
         tokens_per_instruction=3, output_dim=6 if variant != "lstm" else 6,
         max_positions=8, conv_widths=(3, 2), conv_channels=4,
-        lstm_hidden=6, mixer_layers=1, mixer_token_hidden=4,
+        mixer_layers=1, mixer_token_hidden=4,
         mixer_channel_hidden=6, mixer_seq_len=4,
     )
 
@@ -314,7 +314,7 @@ def test_one_forward_step_matches_two_per_side_forwards(monkeypatch, variant):
     e2 = model.embed_batch([encs[i] for i in other], training=True)
     cosine_pair_loss_batch(e1, e2, streams[0].labels[batch], margin=cfg.margin).backward()
     # float32 sums in another order; an atol on the step's largest gradient
-    # covers parameters whose gradient is zero up to rounding (the mixer's tok.b2)
+    # covers entries whose gradient is zero up to rounding
     atol = 1e-6 * max(np.abs(p.grad).max() for p in model.params.values())
     for name, (_, grad) in steps[0].items():
         np.testing.assert_allclose(grad, model.params[name].grad, rtol=1e-5, atol=atol,
@@ -433,6 +433,8 @@ def test_train_config_validation():
         TrainConfig(seed=1, margin=2.0)
     with pytest.raises(ValueError):
         TrainConfig(seed=1, epochs=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
 
 
 def test_loss_csv_format(tmp_path):
