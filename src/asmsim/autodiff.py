@@ -1,9 +1,20 @@
 """Reverse-mode tensor kernels on numpy arrays.
 
-Every operation records a node in a dynamic graph; calling ``backward()`` on a
-scalar result fills ``grad`` on every reachable tensor created with
-``requires_grad=True``; inner nodes drop their gradient once it has been
-passed on, so a backward pass holds little beyond the forward graph.
+Every operation on a tensor that needs a gradient records a graph `Node`
+beside its output; calling ``backward()`` on a scalar result fills ``grad``
+on every reachable tensor created with ``requires_grad=True``; inner nodes
+drop their gradient once it has been passed on, so a backward pass holds
+little beyond the forward graph.
+A node holds no forward data: its gradient, its parents' nodes and a backward
+that keeps exactly the arrays it reads, as PyTorch's saved tensors do. An
+intermediate whose last Python reference goes away is freed, even while the
+graph that it fed lives on. `add`, `reshape`, `transpose`, `concat`, `sum_`
+and `embedding` keep shapes and ids only, `relu` its bool mask, `mul` and
+`affine` the other operand, `layer_norm` its normalized rows, inverse standard
+deviations and scale, `segment_max` each first maximum's row, `lstm` its
+gate activations and states but not its input, and `mlp` and `token_conv` the
+arrays their docstrings name. Saved arrays live until the graph is dropped,
+so a second ``backward()`` adds the same gradients again.
 The sequence kernels run on functions packed end to end, and each reads the
 packing as one [B] array of per-function row counts over consecutive rows:
 `token_conv` reads [N, K] token and [N] position ids instead of a built
@@ -11,7 +22,7 @@ packing as one [B] array of per-function row counts over consecutive rows:
 each function's run of output rows, and `lstm` runs a whole recurrence as one
 node, with a hand-written backward through time. `mlp` runs a mixer MLP
 (affine, GELU, dropout, affine with or without bias, dropout) as one node
-that keeps two float arrays and two bool masks for its backward.
+that keeps two float arrays, two bool masks and its input for its backward.
 `affine`, `layer_norm`, `mlp` and the elementwise kernels accept any leading axes.
 The lookup kernels, `embedding` and `token_conv`, share one padding rule: id
 -1, token or position, reads a zero vector and sends no gradient to any row.
@@ -48,10 +59,25 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-class Tensor:
-    """A numpy array plus an optional gradient and backward closure."""
+class Node:
+    """A tensor's place in the graph: the shape and dtype of its gradient,
+    the gradient once a backward reaches it, its parents' nodes, and the
+    backward (None on a leaf) that passes a gradient on to them."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("shape", "dtype", "grad", "parents", "backward")
+
+    def __init__(self, shape, dtype, parents=(), backward=None):
+        self.shape = shape
+        self.dtype = dtype
+        self.grad = None
+        self.parents = parents
+        self.backward = backward
+
+
+class Tensor:
+    """A numpy array plus, when it takes a gradient, its graph node."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -62,10 +88,21 @@ class Tensor:
         if arr.dtype.kind in "iu":
             arr = arr.astype(np.float32)
         self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self.node = Node(arr.shape, arr.dtype) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self.node is None:
+            raise ValueError("only a tensor that requires grad holds a gradient")
+        self.node.grad = value
 
     @property
     def shape(self):
@@ -93,26 +130,28 @@ class Tensor:
         """Backpropagate from a scalar result through the recorded graph."""
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.data.shape}")
+        if self.node is None:                 # no graph: nothing takes a gradient
+            return
         # iterative topo sort: a graph can be deeper than Python's recursion limit
         topo = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(self.node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
+            for p in node.parents:
+                if p not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        self.node.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node.backward is not None and node.grad is not None:
+                node.backward(node.grad)
                 node.grad = None  # spent: every consumer ran before this node
 
     def __repr__(self):
@@ -153,27 +192,37 @@ def _wrap(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
+def _accum(node: Node | None, g: np.ndarray):
+    """Add g to the gradient of `node`; None (a tensor that takes no gradient) ignores it."""
+    if node is None:
         return
-    if t.grad is None:
-        t.grad = np.empty_like(t.data)
-        np.copyto(t.grad, g)        # a copy, not g itself: `add` passes one g to both parents
+    if node.grad is None:
+        node.grad = np.empty(node.shape, dtype=node.dtype)
+        np.copyto(node.grad, g)     # a copy, not g itself: `add` passes one g to both parents
     else:
-        t.grad += g
+        node.grad += g
+
+
+def _zeroed_grad(node: Node) -> np.ndarray:
+    """The gradient of `node`, zeros until a scatter adds to it in place."""
+    if node.grad is None:
+        node.grad = np.zeros(node.shape, dtype=node.dtype)
+    return node.grad
 
 
 def _recording(*inputs: Tensor) -> bool:
     """Whether a kernel over `inputs` records a node: grad mode is on and one needs a gradient."""
-    return _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+    return _GRAD_ENABLED and any(t.node is not None for t in inputs)
 
 
 def _node(data: np.ndarray, parents, backward) -> Tensor:
+    """Wrap a kernel's output; while recording, give it a node whose parents
+    are the nodes of `parents` (the kernel's input Tensors). `backward` must
+    reach its inputs through their nodes, never through the Tensors."""
     out = Tensor(data)
     if _recording(*parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out.node = Node(out.data.shape, out.data.dtype,
+                        tuple(p.node for p in parents if p.node is not None), backward)
     return out
 
 
@@ -191,10 +240,11 @@ def add(a, b) -> Tensor:
     a = _wrap(a, getattr(b, "dtype", None))
     b = _wrap(b, a.dtype)
     out_data = a.data + b.data
+    an, a_shape, bn, b_shape = a.node, a.shape, b.node, b.shape
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(an, _unbroadcast(g, a_shape))
+        _accum(bn, _unbroadcast(g, b_shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -203,10 +253,16 @@ def mul(a, b) -> Tensor:
     a = _wrap(a, getattr(b, "dtype", None))
     b = _wrap(b, a.dtype)
     out_data = a.data * b.data
+    an, a_shape, bn, b_shape = a.node, a.shape, b.node, b.shape
+    # each side's gradient reads the other side's data
+    a_data = a.data if bn is not None else None
+    b_data = b.data if an is not None else None
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if an is not None:
+            _accum(an, _unbroadcast(g * b_data, a_shape))
+        if bn is not None:
+            _accum(bn, _unbroadcast(g * a_data, b_shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -221,12 +277,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x2 = x.data.reshape(-1, x.data.shape[-1])
     out2 = x2 @ w.data + b.data
     out_data = out2.reshape(*lead, w.data.shape[1])
+    xn, x_shape, wn, wd, bn = x.node, x.shape, w.node, w.data, b.node
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
-        _accum(x, (g2 @ w.data.T).reshape(x.data.shape))
-        _accum(w, x2.T @ g2)
-        _accum(b, g2.sum(axis=0))
+        _accum(xn, (g2 @ wd.T).reshape(x_shape))
+        _accum(wn, x2.T @ g2)
+        _accum(bn, g2.sum(axis=0))
 
     return _node(out_data, (x, w, b), backward)
 
@@ -234,15 +291,18 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0  # strict: subgradient 0 on the flat side
     out_data = np.where(mask, x.data, x.data.dtype.type(0))
+    xn = x.node
 
     def backward(g):
-        _accum(x, g * mask)
+        _accum(xn, g * mask)
 
     return _node(out_data, (x,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale and shift.
+    While recording it keeps the normalized rows, their inverse standard
+    deviations and the scale, not x."""
     n = x.shape[-1]
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ValueError(f"layer_norm scale/shift must be length {n}")
@@ -252,14 +312,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv_std
     out_data = gamma.data * xhat + beta.data
+    xn, gn, gd, bn = x.node, gamma.node, gamma.data, beta.node
 
     def backward(g):
-        _accum(beta, g.reshape(-1, n).sum(axis=0))
-        _accum(gamma, (g * xhat).reshape(-1, n).sum(axis=0))
-        dxhat = g * gamma.data
+        _accum(bn, g.reshape(-1, n).sum(axis=0))
+        _accum(gn, (g * xhat).reshape(-1, n).sum(axis=0))
+        dxhat = g * gd
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv_std * (dxhat - m1 - xhat * m2))
+        _accum(xn, inv_std * (dxhat - m1 - xhat * m2))
 
     return _node(out_data, (x, gamma, beta), backward)
 
@@ -273,9 +334,9 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None, rate: 
     draw over the hidden units and then one over the outputs; rate 0 draws
     nothing and is the identity, as on inference paths. While recording it
     keeps the pre-activation h, the GELU's cdf, the two keep-masks as bool
-    and a reference to x's data (a transposed view is reshaped again in the
-    backward, not copied here); the GELU output and both dropout outputs are
-    recomputed from them. Recomputing cdf would cost an erf, about one GEMM.
+    and x's data (a transposed view is reshaped again in the backward, not
+    copied here); the GELU output and both dropout outputs are recomputed
+    from them. Recomputing cdf would cost an erf, about one GEMM.
 
     x [..., n], w1 [n, k], b1 [k], w2 [k, m], b2 [m] or None (no output
     bias) -> [..., m].
@@ -317,6 +378,9 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None, rate: 
     out_data = y.reshape(*lead, m)
     if not record:
         return Tensor(out_data)
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    xn, w1n, b1n, w2n = x.node, w1.node, b1.node, w2.node
+    b2n = None if b2 is None else b2.node
 
     def backward(g):
         g2 = g.reshape(-1, m)
@@ -324,11 +388,11 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None, rate: 
         if rate:
             g2 = g2 * keep(mask2)
             a *= keep(mask1)
-        _accum(w2, a.T @ g2)
-        if b2 is not None:
-            _accum(b2, g2.sum(axis=0))
+        _accum(w2n, a.T @ g2)
+        if b2n is not None:
+            _accum(b2n, g2.sum(axis=0))
         del a
-        gh = g2 @ w2.data.T
+        gh = g2 @ w2d.T
         if rate:
             gh *= keep(mask1)
         slope = INV_SQRT_2PI * np.exp(-0.5 * h * h)   # in place: cdf + h * pdf
@@ -336,10 +400,10 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None, rate: 
         slope += cdf
         gh *= slope
         del slope
-        x2 = x.data.reshape(-1, x.data.shape[-1])
-        _accum(w1, x2.T @ gh)
-        _accum(b1, gh.sum(axis=0))
-        _accum(x, (gh @ w1.data.T).reshape(x.data.shape))
+        x2 = xd.reshape(-1, xd.shape[-1])
+        _accum(w1n, x2.T @ gh)
+        _accum(b1n, gh.sum(axis=0))
+        _accum(xn, (gh @ w1d.T).reshape(xd.shape))
 
     return _node(out_data, inputs, backward)
 
@@ -360,19 +424,21 @@ def concat(tensors, axis: int) -> Tensor:
             raise ValueError(f"concat extent mismatch off axis {axis}: {base} vs {other}")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     offsets = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    nodes = [t.node for t in tensors]
 
     def backward(g):
-        for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
-            _accum(t, piece)
+        for node, piece in zip(nodes, np.split(g, offsets, axis=axis)):
+            _accum(node, piece)
 
     return _node(out_data, tuple(tensors), backward)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     out_data = x.data.reshape(shape)
+    xn, x_shape = x.node, x.shape
 
     def backward(g):
-        _accum(x, g.reshape(x.data.shape))
+        _accum(xn, g.reshape(x_shape))
 
     return _node(out_data, (x,), backward)
 
@@ -380,9 +446,10 @@ def reshape(x: Tensor, shape) -> Tensor:
 def transpose(x: Tensor, axes=None) -> Tensor:
     out_data = np.transpose(x.data, axes)
     inv = None if axes is None else np.argsort(axes)
+    xn = x.node
 
     def backward(g):
-        _accum(x, np.transpose(g, inv))
+        _accum(xn, np.transpose(g, inv))
 
     return _node(out_data, (x,), backward)
 
@@ -401,13 +468,10 @@ def embedding(table: Tensor, ids) -> Tensor:
     live = idx >= 0
     out_data = table.data.take(idx, axis=0)          # a copy, also for a scalar id
     out_data[~live] = 0.0
+    tn = table.node
 
     def backward(g):
-        if not table.requires_grad:
-            return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx[live], g[live])
+        np.add.at(_zeroed_grad(tn), idx[live], g[live])
 
     return _node(out_data, (table,), backward)
 
@@ -425,7 +489,8 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, lengths, w: Tensor) -
     through its slice of the kernel once, and each output sums its
     (K + 1) * W projected rows in one sparse product. The kernel is stored
     [C_in, W, C_out], so each slot's [d, W * C_out] slice is a view of w, and
-    so is its gradient's.
+    so is its gradient's. While recording it keeps the sparse product and
+    each slot's distinct ids and their vectors.
 
     table [V, d], pos_table [P, d], ids int [N, K], pos int [N],
     lengths int [B], w [(K + 1) * d, W, C_out] -> [sum(lengths - W + 1), C_out].
@@ -458,7 +523,7 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, lengths, w: Tensor) -
     rows = starts[:, None] + np.arange(width)          # [R, W] input rows of each window
     kernels = w.data.reshape(k + 1, d, width * c_out)   # slot s's kernel, a view
     slots = [(table, ids[:, s]) for s in range(k)] + [(pos_table, pos)]
-    uniqs, vecs, projs, cols = [], [], [], []
+    saved, projs, cols = [], [], []     # saved: per slot, its table's node, distinct ids, vectors
     n_proj = 0
     for s, (tab, sid) in enumerate(slots):
         uniq, inv = np.unique(sid, return_inverse=True)
@@ -468,8 +533,7 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, lengths, w: Tensor) -
         # projected rows (id, offset), each a C_out vector
         projs.append((v @ kernels[s]).reshape(-1, c_out))
         cols.append((n_proj + inv[rows] * width + np.arange(width)).astype(np.int32))
-        uniqs.append(uniq)
-        vecs.append(v)
+        saved.append((tab.node, uniq, v))
         n_proj += uniq.size * width
     n_rows, per_row = starts.size, (k + 1) * width
     proj = np.concatenate(projs)
@@ -478,21 +542,20 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, lengths, w: Tensor) -
          np.arange(0, n_rows * per_row + 1, per_row, dtype=np.int32)),
         shape=(n_rows, n_proj))
     out_data = picks @ proj
+    wn, w_shape = w.node, w.shape
 
     def backward(g):
         gproj = picks.T @ g
         gw = np.empty(kernels.shape, dtype=gproj.dtype)     # w's gradient, per slot
         lo = 0
-        for s, ((tab, _), uniq, v) in enumerate(zip(slots, uniqs, vecs)):
+        for s, (tn, uniq, v) in enumerate(saved):
             gp = gproj[lo:lo + uniq.size * width].reshape(uniq.size, width * c_out)
             lo += uniq.size * width
             np.matmul(v.T, gp, out=gw[s])
-            if tab.requires_grad:
-                if tab.grad is None:
-                    tab.grad = np.zeros_like(tab.data)
+            if tn is not None:
                 live = uniq >= 0
-                tab.grad[uniq[live]] += (gp @ kernels[s].T)[live]
-        _accum(w, gw.reshape(w.shape))
+                _zeroed_grad(tn)[uniq[live]] += (gp @ kernels[s].T)[live]
+        _accum(wn, gw.reshape(w_shape))
 
     return _node(out_data, (table, pos_table, w), backward)
 
@@ -502,7 +565,9 @@ def segment_max(x: Tensor, lengths) -> Tensor:
 
     Segment b is the next `lengths[b]` rows; the lengths are at least 1 and
     sum to R. A segment holding NaN pools to NaN. Gradient flows to the first
-    maximum of each segment and column, and nowhere from a NaN result.
+    maximum of each segment and column, and nowhere from a NaN result. While
+    recording it finds those first maxima and keeps their rows as an int
+    [B, C] array, not x.
     """
     xd = x.data
     lens = np.asarray(lengths)
@@ -517,17 +582,26 @@ def segment_max(x: Tensor, lengths) -> Tensor:
     out_data = np.empty((lens.size, xd.shape[1]), dtype=xd.dtype)
     for b, (lo, hi) in enumerate(bounds):   # contiguous row blocks: faster than reduceat
         np.maximum.reduce(xd[lo:hi], axis=0, out=out_data[b])
+    if not _recording(x):
+        return Tensor(out_data)
+    hit = xd == np.repeat(out_data, lens, axis=0)   # never true in a NaN column
+    if np.count_nonzero(hit) != np.count_nonzero(out_data == out_data):
+        # a tie: keep only the first hit in each segment and column
+        ties = np.add.reduceat(hit, ends - lens, axis=0, dtype=np.int64) > 1
+        for b in np.flatnonzero(ties.any(axis=1)):
+            lo, hi = bounds[b]
+            seg = hit[lo:hi]
+            seg &= np.arange(hi - lo)[:, None] == seg.argmax(axis=0)
+    rows, cols = np.divmod(np.flatnonzero(hit), xd.shape[1])   # faster than np.nonzero
+    first = np.full(out_data.shape, -1, dtype=np.intp)    # -1: a NaN result
+    first[np.repeat(np.arange(lens.size), lens)[rows], cols] = rows
+    xn = x.node
 
     def backward(g):
-        hit = xd == np.repeat(out_data, lens, axis=0)   # never true in a NaN column
-        if np.count_nonzero(hit) != np.count_nonzero(out_data == out_data):
-            # a tie: keep only the first hit in each segment and column
-            ties = np.add.reduceat(hit, ends - lens, axis=0, dtype=np.int64) > 1
-            for b in np.flatnonzero(ties.any(axis=1)):
-                lo, hi = bounds[b]
-                seg = hit[lo:hi]
-                seg &= np.arange(hi - lo)[:, None] == seg.argmax(axis=0)
-        _accum(x, np.where(hit, np.repeat(g, lens, axis=0), xd.dtype.type(0)))
+        gx = np.zeros(xn.shape, dtype=xn.dtype)
+        live = first >= 0
+        gx[first[live], np.nonzero(live)[1]] = g[live]
+        _accum(xn, gx)
 
     return _node(out_data, (x,), backward)
 
@@ -542,8 +616,8 @@ def lstm(xp: Tensor, w_h: Tensor, b: Tensor, lengths) -> Tensor:
     c_t = f * c_{t-1} + i * c~ and h_t = o * tanh(c_t). The state runs in
     ascending length order, so the running functions are a suffix and a step
     is one GEMM plus one row gather. While recording it keeps each row's gate
-    activations, h_{t-1}, c_{t-1} and tanh(c_t), and its backward runs the
-    steps in reverse. A function of length 0 gives h = 0.
+    activations, h_{t-1}, c_{t-1} and tanh(c_t), not xp, and its backward
+    runs the steps in reverse. A function of length 0 gives h = 0.
 
     xp [N, 4h], w_h [h, 4h], b [4h], lengths int [B] summing to N -> [B, h] in caller order.
     """
@@ -584,10 +658,11 @@ def lstm(xp: Tensor, w_h: Tensor, b: Tensor, lengths) -> Tensor:
         h[lo:] = a[:, 3 * hid:] * tc
     out_data = np.empty_like(h)
     out_data[order] = h
+    xn, wn, wd, bn = xp.node, w_h.node, w_h.data, b.node
 
     def backward(g):
-        dpre = np.empty_like(xp.data)           # every row is written once
-        dh, dc = g[order], np.zeros_like(h)     # per function, in length order
+        dpre = np.empty_like(gates)             # every row is written once
+        dh, dc = g[order], np.zeros(g.shape, dtype=g.dtype)   # per function, in length order
         for t in range(len(done) - 1, -1, -1):
             lo = done[t]
             rows = firsts[lo:] + t
@@ -601,22 +676,23 @@ def lstm(xp: Tensor, w_h: Tensor, b: Tensor, lengths) -> Tensor:
             d[:, 3 * hid:] = dh[lo:] * tc * o * (1 - o)
             dpre[rows] = d                      # a step's rows are distinct, and no row recurs
             dc[lo:] = dc_t * f
-            dh[lo:] = d @ w_h.data.T
-        _accum(w_h, h_prev.T @ dpre)
-        _accum(b, dpre.sum(axis=0))
-        _accum(xp, dpre)
+            dh[lo:] = d @ wd.T
+        _accum(wn, h_prev.T @ dpre)
+        _accum(bn, dpre.sum(axis=0))
+        _accum(xn, dpre)
 
     return _node(out_data, (xp, w_h, b), backward)
 
 
 def sum_(x: Tensor, axis=None) -> Tensor:
     out_data = x.data.sum(axis=axis, keepdims=False)
+    xn, x_shape = x.node, x.shape
 
     def backward(g):
         if axis is None:
-            _accum(x, np.broadcast_to(g, x.data.shape))
+            _accum(xn, np.broadcast_to(g, x_shape))
         else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
+            _accum(xn, np.broadcast_to(np.expand_dims(g, axis), x_shape))
 
     return _node(np.asarray(out_data), (x,), backward)
 
@@ -650,14 +726,14 @@ def pairwise_cosine(u: Tensor, v: Tensor, eps: float = 1e-8) -> Tensor:
     cos = np.where(degenerate, 0.0, cos)
     cos = np.where(identical, 1.0, cos).astype(ud.dtype)
     live = (~degenerate & ~identical).astype(ud.dtype)
+    un, vn = u.node, v.node
 
     def backward(g):
         scale = (g * live / denom)[:, None]
         cn = cos[:, None]
         nu2 = np.where(nu < eps, 1.0, nu * nu)[:, None]
         nv2 = np.where(nv < eps, 1.0, nv * nv)[:, None]
-        _accum(u, scale * (vd - cn * denom[:, None] * ud / nu2))
-        _accum(v, scale * (ud - cn * denom[:, None] * vd / nv2))
+        _accum(un, scale * (vd - cn * denom[:, None] * ud / nu2))
+        _accum(vn, scale * (ud - cn * denom[:, None] * vd / nv2))
 
     return _node(cos, (u, v), backward)
-

@@ -149,8 +149,6 @@ class PairStream:
         self.anchor = anchor_idx
         self.other = other_idx
         self.labels = labels
-        self.n_positive = int((labels > 0).sum())
-        self.n_negative = int((labels < 0).sum())
 
     def __len__(self) -> int:
         return self.labels.size

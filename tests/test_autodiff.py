@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -323,7 +324,7 @@ def test_lstm_matches_step_loop():
                                    rtol=1e-12, atol=1e-14)
         with ad.no_grad():
             out = ad.lstm(xp, w_h, b, lengths)
-        assert out._backward is None
+        assert out.node is None
         np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-14)
 
 
@@ -527,20 +528,33 @@ def test_no_grad_builds_no_graph():
         outs = [ad.relu(x), ad.mlp(x, w1, b1, w2, b2, 0.0, None)]
     for out in outs:
         assert not out.requires_grad
-        assert out._parents == ()
+        assert out.node is None
 
 
-def _saved_float_dtypes(node):
-    """dtypes of the float arrays a node's backward closure keeps alive."""
-    out = set()
-    for cell in node._backward.__closure__ or ():
-        v = cell.cell_contents
-        arrays = v if isinstance(v, (list, tuple)) else [v]
-        for a in arrays:
-            a = a.data if isinstance(a, ad.Tensor) or sparse.issparse(a) else a
-            if isinstance(a, np.ndarray) and a.dtype.kind == "f":
-                out.add(a.dtype)
-    return out
+def _saved_arrays(out):
+    """The arrays that `out`'s backward keeps alive, a sparse matrix as its
+    values. A backward that kept a Tensor would keep its data whether it
+    reads it or not, so none may."""
+    found = []
+
+    def visit(v):
+        assert not isinstance(v, ad.Tensor), "a backward keeps a Tensor"
+        if isinstance(v, (list, tuple)):
+            for item in v:
+                visit(item)
+        elif sparse.issparse(v):
+            found.append(v.data)
+        elif isinstance(v, np.ndarray):
+            found.append(v)
+
+    for cell in out.node.backward.__closure__ or ():
+        visit(cell.cell_contents)
+    return found
+
+
+def _saved_float_dtypes(out):
+    """dtypes of the float arrays that `out`'s backward keeps alive."""
+    return {a.dtype for a in _saved_arrays(out) if a.dtype.kind == "f"}
 
 
 def test_float32_stays_float32():
@@ -575,6 +589,42 @@ def test_float32_stays_float32():
         out = make()
         assert out.dtype == np.float32, name
         assert _saved_float_dtypes(out) <= {np.dtype(np.float32)}, name
+
+
+def test_kernels_free_inputs_their_backward_does_not_read():
+    """A kernel whose backward reads only the shape, ids or a mask of an input
+    keeps none of its data: once the input Tensor is dropped, its array is
+    freed while the graph lives on, and the backward gives the gradient it
+    gives with the input kept."""
+    rng = np.random.default_rng(45)
+    y, gamma, beta = p64(rng, 4, 6), p64(rng, 6), p64(rng, 6)
+    w_h, b = p64(rng, 2, 8), p64(rng, 8)
+    kernels = {
+        "add": (lambda x: x + y, (4, 6)),
+        "reshape": (lambda x: ad.reshape(x, (6, 4)), (4, 6)),
+        "transpose": (lambda x: ad.transpose(x, (1, 0)), (4, 6)),
+        "concat": (lambda x: ad.concat([x, y], axis=1), (4, 6)),
+        "sum_": (lambda x: ad.sum_(x, axis=0), (4, 6)),
+        "relu": (ad.relu, (4, 6)),
+        "layer_norm": (lambda x: ad.layer_norm(x, gamma, beta), (4, 6)),
+        "embedding": (lambda x: ad.embedding(x, np.array([3, -1, 0, 3])), (4, 6)),
+        "segment_max": (lambda x: ad.segment_max(x, np.array([1, 3])), (4, 6)),
+        "lstm": (lambda x: ad.lstm(x, w_h, b, np.array([3, 0, 4])), (7, 8)),
+    }
+    for name, (kernel, shape) in kernels.items():
+        p = p64(rng, *shape)
+        grads = []
+        for drop in (False, True):
+            p.grad = None
+            x = p * 1.0                  # an intermediate: only x holds its data
+            data = weakref.ref(x.data)
+            out = ad.sum_(kernel(x))
+            if drop:
+                del x
+                assert data() is None, name
+            out.backward()
+            grads.append(p.grad)
+        np.testing.assert_array_equal(grads[0], grads[1], err_msg=name)
 
 
 # ---------------------------------------------------------------- gradient trials

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from asmsim.corpus import (
@@ -128,15 +129,15 @@ def test_single_family_warns_no_negatives():
     records = [rec("f1", "O0", ["a"]), rec("f1", "O3", ["b"])]
     with pytest.warns(UserWarning, match="single family"):
         stream = make_pairs(_corpus(records), R=30, seed=0)
-    assert stream.n_negative == 0
-    assert stream.n_positive == 1
+    assert np.count_nonzero(stream.labels < 0) == 0
+    assert np.count_nonzero(stream.labels > 0) == 1
 
 
 def test_two_singleton_families_give_r_negatives_each():
     records = [rec("f1", "O0", ["a"]), rec("f2", "O0", ["b"])]
     stream = make_pairs(_corpus(records), R=30, seed=0)
-    assert stream.n_positive == 0
-    assert stream.n_negative == 60  # 30 per function, pool of one candidate cycles
+    assert np.count_nonzero(stream.labels > 0) == 0
+    assert np.count_nonzero(stream.labels < 0) == 60  # 30 per function, pool of one candidate cycles
     for p in stream:
         assert p.label == -1
         assert p.anchor.family_key != p.other.family_key
@@ -188,5 +189,5 @@ def test_ratio_order_of_magnitude():
         records.append(rec(f"f{i}", "O3", [f"lea eax, {i}"]))
         records.append(rec(f"f{i}", "Os", [f"add eax, {i}"]))
     stream = make_pairs(_corpus(records), R=30, seed=0)
-    ratio = stream.n_positive / stream.n_negative
+    ratio = np.count_nonzero(stream.labels > 0) / np.count_nonzero(stream.labels < 0)
     assert 0.01 < ratio < 0.2

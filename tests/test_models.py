@@ -622,6 +622,23 @@ assert np.isfinite(loss.item())
 """ + PEAK_LINE
 
 
+TRAIN_MEMORY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from asmsim.corpus import CorpusIndex
+from asmsim.models import BackboneConfig
+from asmsim.synthetic import SynthConfig, generate
+from asmsim.tokenizer import build_vocab
+from asmsim.train import TrainConfig, train
+variant, n_families = sys.argv[2], int(sys.argv[3])
+recs = generate(SynthConfig(n_families=n_families, seed=1))
+vocab = build_vocab(recs)
+result = train(CorpusIndex(recs), vocab, BackboneConfig(variant, vocab.size),
+               TrainConfig(seed=1, batch_size=100_000, negatives=2))
+assert result.n_batches == 1
+""" + PEAK_LINE
+
+
 def child_peak_mb(script, *args):
     """Peak RSS in MB of a child process that runs `script` with the source
     tree and `args` as its arguments, on one BLAS thread.
@@ -678,9 +695,11 @@ def test_lstm_embed_matrix_memory_stays_bounded():
 
 
 # MB: one training step over 8 pairs (16 functions, one packed group per
-# side) peaked at 1,118 MB while each MLP was five autodiff nodes, and reads
-# 773 MB with each MLP one `ad.mlp` node.
-MIXER_STEP_MEMORY_BOUND_MB = 950
+# side) peaked at 1,118 MB while each MLP was five autodiff nodes, at 769-773
+# MB with each MLP one `ad.mlp` node, and reads 571 MB with each backward
+# keeping only the arrays it reads: the residual sums, the MLP outputs and the
+# embedded grid are freed once the forward has moved past them.
+MIXER_STEP_MEMORY_BOUND_MB = 670
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
@@ -690,11 +709,26 @@ def test_mixer_training_step_memory_stays_bounded():
     assert train_step_peak_mb("mixer", 8, 200, 1) < MIXER_STEP_MEMORY_BOUND_MB
 
 
+# MB: the process holds about 130 MB before it trains. One `train()` call
+# over 4 stock families (12 functions, 36 pairs, one batch) peaked at 665 MB
+# while every forward intermediate lived as long as the graph, and reads 516
+# MB with each backward keeping only the arrays it reads.
+MIXER_TRAIN_MEMORY_BOUND_MB = 590
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_mixer_train_memory_stays_bounded():
+    """A default mixer's `train()` call over one 36-pair batch stays under a
+    peak RSS bound."""
+    assert child_peak_mb(TRAIN_MEMORY, "mixer", 4) < MIXER_TRAIN_MEMORY_BOUND_MB
+
+
 # MB: one training step over 48 pairs of functions of about 410 instructions
 # (each 20 stock functions end to end) peaked at 549-562 MB while the gate bias
-# was its own `xp + b` node, whose [N, 4h] output the graph held, and reads
-# 434-441 MB with the bias added inside `ad.lstm`.
-LSTM_STEP_MEMORY_BOUND_MB = 490
+# was its own `xp + b` node, whose [N, 4h] output the graph held, at 434-441 MB
+# with the bias added inside `ad.lstm`, and reads 324 MB now that `ad.lstm`
+# keeps no reference to its [N, 4h] input xp.
+LSTM_STEP_MEMORY_BOUND_MB = 380
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")

@@ -126,9 +126,10 @@ def test_checker_detects_wrong_gradient():
 
     def bad_square(t):
         out_data = t.data ** 2
+        node, data = t.node, t.data
 
         def backward(g):
-            ad._accum(t, g * 3.0 * t.data)  # deliberately wrong: true gradient is 2x
+            ad._accum(node, g * 3.0 * data)  # deliberately wrong: true gradient is 2x
 
         return ad._node(out_data, (t,), backward)
 

@@ -272,7 +272,7 @@ def test_pair_sides_share_parameters(monkeypatch):
     assert len(forwards) == len(sides) == result.n_batches >= 2
     for out, pair_sides in zip(forwards, sides):
         for side in pair_sides:
-            assert side._parents == (out,)
+            assert side.node.parents == (out.node,)
             assert all((out.data == row).all(axis=1).any() for row in side.data)
 
 
