@@ -6,10 +6,10 @@ give byte-identical artifacts (timestamps live only in manifests). Exit
 codes: 0 success, 1 usage, 2 data, 3 numeric.
 
 `search` also keeps `<index>.embcache` next to its index: the index's
-embeddings and printed names under the checkpoint and index bytes it read,
-reused by the next search of the pair without parsing the index (see
-`embcache`). It is a cache, not an artifact, so it carries no manifest; a
-search that cannot write it warns and still answers.
+embeddings and printed names under the SHA-256 of the checkpoint and index
+bytes it read, reused by the next search of the pair without parsing the
+index (see `embcache`). It is a cache, not an artifact, so it carries no
+manifest; a search that cannot write it warns and still answers.
 """
 
 from __future__ import annotations
@@ -243,10 +243,11 @@ def cmd_search(args) -> int:
     if len(queries) != 1:
         raise DataError(
             f"query file must hold exactly one function, got {len(queries)}")
-    # the sidecar is keyed on the bytes this call read: the checkpoint trailer
+    # the sidecar is keyed on digests of the bytes this call read: the checkpoint
     # load_checkpoint verified, and the index bytes hashed for a hit or parsed on a miss
-    cache, trailer = embcache.sidecar_path(args.index), backbone.checkpoint_trailer
-    hit = embcache.load_rows(cache, (trailer, bytes.fromhex(file_sha256(args.index))),
+    cache = embcache.sidecar_path(args.index)
+    checkpoint = bytes.fromhex(backbone.checkpoint_sha256)
+    hit = embcache.load_rows(cache, (checkpoint, bytes.fromhex(file_sha256(args.index))),
                              backbone.cfg.output_dim)
     if hit is None:
         index = load_dataset(args.index)
@@ -258,7 +259,7 @@ def cmd_search(args) -> int:
         t = backbone.embed_matrix(_encode_all(backbone, vocab, index.records))
         names = [[r.project, r.binary, r.function_name, r.opt_level] for r in index.records]
         try:
-            embcache.save_rows(cache, (trailer, bytes.fromhex(index.sha256)), t, names)
+            embcache.save_rows(cache, (checkpoint, bytes.fromhex(index.sha256)), t, names)
         except OSError as exc:
             _warn(f"could not write the index embedding cache {cache}: "
                   f"{exc.strerror or exc}")

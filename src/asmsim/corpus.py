@@ -199,8 +199,6 @@ def make_pairs(corpus: CorpusIndex, R: int = 30, seed=0) -> PairStream:
         else:
             for i in range(n):
                 cand = np.flatnonzero(fam_ids != fam_ids[i])
-                if cand.size == 0:
-                    continue
                 take: list[int] = []
                 while len(take) < R:
                     perm = rng.permutation(cand)

@@ -6,7 +6,7 @@ same index with the same checkpoint embeds only its query. It is a cache, not
 an artifact: it carries no manifest, a search rewrites it whenever it does not
 match, and deleting it costs the next search one full index embed.
 
-Layout: magic, version, the checkpoint's SHA-256 trailer (which covers its
+Layout: magic, version, the SHA-256 of the checkpoint file's bytes (its
 config, vocabulary and weights), the SHA-256 of the index file's bytes, N, E
 and the byte length of the names, the rows as little-endian row-major
 float32, the names as JSON (one [project, binary, function, opt_level] list

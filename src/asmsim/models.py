@@ -41,7 +41,7 @@ from .autodiff import Tensor
 from .errors import DataError
 from .manifest import write_atomic
 from .tokenizer import (
-    DEFAULT_MAX_POSITIONS, DEFAULT_TOKENS_PER_INSTRUCTION, EncodedFunction, PAD_ID, Vocabulary,
+    DEFAULT_MAX_POSITIONS, DEFAULT_TOKENS_PER_INSTRUCTION, PAD_ID, Vocabulary,
 )
 
 VARIANTS = ("textcnn", "lstm", "mixer")
@@ -86,11 +86,6 @@ class BackboneConfig:
     def grid_width(self) -> int:
         return self.embed_dim * (self.tokens_per_instruction + 1)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["conv_widths"] = list(self.conv_widths)
-        return d
-
 
 def _kaiming(rng, shape, dtype, fan_in):
     bound = np.sqrt(6.0 / fan_in)
@@ -108,7 +103,6 @@ def _uniform(fan_in):
 class Backbone:
     """Shared embedding tables plus a variant-specific head."""
 
-    checkpoint_trailer: bytes | None = None     # load_checkpoint: the file's verified trailer
     checkpoint_sha256: str | None = None        # load_checkpoint: the whole file's SHA-256
 
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator | None,
@@ -137,20 +131,6 @@ class Backbone:
         return [("token_table", (cfg.vocab_size, cfg.embed_dim), _embedding_init),
                 ("pos_table", (cfg.max_positions, cfg.embed_dim), _embedding_init)]
 
-    def _validate_ids(self, enc: EncodedFunction):
-        if enc.n_instructions == 0:
-            raise DataError("cannot embed a function with zero instructions")
-        if enc.token_ids.size and enc.token_ids.min() < 0:
-            # -1 is the packed padding sentinel; an encoding carries PAD_ID instead
-            raise DataError(f"negative token id {int(enc.token_ids.min())}")
-        if enc.token_ids.size and enc.token_ids.max() >= self.cfg.vocab_size:
-            raise DataError(
-                f"token id {int(enc.token_ids.max())} exceeds vocabulary size "
-                f"{self.cfg.vocab_size}: vocabulary/model mismatch"
-            )
-        if enc.position_ids.size and enc.position_ids.max() >= self.cfg.max_positions:
-            raise DataError("position id exceeds the model's position table")
-
     # input rows per packed group; a forward's functions are grouped in caller order
     # under it (a longer function is a group of its own). It bounds an inference
     # forward's memory; training keeps every group's graph until backward()
@@ -162,7 +142,7 @@ class Backbone:
 
     def _head(self, ids, pos, rows, training: bool, rng) -> Tensor:
         """One packed group, as `_pack` lays it out, and its [B] rows per
-        function -> [B, F] features in caller order, before `fc`."""
+        function -> [B, E] embeddings in caller order."""
         raise NotImplementedError
 
     def _pack(self, encs, rows):
@@ -189,14 +169,24 @@ class Backbone:
         tok = ad.reshape(ad.embedding(self.params["token_table"], ids), pos.shape + (-1,))
         return ad.concat([tok, ad.embedding(self.params["pos_table"], pos)], axis=-1)
 
-    def _project(self, feats: Tensor) -> Tensor:
-        """[B, F] features -> [B, E] embeddings."""
-        if "fc.w" not in self.params:                  # the LSTM's state is the embedding
-            return feats
-        return ad.affine(feats, self.params["fc.w"], self.params["fc.b"])
-
-    def _forward(self, encs, training: bool, rng) -> Tensor:
-        """[B, E] in caller order: groups of packed functions, each projected."""
+    def embed_batch(self, encs, training: bool = False,
+                    rng: np.random.Generator | None = None) -> Tensor:
+        """The forward pass: a list of encoded functions -> [B, E], in caller
+        order, one `_head` per group of functions packed under PACK_ROWS.
+        Every id of every function is checked, also rows a variant cuts."""
+        if not encs:
+            raise ValueError("embed_batch needs at least one function")
+        if min(e.n_instructions for e in encs) == 0:
+            raise DataError("cannot embed a function with zero instructions")
+        ids = np.concatenate([e.token_ids for e in encs])
+        if ids.min() < 0:
+            # -1 is the packed padding sentinel; an encoding carries PAD_ID instead
+            raise DataError(f"negative token id {int(ids.min())}")
+        if ids.max() >= self.cfg.vocab_size:
+            raise DataError(f"token id {int(ids.max())} exceeds vocabulary size "
+                            f"{self.cfg.vocab_size}: vocabulary/model mismatch")
+        if np.concatenate([e.position_ids for e in encs]).max() >= self.cfg.max_positions:
+            raise DataError("position id exceeds the model's position table")
         rows = self._rows(encs)
         cuts, total = [0], 0
         for i, n in enumerate(rows.tolist()):
@@ -205,20 +195,9 @@ class Backbone:
                 total = 0
             total += n
         cuts.append(len(encs))
-        groups = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            ids, pos = self._pack(encs[lo:hi], rows[lo:hi])
-            groups.append(self._project(self._head(ids, pos, rows[lo:hi], training, rng)))
+        groups = [self._head(*self._pack(encs[lo:hi], rows[lo:hi]), rows[lo:hi], training, rng)
+                  for lo, hi in zip(cuts, cuts[1:])]
         return groups[0] if len(groups) == 1 else ad.concat(groups, axis=0)
-
-    def embed_batch(self, encs, training: bool = False,
-                    rng: np.random.Generator | None = None) -> Tensor:
-        """The forward pass: a list of encoded functions -> [B, E], in caller order."""
-        if not encs:
-            raise ValueError("embed_batch needs at least one function")
-        for e in encs:
-            self._validate_ids(e)
-        return self._forward(encs, training, rng)
 
     def embed_matrix(self, encs) -> np.ndarray:
         """Inference embeddings as a plain [N, E] array."""
@@ -277,7 +256,7 @@ class TextCNN(Backbone):
             conv = ad.token_conv(*tables, ids, pos, rows, self.params[f"conv{i}.w"])
             peak = ad.segment_max(conv, rows - (width - 1))
             pooled.append(ad.relu(peak + self.params[f"conv{i}.b"]))
-        return ad.concat(pooled, axis=1)
+        return ad.affine(ad.concat(pooled, axis=1), self.params["fc.w"], self.params["fc.b"])
 
 
 class LSTMNet(Backbone):
@@ -364,7 +343,7 @@ class Mixer(Backbone):
             v = ad.layer_norm(x, self.params[p + "ln2.g"], self.params[p + "ln2.b"])
             x = x + mlp(v, p + "ch.")
         x = ad.layer_norm(x, self.params["ln_final.g"], self.params["ln_final.b"])
-        return ad.mean_(x, axis=1)                     # [B, C]
+        return ad.affine(ad.mean_(x, axis=1), self.params["fc.w"], self.params["fc.b"])
 
 
 _VARIANT_CLASSES = {"textcnn": TextCNN, "lstm": LSTMNet, "mixer": Mixer}
@@ -390,7 +369,7 @@ def save_checkpoint(path, backbone: Backbone, vocab: Vocabulary) -> str:
     """Write magic, version, config JSON, vocabulary bytes, named float32 blocks
     (each zero-padded to start on a 64-byte boundary of the file) and a SHA-256
     trailer over all before it with `write_atomic`; returns the file's SHA-256."""
-    cfg_json = json.dumps(backbone.cfg.to_dict(), sort_keys=True,
+    cfg_json = json.dumps(asdict(backbone.cfg), sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
     vocab_bytes = vocab.file_bytes()
     out = bytearray()
@@ -436,7 +415,7 @@ class _Reader:
 def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
     """Read a version 4 checkpoint; any other version is a DataError. The file
     is read once into one 64-byte aligned buffer, each block a writable float32
-    view into it; the backbone keeps its trailer and SHA-256 (`checkpoint_*`)."""
+    view into it; the backbone keeps the file's SHA-256 (`checkpoint_sha256`)."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         store = np.empty(size + _ALIGN, dtype=np.uint8)
@@ -486,5 +465,5 @@ def load_checkpoint(path) -> tuple[Backbone, Vocabulary]:
         blocks[name] = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
     backbone = cls(cfg, None, data=blocks)
     h.update(trailer)
-    backbone.checkpoint_trailer, backbone.checkpoint_sha256 = trailer, h.hexdigest()
+    backbone.checkpoint_sha256 = h.hexdigest()
     return backbone, vocab

@@ -605,8 +605,11 @@ def test_search_index_edited_after_a_hit_ranks_the_hashed_bytes(searchdir, workd
     assert (searchdir / "index.jsonl.embcache").read_bytes() == sidecar
 
 
-def test_search_checkpoint_replaced_after_its_load_keys_the_sidecar_on_the_loaded_trailer(
+def test_search_checkpoint_replaced_after_its_load_keys_the_sidecar_on_the_loaded_bytes(
         searchdir, workdir, capsys, monkeypatch, embedded):
+    """A checkpoint replaced after `load_checkpoint` read it: the search ranks
+    with the checkpoint it loaded and keys the sidecar on the SHA-256 of those
+    bytes, so the next search, which loads the new file, misses and rebuilds."""
     import asmsim.cli as cli
 
     before = _copy_inputs(searchdir, searchdir.parent / "before")
@@ -629,16 +632,16 @@ def test_search_checkpoint_replaced_after_its_load_keys_the_sidecar_on_the_loade
     assert sidecar.read_bytes() == (before / "index.jsonl.embcache").read_bytes()
     monkeypatch.setattr(cli, "load_checkpoint", real)
     embedded.clear()
-    assert _search(searchdir, capsys) == after        # another trailer: a miss, rebuilt
+    assert _search(searchdir, capsys) == after        # another digest: a miss, rebuilt
     assert embedded == [1, N_INDEX]
     assert sidecar.read_bytes() == (retrained / "index.jsonl.embcache").read_bytes()
 
 
 def test_search_sidecar_keyed_on_the_raw_file_bytes_is_a_hit(searchdir, capsys, embedded):
-    """The key is the checkpoint file's last 32 bytes and the SHA-256 of the
-    index file, so a sidecar written under them by hand is used as it is."""
+    """The key is the SHA-256 of the checkpoint file and that of the index
+    file, so a sidecar written under them by hand is used as it is."""
     assert _search(searchdir, capsys)[0] == 0
-    key = ((searchdir / "model.ckpt").read_bytes()[-32:],
+    key = (hashlib.sha256((searchdir / "model.ckpt").read_bytes()).digest(),
            hashlib.sha256((searchdir / "index.jsonl").read_bytes()).digest())
     sidecar = searchdir / "index.jsonl.embcache"
     width = embcache._HEADER.unpack_from(sidecar.read_bytes())[5]

@@ -108,6 +108,28 @@ def test_lookup_grid_id_out_of_bounds():
             build_backbone(small_cfg(variant), seed=1).embed_batch([enc(rng, 3, cfg), empty])
 
 
+@pytest.mark.parametrize("variant", ["textcnn", "lstm", "mixer"])
+def test_every_id_of_a_forward_is_checked(variant, monkeypatch):
+    """One check covers every function of a forward, each a packed group of
+    its own here, and every row of each, also the rows past mixer_seq_len
+    that the mixer cuts; it reports the forward's extreme id."""
+    cfg = small_cfg(variant)
+    model = build_backbone(cfg, seed=1)
+    monkeypatch.setattr(type(model), "PACK_ROWS", 4)
+    rng = np.random.default_rng(0)
+    n = cfg.mixer_seq_len + 2
+    assert model.embed_batch([enc(rng, n, cfg) for _ in range(3)]).shape == (3, cfg.output_dim)
+    for column, bad, message in (
+            ("token_ids", (-2, -5), "negative token id -5"),
+            ("token_ids", (12, 15), "token id 15 exceeds vocabulary size 11"),
+            ("position_ids", (8, 9), "position id exceeds the model's position table")):
+        encs = [enc(rng, n, cfg) for _ in range(3)]
+        getattr(encs[1], column)[-1] = bad[0]
+        getattr(encs[-1], column)[-1] = bad[1]               # a row the mixer cuts
+        with pytest.raises(DataError, match=message):
+            model.embed_batch(encs)
+
+
 # ------------------------------------------------------------------ param counts
 
 def closed_form_textcnn(v, d, k, e, p_max, widths, channels):
@@ -781,16 +803,15 @@ def test_checkpoint_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_checkpoint_keeps_the_trailer_it_verified(tmp_path):
-    """The loaded backbone keeps the trailer and the whole file's SHA-256, which
-    is also what `save_checkpoint` returns; a built backbone has neither."""
+def test_checkpoint_keeps_the_sha256_of_the_file_it_verified(tmp_path):
+    """The loaded backbone keeps the whole file's SHA-256, which is also what
+    `save_checkpoint` returns; a built backbone has none."""
     cfg = small_cfg("lstm")
     model = build_backbone(cfg, seed=22)
-    assert model.checkpoint_trailer is None and model.checkpoint_sha256 is None
+    assert model.checkpoint_sha256 is None
     path = tmp_path / "model.ckpt"
     written = save_checkpoint(path, model, tiny_vocab(cfg.vocab_size - 2))
     loaded = load_checkpoint(path)[0]
-    assert loaded.checkpoint_trailer == path.read_bytes()[-32:]
     assert loaded.checkpoint_sha256 == written == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -872,7 +893,7 @@ def test_checkpoint_rejects_unknown_version_and_non_zero_padding(tmp_path):
 
 def _config(**changes):
     """A small textcnn config as JSON bytes, a key set to None left out."""
-    doc = {**small_cfg("textcnn").to_dict(), **changes}
+    doc = {**dataclasses.asdict(small_cfg("textcnn")), **changes}
     return json.dumps({k: v for k, v in doc.items() if v is not None}).encode("utf-8")
 
 
