@@ -606,6 +606,13 @@ def segment_max(x: Tensor, lengths) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
+def _flush_subnormal(x: np.ndarray) -> np.ndarray:
+    """Zero, in place, the entries of x smaller in magnitude than its dtype's
+    smallest normal number; returns x."""
+    np.copyto(x, 0, where=np.abs(x) < np.finfo(x.dtype).tiny)
+    return x
+
+
 def lstm(xp: Tensor, w_h: Tensor, b: Tensor, lengths) -> Tensor:
     """Final hidden states of an LSTM over functions packed end to end, as one node.
 
@@ -674,9 +681,12 @@ def lstm(xp: Tensor, w_h: Tensor, b: Tensor, lengths) -> Tensor:
             d[:, hid:2 * hid] = dc_t * c_prev[rows] * f * (1 - f)
             d[cand] = dc_t * i * (1 - cc * cc)
             d[:, 3 * hid:] = dh[lo:] * tc * o * (1 - o)
+            # the gradients decay step by step into subnormals, on which every
+            # op runs many times slower; they are flushed to zero
+            _flush_subnormal(d)
             dpre[rows] = d                      # a step's rows are distinct, and no row recurs
-            dc[lo:] = dc_t * f
-            dh[lo:] = d @ wd.T
+            dc[lo:] = _flush_subnormal(dc_t * f)
+            dh[lo:] = _flush_subnormal(d @ wd.T)
         _accum(wn, h_prev.T @ dpre)
         _accum(bn, dpre.sum(axis=0))
         _accum(xn, dpre)

@@ -208,9 +208,9 @@ def cmd_eval(args) -> int:
 
 
 def _encode_all(backbone, vocab, records):
-    cfg = backbone.cfg
+    cfg, rows = backbone.cfg, {}
     return [encode_function(vocab, r, k_tokens=cfg.tokens_per_instruction,
-                            max_positions=cfg.max_positions) for r in records]
+                            max_positions=cfg.max_positions, rows=rows) for r in records]
 
 
 def cmd_embed(args) -> int:
@@ -220,7 +220,7 @@ def cmd_embed(args) -> int:
     lines = "".join(json.dumps({
         "project": rec.project, "binary": rec.binary,
         "function": rec.function_name, "opt_level": rec.opt_level,
-        "embedding": [float(v) for v in row],
+        "embedding": row.tolist(),
     }, sort_keys=True) + "\n" for rec, row in zip(corpus.records, matrix))
     write_manifest((args.out, write_atomic(args.out, lines.encode("utf-8"))), command="embed",
                    config={"backbone": backbone.cfg.variant},

@@ -110,9 +110,9 @@ def build_pool(corpus: CorpusIndex, opt_pair, n: int, seed: int) -> Pool:
 
 
 def _encode_all(backbone: Backbone, vocab: Vocabulary, records):
-    cfg = backbone.cfg
+    cfg, rows = backbone.cfg, {}
     return [encode_function(vocab, r, k_tokens=cfg.tokens_per_instruction,
-                            max_positions=cfg.max_positions) for r in records]
+                            max_positions=cfg.max_positions, rows=rows) for r in records]
 
 
 @dataclass

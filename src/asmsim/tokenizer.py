@@ -8,11 +8,15 @@ frequency reaches the threshold, and everything else encodes as UNK.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
 import warnings
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -38,12 +42,17 @@ _HEADER_RE = re.compile(
 )
 
 
-def split_instruction(text: str, delimiters: str = DEFAULT_DELIMITERS) -> list[str]:
-    """Split on any delimiter character, dropping delimiters and empty fragments."""
+@functools.lru_cache(maxsize=16)
+def _token_pattern(delimiters: str) -> re.Pattern:
+    """The maximal runs of non-delimiter characters, compiled once per delimiter set."""
     if not delimiters:
         raise ValueError("delimiter set must be non-empty")
-    pattern = "[" + re.escape(delimiters) + "]+"
-    return [tok for tok in re.split(pattern, text) if tok]
+    return re.compile("[^" + re.escape(delimiters) + "]+")
+
+
+def split_instruction(text: str, delimiters: str = DEFAULT_DELIMITERS) -> list[str]:
+    """Split on any delimiter character, dropping delimiters and empty fragments."""
+    return _token_pattern(delimiters).findall(text)
 
 
 @dataclass
@@ -144,14 +153,16 @@ def build_vocab(records, min_freq: int = DEFAULT_MIN_FREQ,
 
     Ids are dense: PAD, UNK, then descending frequency with lexicographic
     tie-break, so rebuilding from the same corpus reproduces the same file.
+    Each distinct instruction string is split once and its tokens counted
+    as often as the string occurs.
     """
     if min_freq < 1:
         raise ValueError(f"frequency threshold must be >= 1, got {min_freq}")
+    split = _token_pattern(delimiters).findall
     counts: dict[str, int] = {}
-    for rec in records:
-        for ins in rec.instructions:
-            for tok in split_instruction(ins, delimiters):
-                counts[tok] = counts.get(tok, 0) + 1
+    for ins, n in Counter(chain.from_iterable(rec.instructions for rec in records)).items():
+        for tok in split(ins):
+            counts[tok] = counts.get(tok, 0) + n
     for reserved in (PAD_TOKEN, UNK_TOKEN):
         if reserved in counts:
             warnings.warn(f"corpus contains literal {reserved} token; dropped from vocabulary")
@@ -187,11 +198,15 @@ class EncodedFunction:
 
 def encode_function(vocab: Vocabulary, instructions,
                     k_tokens: int = DEFAULT_TOKENS_PER_INSTRUCTION,
-                    max_positions: int = DEFAULT_MAX_POSITIONS) -> EncodedFunction:
+                    max_positions: int = DEFAULT_MAX_POSITIONS,
+                    rows: dict | None = None) -> EncodedFunction:
     """Encode one function: first k tokens of each instruction, PAD-filled.
 
     `instructions` is a FunctionRecord or any iterable of instruction strings.
-    Positions clamp to max_positions - 1.
+    Positions clamp to max_positions - 1. `rows` maps an instruction string
+    to its padded id row: a caller that encodes many functions with one
+    vocabulary and one k_tokens passes one dict, made for that call, to each,
+    so each distinct instruction is split and looked up once.
     """
     if k_tokens < 1 or max_positions < 1:
         raise ValueError("k_tokens and max_positions must be >= 1")
@@ -199,10 +214,13 @@ def encode_function(vocab: Vocabulary, instructions,
     s = len(ins_list)
     if s == 0:
         raise DataError("cannot encode a function with zero instructions")
-    token_ids = np.full((s, k_tokens), PAD_ID, dtype=np.int32)
-    for i, ins in enumerate(ins_list):
-        toks = split_instruction(ins, vocab.delimiters)[:k_tokens]
-        for j, tok in enumerate(toks):
-            token_ids[i, j] = vocab.id_of(tok)
+    if rows is None:
+        rows = {}
+    for ins in ins_list:
+        if ins not in rows:     # a row is the C ints of its ids, so a grid is one join
+            ids = list(map(vocab.id_of, split_instruction(ins, vocab.delimiters)[:k_tokens]))
+            rows[ins] = array("i", ids + [PAD_ID] * (k_tokens - len(ids))).tobytes()
+    grid = np.frombuffer(b"".join([rows[ins] for ins in ins_list]), dtype=np.intc)
+    token_ids = grid.reshape(s, k_tokens).astype(np.int32)
     position_ids = np.minimum(np.arange(s, dtype=np.int32), max_positions - 1)
     return EncodedFunction(token_ids=token_ids, position_ids=position_ids)

@@ -97,8 +97,9 @@ def train(corpus: CorpusIndex, vocab: Vocabulary, backbone_cfg: BackboneConfig,
     backbone = build_backbone(backbone_cfg, seed=np.random.default_rng(init_ss))
     dropout_rng = np.random.default_rng(dropout_ss)
     opt = Adam(backbone.params, lr=cfg.learning_rate)
+    rows: dict = {}
     encs = [encode_function(vocab, rec, k_tokens=backbone_cfg.tokens_per_instruction,
-                            max_positions=backbone_cfg.max_positions)
+                            max_positions=backbone_cfg.max_positions, rows=rows)
             for rec in corpus.records]
 
     result = TrainResult(backbone=backbone)

@@ -328,6 +328,38 @@ def test_lstm_matches_step_loop():
         np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-14)
 
 
+def test_lstm_backward_flushes_subnormal_gradients(monkeypatch):
+    """Over a long recurrence the gradients decay into float32 subnormals; the
+    backward zeroes them and otherwise matches a backward that keeps them."""
+    rng = np.random.default_rng(44)
+    hid, lengths = 16, np.array([320, 40, 300])
+    tiny = np.finfo(np.float32).tiny
+
+    def p32(a):
+        return ad.Tensor(a, requires_grad=True, dtype=np.float32)
+
+    def grads():
+        xp = p32(rng.standard_normal((int(lengths.sum()), 4 * hid)))
+        w_h = p32(0.1 * rng.standard_normal((hid, 4 * hid)))
+        b = p32(np.zeros(4 * hid))
+        proj = ad.constant(rng.standard_normal((len(lengths), hid)).astype(np.float32))
+        ad.sum_(ad.lstm(xp, w_h, b, lengths) * proj).backward()
+        return [p.grad for p in (xp, w_h, b)]
+
+    def subnormals(g):
+        return int(((g != 0) & (np.abs(g) < tiny)).sum())
+
+    state = rng.bit_generator.state
+    flushed = grads()
+    rng.bit_generator.state = state
+    monkeypatch.setattr(ad, "_flush_subnormal", lambda x: x)
+    kept = grads()
+    assert subnormals(kept[0]) > 0                  # the case reaches subnormals at all
+    for f, k in zip(flushed, kept):
+        assert f.dtype == np.float32 and subnormals(f) == 0
+        np.testing.assert_allclose(f, k, atol=1e-36)
+
+
 def test_lstm_rejects_bad_shapes_and_rows():
     xp, w_h, b = c64(np.zeros((6, 8))), c64(np.zeros((2, 8))), c64(np.zeros(8))
     lengths = np.array([3, 3])

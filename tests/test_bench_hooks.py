@@ -12,15 +12,29 @@ INSTALL = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import worker
+for name in sys.argv[2:]:
+    module, attr = name.rsplit(".", 1)
+    delattr(worker.mod[module], attr)
 worker.install(worker.Tracer(), worker.Counts())
 print("installed")
 """
 
 
+def _install(*removed):
+    return subprocess.run([sys.executable, "-c", INSTALL, os.path.join(ROOT, "perfbench"),
+                           *removed], capture_output=True, text=True, timeout=120)
+
+
 def test_perfbench_trace_hooks_install():
-    proc = subprocess.run([sys.executable, "-c", INSTALL, os.path.join(ROOT, "perfbench")],
-                          capture_output=True, text=True, timeout=120)
+    proc = _install()
     assert proc.returncode == 0 and proc.stdout.strip() == "installed", proc.stderr
+
+
+def test_perfbench_trace_hooks_fail_on_a_missing_name():
+    """The install check has teeth: a hooked name gone from asmsim stops it."""
+    proc = _install("cli.encode_function")
+    assert proc.returncode != 0 and "installed" not in proc.stdout
+    assert "AttributeError" in proc.stderr and "encode_function" in proc.stderr
 
 
 def test_perfbench_helper_tests_pass():

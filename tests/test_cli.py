@@ -18,7 +18,7 @@ import pytest
 import asmsim.cli as cli
 from asmsim import embcache, manifest
 from asmsim.cli import main, read_config_file
-from asmsim.corpus import save_dataset
+from asmsim.corpus import load_dataset, save_dataset
 from asmsim.models import load_checkpoint
 from asmsim.synthetic import SynthConfig, generate
 from asmsim.tokenizer import UNK_ID, Vocabulary, encode_function, split_instruction
@@ -288,6 +288,17 @@ def test_embed_writes_one_vector_per_record(workdir, tmp_path):
     assert set(row) == {"project", "binary", "function", "opt_level", "embedding"}
     assert len(row["embedding"]) == 192
     assert all(np.isfinite(row["embedding"]))
+    # every written float is the float32 embedding widened exactly
+    backbone, vocab = load_checkpoint(workdir / "model.ckpt")
+    cfg = backbone.cfg
+    matrix = backbone.embed_matrix([
+        encode_function(vocab, r, k_tokens=cfg.tokens_per_instruction,
+                        max_positions=cfg.max_positions)
+        for r in load_dataset(workdir / "data.jsonl").records])
+    assert matrix.dtype == np.float32
+    written = np.array([json.loads(line)["embedding"] for line in lines])
+    assert written.dtype == np.float64
+    np.testing.assert_array_equal(written, matrix.astype(np.float64))
 
 
 # ------------------------------------------------------------------ search

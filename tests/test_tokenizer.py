@@ -1,14 +1,18 @@
 """Tokenization, vocabulary mining, file round-trips, and grid encoding."""
 
 import hashlib
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+from asmsim import tokenizer
 from asmsim.corpus import FunctionRecord
 from asmsim.errors import DataError
+from asmsim.synthetic import SynthConfig, generate
 from asmsim.tokenizer import (
-    PAD_ID, UNK_ID, PAD_TOKEN, UNK_TOKEN,
+    DEFAULT_DELIMITERS, PAD_ID, UNK_ID, PAD_TOKEN, UNK_TOKEN,
     Vocabulary, build_vocab, encode_function, split_instruction,
 )
 
@@ -154,3 +158,129 @@ def test_encode_deterministic():
     b = encode_function(vocab, ["mov eax, ebx", "mov ebx, eax"])
     np.testing.assert_array_equal(a.token_ids, b.token_ids)
     np.testing.assert_array_equal(a.position_ids, b.position_ids)
+
+
+# ------------------------------------------------------------------ per distinct instruction
+
+def naive_split(text, delimiters):
+    return [tok for tok in re.split("[" + re.escape(delimiters) + "]+", text) if tok]
+
+
+def naive_build_vocab(records, min_freq, delimiters=DEFAULT_DELIMITERS):
+    """The reference count: every instruction occurrence split on its own."""
+    counts = {}
+    for r in records:
+        for ins in r.instructions:
+            for tok in naive_split(ins, delimiters):
+                counts[tok] = counts.get(tok, 0) + 1
+    for reserved in (PAD_TOKEN, UNK_TOKEN):
+        counts.pop(reserved, None)
+    kept = sorted(((t, c) for t, c in counts.items() if c >= min_freq),
+                  key=lambda kv: (-kv[1], kv[0]))
+    return Vocabulary([PAD_TOKEN, UNK_TOKEN] + [t for t, _ in kept], [0, 0] + [c for _, c in kept],
+                      min_freq=min_freq, delimiters=delimiters)
+
+
+def naive_encode(vocab, instructions, k_tokens):
+    grid = np.full((len(instructions), k_tokens), PAD_ID, dtype=np.int32)
+    for i, ins in enumerate(instructions):
+        for j, tok in enumerate(naive_split(ins, vocab.delimiters)[:k_tokens]):
+            grid[i, j] = vocab.token_to_id.get(tok, UNK_ID)
+    return grid
+
+
+def long_like_records(n_families=24, seed=2):
+    """Long functions with family-specific operands: a few stock bodies end
+    to end, most instruction strings distinct, thousands of rare tokens."""
+    stock = generate(SynthConfig(n_families=4 * n_families, seed=seed))
+    out = []
+    for j in range(n_families):
+        for level in range(3):
+            body = [ins for f in range(4) for ins in stock[3 * (4 * j + f) + level].instructions]
+            body = [f"{ins}, v{j}_{c}" if c % 3 else ins for c, ins in enumerate(body)]
+            out.append(FunctionRecord("lw", "b", f"lw_{j}", f"O{level}", tuple(body)))
+    return out
+
+
+def split_calls(monkeypatch):
+    """The texts the compiled token pattern is run on, in order."""
+    seen = []
+    real = tokenizer._token_pattern
+
+    class Counting:
+        def __init__(self, delimiters):
+            self.pattern = real(delimiters)
+
+        def findall(self, text):
+            seen.append(text)
+            return self.pattern.findall(text)
+
+    monkeypatch.setattr(tokenizer, "_token_pattern", Counting)
+    return seen
+
+
+@pytest.mark.parametrize("delimiters", [DEFAULT_DELIMITERS, " ."])
+def test_encode_with_a_shared_row_map_equals_encoding_alone(delimiters):
+    pool = ["mov eax, ebx", "mov.eax.ebx", "a b c d e f g h", "a.b.c.d.e.f.g.h", "",
+            "  ,, [] ", " . . ", "push rbp", "call junk_token", "nop", "x.y z"]
+    rng = np.random.default_rng(3)
+    funcs = [[pool[i] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 30)))]
+             for _ in range(40)]
+    vocab = build_vocab([rec(f) for f in funcs[:20]], min_freq=3, delimiters=delimiters)
+    for k in (1, 3, 5):
+        rows = {}
+        for f in funcs:
+            shared = encode_function(vocab, f, k_tokens=k, max_positions=8, rows=rows)
+            alone = encode_function(vocab, f, k_tokens=k, max_positions=8)
+            for enc in (shared, alone):
+                assert enc.token_ids.dtype == np.int32 and enc.token_ids.flags.c_contiguous
+                assert enc.token_ids.flags.writeable
+                np.testing.assert_array_equal(enc.token_ids, naive_encode(vocab, f, k))
+                np.testing.assert_array_equal(
+                    enc.position_ids, np.minimum(np.arange(len(f), dtype=np.int32), 7))
+        assert set(rows) == {ins for f in funcs for ins in f}
+
+
+def test_each_distinct_instruction_is_split_once(monkeypatch):
+    records = generate(SynthConfig(n_families=20, seed=1))
+    distinct = {ins for r in records for ins in r.instructions}
+    seen = split_calls(monkeypatch)
+    vocab = build_vocab(records, min_freq=1)
+    assert sorted(seen) == sorted(distinct)
+    seen.clear()
+    rows = {}
+    for r in records:
+        encode_function(vocab, r, rows=rows)
+    assert sorted(seen) == sorted(distinct)
+
+
+@pytest.mark.parametrize("corpus", ["stock", "long-like"])
+def test_build_vocab_equals_the_per_occurrence_count(corpus):
+    records = (generate(SynthConfig(n_families=200, seed=1)) if corpus == "stock"
+               else long_like_records())
+    for min_freq in (1, 32):
+        assert (build_vocab(records, min_freq=min_freq).file_bytes()
+                == naive_build_vocab(records, min_freq).file_bytes())
+    assert (build_vocab(records, min_freq=2, delimiters=" ,").file_bytes()
+            == naive_build_vocab(records, 2, delimiters=" ,").file_bytes())
+
+
+def test_build_vocab_drops_literal_reserved_tokens_with_one_warning_each():
+    records = [rec(["mov <PAD>, eax", "mov <PAD>, eax", "push <UNK>"] * 5 + ["mov eax"])]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        vocab = build_vocab(records, min_freq=1)
+    messages = sorted(str(w.message) for w in caught)
+    assert messages == [f"corpus contains literal {t} token; dropped from vocabulary"
+                        for t in (PAD_TOKEN, UNK_TOKEN)]
+    assert vocab.file_bytes() == naive_build_vocab(records, 1).file_bytes()
+
+
+def test_build_vocab_without_repeated_instructions():
+    """Every instruction distinct: the counting pass finds nothing to share."""
+    records = [rec([f"op{i % 97} r{i % 13}, 0x{i:x}" for i in range(f * 500, (f + 1) * 500)],
+                   name=f"f{f}") for f in range(6)]
+    assert len({ins for r in records for ins in r.instructions}) == 3000
+    for min_freq in (1, 2, 32):
+        assert (build_vocab(records, min_freq=min_freq).file_bytes()
+                == naive_build_vocab(records, min_freq).file_bytes())
