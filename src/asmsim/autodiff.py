@@ -23,6 +23,9 @@ each function's run of output rows, and `lstm` runs a whole recurrence as one
 node, with a hand-written backward through time. `mlp` runs a mixer MLP
 (affine, GELU, dropout, affine with or without bias, dropout) as one node
 that keeps two float arrays, two bool masks and its input for its backward.
+In float32 its GELU gate is a rational erf, at about a quarter of the cost
+of scipy's erf. `layer_norm` and `mlp` do their elementwise work over blocks
+of rows that stay in cache (`_row_blocks`).
 `affine`, `layer_norm`, `mlp` and the elementwise kernels accept any leading axes.
 The lookup kernels, `embedding` and `token_conv`, share one padding rule: id
 -1, token or position, reads a zero vector and sends no gradient to any row.
@@ -236,6 +239,81 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+# The elementwise kernels (`layer_norm`, the GELU and dropout of `mlp`) run
+# over blocks of rows of about this many elements, with block-sized scratch,
+# so that each of their passes reads a block from cache and not from memory.
+# Measured on the float32 GELU cdf over 1.77M elements, one BLAS thread:
+# 16K elements per block took 10-12 ms, 64K 8-9 ms and 256K 10-13 ms; the
+# layer norm of [4, 256, 960] read the same 3-4 ms from 32K to 256K.
+_BLOCK = 1 << 16
+
+
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive row slices covering `rows` rows of `width` columns, each
+    of about _BLOCK elements and at least one row."""
+    step = max(1, _BLOCK // max(width, 1))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _scratch(blocks: list[slice], width: int, dtype) -> np.ndarray:
+    """An uninitialized array that holds the largest of `blocks`."""
+    return np.empty((blocks[0].stop if blocks else 0, width), dtype=dtype)
+
+
+# erf(z) ~ z P(z^2) / Q(z^2) on |z| <= 4, in float32: Eigen's fast float erf,
+# four of its coefficients moved by one ulp where that lowered the largest error
+_ERF_P = tuple(np.float32(c) for c in (
+    -0.016096035, -0.0029546, -0.00073499064, -5.6925062e-05,
+    -2.101024e-06, 2.7706815e-08, -2.7261424e-10))
+_ERF_Q = tuple(np.float32(c) for c in (
+    -0.014264739, -0.007373329, -0.0016828271, -0.00021337405, -1.4566071e-05))
+
+
+def _horner(x: np.ndarray, coefs, out: np.ndarray) -> np.ndarray:
+    """out = coefs[0] + coefs[1] x + ... + coefs[-1] x^(n-1), in place."""
+    np.multiply(x, coefs[-1], out=out)
+    for c in coefs[-2:0:-1]:
+        out += c
+        out *= x
+    out += coefs[0]
+    return out
+
+
+def _gelu_cdf(h: np.ndarray, out: np.ndarray, z: np.ndarray, zz: np.ndarray) -> np.ndarray:
+    """out = 0.5 (1 + erf(h / sqrt(2))), the GELU's gate, for one block of h;
+    z and zz are scratch of h's shape.
+
+    A float32 block evaluates the rational erf above with float32 products,
+    sums and one division, which round the same on every machine. The result
+    is clamped to [-1, 1], so the cdf stays in [0, 1]: ±0 gives 0.5, +inf 1,
+    -inf 0 and NaN NaN. Against float64 scipy its largest absolute error over
+    every float32 input is 2.3e-7 (scipy's own erf in float32: 6.1e-8). Every
+    other dtype calls scipy's erf, so float64 graphs stay exact."""
+    if h.dtype != np.float32:
+        erf(h * INV_SQRT2, out=out)
+        out += 1.0
+        out *= 0.5
+        return out
+    np.multiply(h, INV_SQRT2, out=z)
+    np.clip(z, -4.0, 4.0, out=z)
+    np.multiply(z, z, out=zz)
+    _horner(zz, _ERF_P, out)
+    out *= z
+    out /= _horner(zz, _ERF_Q, z)
+    np.clip(out, -1.0, 1.0, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
+
+
+def _keep(v: np.ndarray, mask: np.ndarray, inv_keep) -> np.ndarray:
+    """Inverted dropout in place: v * mask * inv_keep, which rounds as
+    v * (mask / (1 - rate)) does, with no float mask built."""
+    v *= mask
+    v *= inv_keep
+    return v
+
+
 def add(a, b) -> Tensor:
     a = _wrap(a, getattr(b, "dtype", None))
     b = _wrap(b, a.dtype)
@@ -301,26 +379,53 @@ def relu(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift.
-    While recording it keeps the normalized rows, their inverse standard
-    deviations and the scale, not x."""
+    The row-local work runs over blocks of rows (`_row_blocks`), which gives
+    the bits of the whole-array formula. While recording it keeps the
+    normalized rows, their inverse standard deviations and the scale, not x;
+    otherwise the output overwrites the normalized rows."""
     n = x.shape[-1]
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ValueError(f"layer_norm scale/shift must be length {n}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv_std
-    out_data = gamma.data * xhat + beta.data
-    xn, gn, gd, bn = x.node, gamma.node, gamma.data, beta.node
+    x2 = x.data.reshape(-1, n)
+    rows, dt = x2.shape[0], x2.dtype
+    blocks = _row_blocks(rows, n)
+    xhat = np.empty((rows, n), dtype=dt)
+    inv_std = np.empty((rows, 1), dtype=dt)
+    record = _recording(x, gamma, beta)
+    out = np.empty_like(xhat) if record else xhat
+    sq = _scratch(blocks, n, dt)
+    for blk in blocks:
+        xc, istd, sb = xhat[blk], inv_std[blk], sq[:blk.stop - blk.start]
+        np.subtract(x2[blk], x2[blk].mean(axis=-1, keepdims=True), out=xc)
+        np.multiply(xc, xc, out=sb)
+        np.sqrt(sb.mean(axis=-1, keepdims=True) + eps, out=istd)
+        np.divide(1.0, istd, out=istd)
+        xc *= istd
+        np.multiply(xc, gamma.data, out=out[blk])
+        out[blk] += beta.data
+    out_data = out.reshape(x.shape)
+    if not record:
+        return Tensor(out_data)
+    xn, x_shape, gn, gd, bn = x.node, x.shape, gamma.node, gamma.data, beta.node
 
     def backward(g):
-        _accum(bn, g.reshape(-1, n).sum(axis=0))
-        _accum(gn, (g * xhat).reshape(-1, n).sum(axis=0))
-        dxhat = g * gd
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(xn, inv_std * (dxhat - m1 - xhat * m2))
+        g2 = g.reshape(-1, n)
+        _accum(bn, g2.sum(axis=0))                 # column sums: whole-array
+        _accum(gn, (g2 * xhat).sum(axis=0))
+        gx = np.empty_like(xhat)
+        dxhat, t = _scratch(blocks, n, dt), _scratch(blocks, n, dt)
+        for blk in blocks:
+            k = blk.stop - blk.start
+            d, tb, xb = dxhat[:k], t[:k], xhat[blk]
+            np.multiply(g2[blk], gd, out=d)
+            m1 = d.mean(axis=-1, keepdims=True)
+            np.multiply(d, xb, out=tb)
+            m2 = tb.mean(axis=-1, keepdims=True)
+            np.multiply(xb, m2, out=tb)
+            d -= m1
+            d -= tb
+            np.multiply(inv_std[blk], d, out=gx[blk])
+        _accum(xn, gx.reshape(x_shape))
 
     return _node(out_data, (x, gamma, beta), backward)
 
@@ -329,14 +434,20 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None, rate: 
         rng: np.random.Generator | None) -> Tensor:
     """affine -> exact GELU -> dropout -> affine -> dropout over the last axis, as one node.
 
-    GELU is 0.5 h (1 + erf(h / sqrt(2))). Dropout is inverted: each unit is
-    kept where rng.random() >= rate and scaled by 1 / (1 - rate), with one
-    draw over the hidden units and then one over the outputs; rate 0 draws
-    nothing and is the identity, as on inference paths. While recording it
-    keeps the pre-activation h, the GELU's cdf, the two keep-masks as bool
-    and x's data (a transposed view is reshaped again in the backward, not
-    copied here); the GELU output and both dropout outputs are recomputed
-    from them. Recomputing cdf would cost an erf, about one GEMM.
+    GELU is h * cdf with cdf = 0.5 (1 + erf(h / sqrt(2))), from `_gelu_cdf`.
+    Dropout is inverted: each unit is kept where rng.random() >= rate and
+    scaled by 1 / (1 - rate), with one draw over the hidden units and then one
+    over the outputs; rate 0 draws nothing and is the identity, as on
+    inference paths. The bias, the GELU and the first dropout run over blocks
+    of rows of h (`_row_blocks`), and the draws follow the rows in order, so
+    they are those of one whole-array draw. While recording it keeps the
+    pre-activation h, the GELU's cdf, the two keep-masks as bool and x's data
+    (a transposed view is reshaped again in the backward, not copied here);
+    the GELU output and both dropout outputs are recomputed from them. On an
+    h of [1536, 1152] the float32 cdf took 9-11 ms, scipy's erf 39-46 ms and
+    the [1536, 960] @ [960, 1152] GEMM that makes h 27-35 ms (quartiles, one
+    BLAS thread). On inference paths the GELU overwrites h and no full-size
+    cdf is made.
 
     x [..., n], w1 [n, k], b1 [k], w2 [k, m], b2 [m] or None (no output
     bias) -> [..., m].
@@ -347,34 +458,42 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None, rate: 
         raise ValueError("a training-mode mixer needs an RNG for dropout")
     for w, b in ((w1, b1), (w2, b2)):
         if w.ndim != 2 or (b is not None and b.shape != (w.shape[1],)):
-            raise ValueError(f"mlp weight/bias mismatch: w {w.shape}, b {b.shape}")
+            raise ValueError(f"mlp weight/bias mismatch: w {w.shape}, "
+                             f"b {None if b is None else b.shape}")
     if x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
         raise ValueError(f"mlp widths do not chain: x {x.shape}, w1 {w1.shape}, w2 {w2.shape}")
     lead, hid, m = x.data.shape[:-1], w1.shape[1], w2.shape[1]
     dt = x.data.dtype
-    scale = dt.type(1.0 - rate)
-
-    def keep(mask):                       # the float mask dropout scales by
-        return mask.astype(dt) / scale
+    inv_keep = dt.type(1.0) / dt.type(1.0 - rate)      # what dropout scales a kept unit by
 
     inputs = (x, w1, b1, w2) if b2 is None else (x, w1, b1, w2, b2)
     record = _recording(*inputs)
-    h = x.data.reshape(-1, x.data.shape[-1]) @ w1.data + b1.data
-    cdf = 0.5 * (1.0 + erf(h * INV_SQRT2))
-    a = h * cdf
-    if not record:
-        del h, cdf                        # inference: not held through the second GEMM
-    mask1 = mask2 = None
-    if rate:
-        mask1 = rng.random(lead + (hid,)).reshape(a.shape) >= rate
-        a *= keep(mask1)
+    h = x.data.reshape(-1, x.data.shape[-1]) @ w1.data
+    blocks = _row_blocks(h.shape[0], hid)
+    # inference: the GELU overwrites h, and a block's cdf lives in scratch
+    cdf = np.empty_like(h) if record else _scratch(blocks, hid, dt)
+    a = np.empty_like(h) if record else h
+    mask1 = np.empty(h.shape, dtype=bool) if rate else None
+    z, zz = _scratch(blocks, hid, dt), _scratch(blocks, hid, dt)
+    for blk in blocks:
+        k = blk.stop - blk.start
+        hb, ab = h[blk], a[blk]
+        hb += b1.data
+        cb = cdf[blk] if record else cdf[:k]
+        np.multiply(hb, _gelu_cdf(hb, cb, z[:k], zz[:k]), out=ab)
+        if rate:
+            np.greater_equal(rng.random(ab.shape), rate, out=mask1[blk])
+            _keep(ab, mask1[blk], inv_keep)
     y = a @ w2.data
+    del a
     if b2 is not None:
         y += b2.data
-    del a
+    mask2 = None
     if rate:
-        mask2 = rng.random(lead + (m,)).reshape(y.shape) >= rate
-        y *= keep(mask2)
+        mask2 = np.empty(y.shape, dtype=bool)
+        for blk in _row_blocks(y.shape[0], m):
+            np.greater_equal(rng.random(y[blk].shape), rate, out=mask2[blk])
+            _keep(y[blk], mask2[blk], inv_keep)
     out_data = y.reshape(*lead, m)
     if not record:
         return Tensor(out_data)
@@ -384,22 +503,31 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None, rate: 
 
     def backward(g):
         g2 = g.reshape(-1, m)
-        a = h * cdf
         if rate:
-            g2 = g2 * keep(mask2)
-            a *= keep(mask1)
+            g2 = g2 * mask2                   # a copy: g is not this node's to change
+            g2 *= inv_keep
+        a = np.empty_like(h)
+        for blk in blocks:
+            np.multiply(h[blk], cdf[blk], out=a[blk])
+            if rate:
+                _keep(a[blk], mask1[blk], inv_keep)
         _accum(w2n, a.T @ g2)
         if b2n is not None:
             _accum(b2n, g2.sum(axis=0))
-        del a
-        gh = g2 @ w2d.T
-        if rate:
-            gh *= keep(mask1)
-        slope = INV_SQRT_2PI * np.exp(-0.5 * h * h)   # in place: cdf + h * pdf
-        slope *= h
-        slope += cdf
-        gh *= slope
-        del slope
+        gh = np.matmul(g2, w2d.T, out=a)      # a is spent: its buffer takes gh
+        del a, g2                             # not held through the w1 products
+        slope = _scratch(blocks, hid, dt)
+        for blk in blocks:
+            gb, hb, sb = gh[blk], h[blk], slope[:blk.stop - blk.start]
+            if rate:
+                _keep(gb, mask1[blk], inv_keep)
+            np.multiply(hb, -0.5, out=sb)       # cdf + h * pdf
+            sb *= hb
+            np.exp(sb, out=sb)
+            sb *= INV_SQRT_2PI
+            sb *= hb
+            sb += cdf[blk]
+            gb *= sb
         x2 = xd.reshape(-1, xd.shape[-1])
         _accum(w1n, x2.T @ gh)
         _accum(b1n, gh.sum(axis=0))

@@ -439,6 +439,46 @@ def test_layer_norm_constant_vector_is_zero_pre_affine():
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
+def ref_layer_norm(x, gamma, beta, g, eps=1e-5):
+    """The one-shot whole-array layer norm: its output and the gradients of
+    x, gamma and beta for the upstream gradient g."""
+    n = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv_std
+    dxhat = g * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return (gamma * xhat + beta, inv_std * (dxhat - m1 - xhat * m2),
+            (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_blocks_match_one_shot_bitwise(dtype):
+    """Row blocks give the one-shot formula's output and gradients bit for
+    bit: at 0 and 1 rows, one row short of and past a block, over leading
+    axes, and with rows wider than a block."""
+    rng = np.random.default_rng(46)
+    step = ad._BLOCK // 96
+    for shape in ((0, 96), (1, 96), (step - 1, 96), (step + 1, 96), (3, step // 2, 96),
+                  (3, ad._BLOCK + 5)):
+        x, g = (rng.standard_normal(shape).astype(dtype) * 3 + 1 for _ in range(2))
+        gamma, beta = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(2))
+        params = [ad.Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        out = ad.layer_norm(*params)
+        ad.sum_(out * ad.constant(g)).backward()
+        with ad.no_grad():
+            inference = ad.layer_norm(*params).data
+        want = ref_layer_norm(x, gamma, beta, g)
+        got = (out.data, *(p.grad for p in params))
+        for name, a, b in zip(("out", "x", "gamma", "beta"), got, want):
+            assert a.dtype == dtype and a.shape == b.shape, (shape, name)
+            np.testing.assert_array_equal(a, b, err_msg=f"{shape} {name}")
+        np.testing.assert_array_equal(inference, want[0])
+
+
 def test_relu_subgradient_zero_at_kink():
     x = ad.Tensor([0.0, -1.0, 2.0], requires_grad=True, dtype=np.float64)
     out = ad.sum_(ad.relu(x))
@@ -480,8 +520,36 @@ def ref_mlp(x, w1, b1, w2, b2, rate, rng):
         return v * keep
 
     h = affine(x, w1, b1)
-    a = drop(h * (0.5 * (1.0 + erf(h * INV_SQRT2))))
+    a = drop(h * ref_cdf(h))
     return drop(affine(a, w2, b2))
+
+
+def ref_cdf(h):
+    """The GELU gate 0.5 (1 + erf(h / sqrt(2))): float32 through the kernel's
+    rational erf, which test_gelu_cdf_float32_accuracy holds to float64 scipy,
+    every other dtype through scipy."""
+    if h.dtype == np.float32:
+        return ad._gelu_cdf(h, *(np.empty_like(h) for _ in range(3)))
+    return 0.5 * (1.0 + erf(h * INV_SQRT2))
+
+
+def test_gelu_cdf_float32_accuracy():
+    """The float32 GELU gate against float64 scipy on 2^22 + 1 evenly spaced
+    points in [-8, 8], plus signed zeros, infinities, NaN and subnormals:
+    within 2.5e-7 (scipy's erf in float32 reads 6.1e-8), in [0, 1] everywhere,
+    and exact at the special values."""
+    tiny = np.finfo(np.float32).smallest_subnormal
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-40, -1e-40],
+                       dtype=np.float32)
+    h = np.concatenate([np.linspace(-8.0, 8.0, (1 << 22) + 1, dtype=np.float32), special])
+    cdf = ref_cdf(h)
+    want = 0.5 * (1.0 + erf(h.astype(np.float64) * INV_SQRT2))
+    assert cdf.dtype == np.float32
+    live = ~np.isnan(h)
+    assert np.abs(cdf[live] - want[live]).max() <= 2.5e-7
+    assert cdf[live].min() >= 0.0 and cdf[live].max() <= 1.0
+    np.testing.assert_array_equal(cdf[-special.size:],
+                                  [0.5, 0.5, 1.0, 0.0, np.nan, 0.5, 0.5, 0.5, 0.5])
 
 
 def mlp_args(rng, n, k, m, dtype):
@@ -491,8 +559,9 @@ def mlp_args(rng, n, k, m, dtype):
 
 def test_mlp_matches_numpy_reference_bitwise():
     """float32, rate 0.1, from one seed: the node's forward is bit for bit the
-    old composition's, on a transposed view (token mixing) and on a
-    contiguous input (channel mixing), with and without the output bias."""
+    whole-array composition's with the same GELU gate, on a transposed view
+    (token mixing) and on a contiguous input (channel mixing), with and
+    without the output bias."""
     rng = np.random.default_rng(40)
     base = ad.Tensor(rng.standard_normal((3, 7, 5)), requires_grad=True, dtype=np.float32)
     for x, out_bias in itertools.product((ad.transpose(base, (0, 2, 1)), base), (True, False)):
@@ -531,6 +600,9 @@ def test_mlp_rate_and_rng_validation():
         ad.mlp(x, *params, 0.1, None)
     with pytest.raises(ValueError, match="do not chain"):
         ad.mlp(x, *mlp_args(rng, 4, 4, 3, np.float64), 0.0, None)
+    w1, b1 = params[:2]       # a bias-free second layer whose weight is not 2-D
+    with pytest.raises(ValueError, match="weight/bias mismatch"):
+        ad.mlp(x, w1, b1, ad.constant(np.ones((4, 3, 1))), None, 0.0, None)
 
 
 def test_deep_graph_backward_is_iterative():

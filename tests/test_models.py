@@ -379,6 +379,25 @@ def test_training_mode_mixer_needs_an_rng():
         [e], training=True).shape == (1, cfg.output_dim)
 
 
+def test_float32_mixer_never_calls_scipy_erf(monkeypatch):
+    """A float32 mixer's training forward and backward take the GELU gate
+    from the float32 rational erf; a silent fall back to scipy's erf (the
+    float64 path, three times slower) fails here."""
+    def no_erf(*args, **kwargs):
+        raise AssertionError("scipy.special.erf called")
+
+    monkeypatch.setattr(ad, "erf", no_erf)
+    cfg = small_cfg("mixer")
+    rng = np.random.default_rng(18)
+    encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
+    model = build_backbone(cfg, seed=19)
+    out = model.embed_batch(encs, training=True, rng=np.random.default_rng(20))
+    ad.sum_(out * rng.standard_normal(out.shape).astype(np.float32)).backward()
+    assert all(p.grad is not None for p in model.params.values())
+    with pytest.raises(AssertionError, match="erf called"):    # the spy is live
+        build_backbone(cfg, seed=19, dtype=np.float64).embed_batch(encs)
+
+
 def test_textcnn_gelu_not_involved_relu_max_pool_path():
     # a one-instruction function with an all-PAD row plus zero position vector
     # pools at least the bias, so outputs stay finite
