@@ -2,9 +2,9 @@
 
 Every operation on a tensor that needs a gradient records a graph `Node`
 beside its output; calling ``backward()`` on a scalar result fills ``grad``
-on every reachable tensor created with ``requires_grad=True``; inner nodes
-drop their gradient once it has been passed on, so a backward pass holds
-little beyond the forward graph.
+on every reachable tensor created with ``requires_grad=True``. The backward
+gives memory back as it runs: an inner node drops its gradient once it has
+been passed on, and the arrays its backward saved once that backward has run.
 A node holds no forward data: its gradient, its parents' nodes and a backward
 that keeps exactly the arrays it reads, as PyTorch's saved tensors do. An
 intermediate whose last Python reference goes away is freed, even while the
@@ -13,8 +13,15 @@ and `embedding` keep shapes and ids only, `relu` its bool mask, `mul` and
 `affine` the other operand, `layer_norm` its normalized rows, inverse standard
 deviations and scale, `segment_max` each first maximum's row, `lstm` its
 gate activations and states but not its input, and `mlp` and `token_conv` the
-arrays their docstrings name. Saved arrays live until the graph is dropped,
-so a second ``backward()`` adds the same gradients again.
+arrays their docstrings name. Once a node's backward has run, ``backward()``
+replaces it with a spent marker, which frees those arrays at once; so a graph
+runs backward once, and a second ``backward()`` that reaches a spent node,
+from the same root or from another, raises RuntimeError before it writes any
+gradient. A kernel hands a parent its first gradient without a copy when the
+array is its own: one it just made, or a view of its own spent gradient, that
+no other parent gets. `add` copies for its second parent and `sum_` copies
+its read-only broadcast, so no two gradients share memory: Adam uses each as
+scratch.
 The sequence kernels run on functions packed end to end, and each reads the
 packing as one [B] array of per-function row counts over consecutive rows:
 `token_conv` reads [N, K] token and [N] position ids instead of a built
@@ -22,7 +29,8 @@ packing as one [B] array of per-function row counts over consecutive rows:
 each function's run of output rows, and `lstm` runs a whole recurrence as one
 node, with a hand-written backward through time. `mlp` runs a mixer MLP
 (affine, GELU, dropout, affine with or without bias, dropout) as one node
-that keeps two float arrays, two bool masks and its input for its backward.
+that keeps two float arrays, two dropout masks packed to bits and its input
+for its backward.
 In float32 its GELU gate is a rational erf, at about a quarter of the cost
 of scipy's erf. `layer_norm` and `mlp` do their elementwise work over blocks
 of rows that stay in cache (`_row_blocks`).
@@ -44,6 +52,9 @@ from scipy import sparse
 from scipy.special import erf, expit
 
 _GRAD_ENABLED = True
+
+_SPENT_MESSAGE = ("backward() reached a node that an earlier backward() already ran: "
+                 "its saved arrays are freed, so run the forward again")
 
 # Python floats: a numpy float64 scalar would promote float32 arrays to float64
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -146,6 +157,8 @@ class Tensor:
                 continue
             if node in seen:
                 continue
+            if node.backward is _spent:
+                raise RuntimeError(_SPENT_MESSAGE)
             seen.add(node)
             stack.append((node, True))
             for p in node.parents:
@@ -153,9 +166,12 @@ class Tensor:
                     stack.append((p, False))
         self.node.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node.backward is not None and node.grad is not None:
+            if node.backward is None:           # a leaf keeps its gradient
+                continue
+            if node.grad is not None:
                 node.backward(node.grad)
-                node.grad = None  # spent: every consumer ran before this node
+                node.grad = None  # every consumer ran before this node
+            node.backward = _spent              # frees the arrays its backward saved
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -195,15 +211,28 @@ def _wrap(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _accum(node: Node | None, g: np.ndarray):
-    """Add g to the gradient of `node`; None (a tensor that takes no gradient) ignores it."""
+def _spent(g):
+    """The backward of a node whose backward has run: its saved arrays are gone."""
+    raise RuntimeError(_SPENT_MESSAGE)
+
+
+def _accum(node: Node | None, g: np.ndarray, own: bool = False):
+    """Add g to the gradient of `node`; None (a tensor that takes no gradient) ignores it.
+
+    A first gradient is g itself, not a copy, when the caller owns g (`own`:
+    an array the kernel just made, or a view of its own spent gradient, that
+    no other parent gets, nor a view of it) and g has the node's dtype and
+    shape. So no two gradients share memory, which Adam relies on when it
+    uses each gradient as scratch."""
     if node is None:
         return
-    if node.grad is None:
-        node.grad = np.empty(node.shape, dtype=node.dtype)
-        np.copyto(node.grad, g)     # a copy, not g itself: `add` passes one g to both parents
-    else:
+    if node.grad is not None:
         node.grad += g
+    elif own and g.dtype == node.dtype and g.shape == node.shape:
+        node.grad = g
+    else:
+        node.grad = np.empty(node.shape, dtype=node.dtype)
+        np.copyto(node.grad, g)
 
 
 def _zeroed_grad(node: Node) -> np.ndarray:
@@ -314,6 +343,21 @@ def _keep(v: np.ndarray, mask: np.ndarray, inv_keep) -> np.ndarray:
     return v
 
 
+def _dropout(v: np.ndarray, rate, rng, inv_keep, keep: np.ndarray) -> np.ndarray:
+    """Inverted dropout in place on a block of rows v: keeps each unit where
+    rng.random() >= rate, drawn over v's rows in order; keep is bool scratch
+    of at least v's rows. Returns the keep-mask packed to bits along the rows."""
+    keep = keep[:v.shape[0]]
+    np.greater_equal(rng.random(v.shape), rate, out=keep)
+    _keep(v, keep, inv_keep)
+    return np.packbits(keep, axis=1)
+
+
+def _unpacked(bits: np.ndarray, width: int) -> np.ndarray:
+    """Rows of a keep-mask from `_dropout`, back as bool [rows, width]."""
+    return np.unpackbits(bits, axis=1, count=width).view(bool)
+
+
 def add(a, b) -> Tensor:
     a = _wrap(a, getattr(b, "dtype", None))
     b = _wrap(b, a.dtype)
@@ -321,8 +365,8 @@ def add(a, b) -> Tensor:
     an, a_shape, bn, b_shape = a.node, a.shape, b.node, b.shape
 
     def backward(g):
-        _accum(an, _unbroadcast(g, a_shape))
-        _accum(bn, _unbroadcast(g, b_shape))
+        _accum(an, _unbroadcast(g, a_shape), own=True)
+        _accum(bn, _unbroadcast(g, b_shape))      # a copy: a may hold g itself
 
     return _node(out_data, (a, b), backward)
 
@@ -338,9 +382,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if an is not None:
-            _accum(an, _unbroadcast(g * b_data, a_shape))
+            _accum(an, _unbroadcast(g * b_data, a_shape), own=True)
         if bn is not None:
-            _accum(bn, _unbroadcast(g * a_data, b_shape))
+            _accum(bn, _unbroadcast(g * a_data, b_shape), own=True)
 
     return _node(out_data, (a, b), backward)
 
@@ -359,9 +403,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
-        _accum(xn, (g2 @ wd.T).reshape(x_shape))
-        _accum(wn, x2.T @ g2)
-        _accum(bn, g2.sum(axis=0))
+        _accum(xn, (g2 @ wd.T).reshape(x_shape), own=True)
+        _accum(wn, x2.T @ g2, own=True)
+        _accum(bn, g2.sum(axis=0), own=True)
 
     return _node(out_data, (x, w, b), backward)
 
@@ -372,7 +416,8 @@ def relu(x: Tensor) -> Tensor:
     xn = x.node
 
     def backward(g):
-        _accum(xn, g * mask)
+        g *= mask                               # g is this node's own, spent once passed on
+        _accum(xn, g, own=True)
 
     return _node(out_data, (x,), backward)
 
@@ -410,11 +455,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     def backward(g):
         g2 = g.reshape(-1, n)
-        _accum(bn, g2.sum(axis=0))                 # column sums: whole-array
-        _accum(gn, (g2 * xhat).sum(axis=0))
-        gx = np.empty_like(xhat)
+        _accum(bn, g2.sum(axis=0), own=True)       # column sums: whole-array
+        _accum(gn, (g2 * xhat).sum(axis=0), own=True)
         dxhat, t = _scratch(blocks, n, dt), _scratch(blocks, n, dt)
-        for blk in blocks:
+        for blk in blocks:                         # x's gradient overwrites g2, block by block
             k = blk.stop - blk.start
             d, tb, xb = dxhat[:k], t[:k], xhat[blk]
             np.multiply(g2[blk], gd, out=d)
@@ -424,8 +468,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             np.multiply(xb, m2, out=tb)
             d -= m1
             d -= tb
-            np.multiply(inv_std[blk], d, out=gx[blk])
-        _accum(xn, gx.reshape(x_shape))
+            np.multiply(inv_std[blk], d, out=g2[blk])
+        _accum(xn, g2.reshape(x_shape), own=True)
 
     return _node(out_data, (x, gamma, beta), backward)
 
@@ -441,9 +485,11 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None, rate: 
     inference paths. The bias, the GELU and the first dropout run over blocks
     of rows of h (`_row_blocks`), and the draws follow the rows in order, so
     they are those of one whole-array draw. While recording it keeps the
-    pre-activation h, the GELU's cdf, the two keep-masks as bool and x's data
-    (a transposed view is reshaped again in the backward, not copied here);
-    the GELU output and both dropout outputs are recomputed from them. On an
+    pre-activation h, the GELU's cdf, x's data (a transposed view is reshaped
+    again in the backward, not copied here) and the two keep-masks packed to
+    bits, one uint8 row of ceil(width / 8) bytes per row, an eighth of a bool
+    mask; the backward unpacks them a block of rows at a time and recomputes
+    the GELU output and both dropout outputs. On an
     h of [1536, 1152] the float32 cdf took 9-11 ms, scipy's erf 39-46 ms and
     the [1536, 960] @ [960, 1152] GEMM that makes h 27-35 ms (quartiles, one
     BLAS thread). On inference paths the GELU overwrites h and no full-size
@@ -473,7 +519,9 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None, rate: 
     # inference: the GELU overwrites h, and a block's cdf lives in scratch
     cdf = np.empty_like(h) if record else _scratch(blocks, hid, dt)
     a = np.empty_like(h) if record else h
-    mask1 = np.empty(h.shape, dtype=bool) if rate else None
+    # the keep-masks as bits, a packed row per row, drawn through one block's bool scratch
+    mask1 = np.empty((h.shape[0], -(-hid // 8)), dtype=np.uint8) if rate else None
+    keep = _scratch(blocks, hid, bool) if rate else None
     z, zz = _scratch(blocks, hid, dt), _scratch(blocks, hid, dt)
     for blk in blocks:
         k = blk.stop - blk.start
@@ -482,18 +530,18 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None, rate: 
         cb = cdf[blk] if record else cdf[:k]
         np.multiply(hb, _gelu_cdf(hb, cb, z[:k], zz[:k]), out=ab)
         if rate:
-            np.greater_equal(rng.random(ab.shape), rate, out=mask1[blk])
-            _keep(ab, mask1[blk], inv_keep)
+            mask1[blk] = _dropout(ab, rate, rng, inv_keep, keep)
     y = a @ w2.data
     del a
     if b2 is not None:
         y += b2.data
+    out_blocks = _row_blocks(y.shape[0], m)
     mask2 = None
     if rate:
-        mask2 = np.empty(y.shape, dtype=bool)
-        for blk in _row_blocks(y.shape[0], m):
-            np.greater_equal(rng.random(y[blk].shape), rate, out=mask2[blk])
-            _keep(y[blk], mask2[blk], inv_keep)
+        mask2 = np.empty((y.shape[0], -(-m // 8)), dtype=np.uint8)
+        keep = _scratch(out_blocks, m, bool)
+        for blk in out_blocks:
+            mask2[blk] = _dropout(y[blk], rate, rng, inv_keep, keep)
     out_data = y.reshape(*lead, m)
     if not record:
         return Tensor(out_data)
@@ -503,24 +551,24 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None, rate: 
 
     def backward(g):
         g2 = g.reshape(-1, m)
-        if rate:
-            g2 = g2 * mask2                   # a copy: g is not this node's to change
-            g2 *= inv_keep
+        if rate:                              # g is this node's own: dropped in place
+            for blk in out_blocks:
+                _keep(g2[blk], _unpacked(mask2[blk], m), inv_keep)
         a = np.empty_like(h)
         for blk in blocks:
             np.multiply(h[blk], cdf[blk], out=a[blk])
             if rate:
-                _keep(a[blk], mask1[blk], inv_keep)
-        _accum(w2n, a.T @ g2)
+                _keep(a[blk], _unpacked(mask1[blk], hid), inv_keep)
+        _accum(w2n, a.T @ g2, own=True)
         if b2n is not None:
-            _accum(b2n, g2.sum(axis=0))
+            _accum(b2n, g2.sum(axis=0), own=True)
         gh = np.matmul(g2, w2d.T, out=a)      # a is spent: its buffer takes gh
-        del a, g2                             # not held through the w1 products
+        del a, g2                 # g2 copies a non-contiguous g: not held through the w1 products
         slope = _scratch(blocks, hid, dt)
         for blk in blocks:
             gb, hb, sb = gh[blk], h[blk], slope[:blk.stop - blk.start]
             if rate:
-                _keep(gb, mask1[blk], inv_keep)
+                _keep(gb, _unpacked(mask1[blk], hid), inv_keep)
             np.multiply(hb, -0.5, out=sb)       # cdf + h * pdf
             sb *= hb
             np.exp(sb, out=sb)
@@ -529,9 +577,9 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None, rate: 
             sb += cdf[blk]
             gb *= sb
         x2 = xd.reshape(-1, xd.shape[-1])
-        _accum(w1n, x2.T @ gh)
-        _accum(b1n, gh.sum(axis=0))
-        _accum(xn, (gh @ w1d.T).reshape(xd.shape))
+        _accum(w1n, x2.T @ gh, own=True)
+        _accum(b1n, gh.sum(axis=0), own=True)
+        _accum(xn, (gh @ w1d.T).reshape(xd.shape), own=True)
 
     return _node(out_data, inputs, backward)
 
@@ -556,7 +604,7 @@ def concat(tensors, axis: int) -> Tensor:
 
     def backward(g):
         for node, piece in zip(nodes, np.split(g, offsets, axis=axis)):
-            _accum(node, piece)
+            _accum(node, piece, own=True)       # disjoint views of g
 
     return _node(out_data, tuple(tensors), backward)
 
@@ -566,7 +614,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     xn, x_shape = x.node, x.shape
 
     def backward(g):
-        _accum(xn, g.reshape(x_shape))
+        _accum(xn, g.reshape(x_shape), own=True)
 
     return _node(out_data, (x,), backward)
 
@@ -577,7 +625,7 @@ def transpose(x: Tensor, axes=None) -> Tensor:
     xn = x.node
 
     def backward(g):
-        _accum(xn, np.transpose(g, inv))
+        _accum(xn, np.transpose(g, inv), own=True)
 
     return _node(out_data, (x,), backward)
 
@@ -683,7 +731,7 @@ def token_conv(table: Tensor, pos_table: Tensor, ids, pos, lengths, w: Tensor) -
             if tn is not None:
                 live = uniq >= 0
                 _zeroed_grad(tn)[uniq[live]] += (gp @ kernels[s].T)[live]
-        _accum(wn, gw.reshape(w_shape))
+        _accum(wn, gw.reshape(w_shape), own=True)
 
     return _node(out_data, (table, pos_table, w), backward)
 
@@ -729,7 +777,7 @@ def segment_max(x: Tensor, lengths) -> Tensor:
         gx = np.zeros(xn.shape, dtype=xn.dtype)
         live = first >= 0
         gx[first[live], np.nonzero(live)[1]] = g[live]
-        _accum(xn, gx)
+        _accum(xn, gx, own=True)
 
     return _node(out_data, (x,), backward)
 
@@ -815,9 +863,9 @@ def lstm(xp: Tensor, w_h: Tensor, b: Tensor, lengths) -> Tensor:
             dpre[rows] = d                      # a step's rows are distinct, and no row recurs
             dc[lo:] = _flush_subnormal(dc_t * f)
             dh[lo:] = _flush_subnormal(d @ wd.T)
-        _accum(wn, h_prev.T @ dpre)
-        _accum(bn, dpre.sum(axis=0))
-        _accum(xn, dpre)
+        _accum(wn, h_prev.T @ dpre, own=True)
+        _accum(bn, dpre.sum(axis=0), own=True)
+        _accum(xn, dpre, own=True)
 
     return _node(out_data, (xp, w_h, b), backward)
 
@@ -871,7 +919,7 @@ def pairwise_cosine(u: Tensor, v: Tensor, eps: float = 1e-8) -> Tensor:
         cn = cos[:, None]
         nu2 = np.where(nu < eps, 1.0, nu * nu)[:, None]
         nv2 = np.where(nv < eps, 1.0, nv * nv)[:, None]
-        _accum(un, scale * (vd - cn * denom[:, None] * ud / nu2))
-        _accum(vn, scale * (ud - cn * denom[:, None] * vd / nv2))
+        _accum(un, scale * (vd - cn * denom[:, None] * ud / nu2), own=True)
+        _accum(vn, scale * (ud - cn * denom[:, None] * vd / nv2), own=True)
 
     return _node(cos, (u, v), backward)

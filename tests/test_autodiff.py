@@ -615,14 +615,23 @@ def test_deep_graph_backward_is_iterative():
 
 
 def test_backward_frees_inner_gradients():
+    """Inner gradients go once passed on, and a spent graph cannot run again:
+    a second backward from the same root, or from a second root that shares
+    spent nodes, raises before it writes any gradient."""
     x = ad.Tensor([1.0, -2.0], requires_grad=True, dtype=np.float64)
     y = x * x
     z = ad.sum_(y * y)
+    other = ad.sum_(y * 3.0)          # a second root over the same y
     z.backward()
     assert y.grad is None and z.grad is None
     np.testing.assert_allclose(x.grad, 4 * x.data ** 3)
-    z.backward()  # a second pass accumulates into the leaf, not into stale inner gradients
-    np.testing.assert_allclose(x.grad, 8 * x.data ** 3)
+    grad = x.grad
+    want = grad.copy()
+    for root in (z, other):
+        with pytest.raises(RuntimeError, match="earlier backward"):
+            root.backward()
+        assert x.grad is grad and other.grad is None
+        np.testing.assert_array_equal(x.grad, want)
 
 
 def test_no_grad_builds_no_graph():
@@ -639,20 +648,16 @@ def _saved_arrays(out):
     """The arrays that `out`'s backward keeps alive, a sparse matrix as its
     values. A backward that kept a Tensor would keep its data whether it
     reads it or not, so none may."""
-    found = []
-
-    def visit(v):
+    found, stack = [], [cell.cell_contents for cell in out.node.backward.__closure__ or ()]
+    while stack:
+        v = stack.pop()
         assert not isinstance(v, ad.Tensor), "a backward keeps a Tensor"
         if isinstance(v, (list, tuple)):
-            for item in v:
-                visit(item)
+            stack.extend(v)
         elif sparse.issparse(v):
             found.append(v.data)
         elif isinstance(v, np.ndarray):
             found.append(v)
-
-    for cell in out.node.backward.__closure__ or ():
-        visit(cell.cell_contents)
     return found
 
 
@@ -661,15 +666,25 @@ def _saved_float_dtypes(out):
     return {a.dtype for a in _saved_arrays(out) if a.dtype.kind == "f"}
 
 
-def test_float32_stays_float32():
-    rng = np.random.default_rng(4)
+def _saved(out, name):
+    """The array that `out`'s backward keeps under `name`."""
+    fn = out.node.backward
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+def float32_kernels(rng):
+    """name -> a thunk that runs one kernel on float32 leaves, plus the list
+    of every leaf made so far, which the thunks extend as they run."""
+    leaves = []
 
     def p32(*shape):
-        return ad.Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float32)
+        leaves.append(ad.Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float32))
+        return leaves[-1]
 
     x, w, b = p32(2, 5, 3), p32(3, 4), p32(4)
     kernels = {
         "add": lambda: ad.add(x, 1.0),
+        "add_tensors": lambda: ad.add(x, p32(2, 5, 3)),
         "mul": lambda: ad.mul(x, 0.5),
         "affine": lambda: ad.affine(x, w, b),
         "relu": lambda: ad.relu(x),
@@ -689,10 +704,97 @@ def test_float32_stays_float32():
         "mean_": lambda: ad.mean_(x, axis=1),
         "pairwise_cosine": lambda: ad.pairwise_cosine(p32(2, 3), p32(2, 3)),
     }
-    for name, make in kernels.items():
+    return kernels, leaves
+
+
+def test_float32_stays_float32():
+    for name, make in float32_kernels(np.random.default_rng(4))[0].items():
         out = make()
         assert out.dtype == np.float32, name
         assert _saved_float_dtypes(out) <= {np.dtype(np.float32)}, name
+
+
+def test_gradients_share_no_memory():
+    """Kernels hand gradients down without copies, yet after a backward
+    through each kernel no leaf gradient shares memory with another, with a
+    leaf's data or with the kernel's live output: Adam uses every gradient as
+    scratch."""
+    kernels, leaves = float32_kernels(np.random.default_rng(46))
+    for name, make in kernels.items():
+        for t in leaves:
+            t.grad = None
+        out = make()
+        proj = np.random.default_rng(0).standard_normal(out.shape).astype(np.float32)
+        ad.sum_(out * proj).backward()
+        grads = [t.grad for t in leaves if t.grad is not None]
+        assert grads, name
+        others = [out.data] + [t.data for t in leaves]
+        for i, g in enumerate(grads):
+            assert g.dtype == np.float32, name
+            assert not any(np.shares_memory(g, a) for a in grads[i + 1:] + others), name
+
+
+def test_gradients_of_a_tensor_read_twice():
+    """A kernel may give a parent its own gradient uncopied, and `add` copies
+    it for the second: gradients still sum right where one tensor is both
+    inputs of a node, feeds an `add` and a `mul`, or reaches an `add` twice
+    through a transposed view (float64 finite differences)."""
+    rng = np.random.default_rng(49)
+    for _ in range(TRIALS // 4):
+        x, y, t = p64(rng, 3, 4), p64(rng, 3, 4), p64(rng, 4, 3)
+        proj, wide = rng.standard_normal((3, 4)), rng.standard_normal((3, 8))
+
+        def chain():
+            s = ad.transpose(t, (1, 0))
+            return ad.sum_((s + x + s) * proj)
+
+        cases = {
+            "x + x": (lambda: ad.sum_((x + x) * proj), {"x": x}),
+            "x * x": (lambda: ad.sum_(x * x * proj), {"x": x}),
+            "concat": (lambda: ad.sum_(ad.concat([x, x], axis=1) * wide), {"x": x}),
+            "add and mul": (lambda: ad.sum_((x + y) * (x * y) * proj), {"x": x, "y": y}),
+            "transpose, add": (chain, {"t": t, "x": x}),
+        }
+        for name, (f, params) in cases.items():
+            report = finite_diff_check(f, params, rel_tolerance=1e-4, rng=rng)
+            assert report.passed, name
+
+
+def test_backward_releases_saved_arrays():
+    """Once a node's backward has run, the arrays that `layer_norm` and `mlp`
+    made and saved for it are freed, while the root and the leaves live on."""
+    rng = np.random.default_rng(47)
+    x, gamma, beta = p64(rng, 6, 5), p64(rng, 5), p64(rng, 5)
+    mlp_params = mlp_args(rng, 5, 7, 3, np.float64)
+    cases = {
+        "layer_norm": (lambda: ad.layer_norm(x, gamma, beta), [x, gamma, beta], 2),
+        "mlp": (lambda: ad.mlp(x, *mlp_params, 0.3, np.random.default_rng(0)),
+                [x, *mlp_params], 4),
+    }
+    for name, (make, inputs, n_made) in cases.items():
+        out = make()
+        made = [weakref.ref(a) for a in _saved_arrays(out)
+                if not any(np.shares_memory(a, t.data) for t in inputs)]
+        assert len(made) == n_made and all(r() is not None for r in made), name
+        ad.sum_(out).backward()
+        assert all(r() is None for r in made), name
+        assert x.grad is not None
+
+
+def test_mlp_keeps_dropout_masks_as_bits():
+    """mlp keeps each keep-mask packed to bits, uint8 with ceil(width / 8)
+    columns; unpacked, they are the bool masks the same seed draws, first
+    over the hidden units and then over the outputs."""
+    rng = np.random.default_rng(48)
+    for hid, m in ((9, 5), (13, 17), (16, 3)):
+        x = p64(rng, 2, 3, 4)
+        out = ad.mlp(x, *mlp_args(rng, 4, hid, m, np.float64), 0.3, np.random.default_rng(7))
+        draw = np.random.default_rng(7)
+        for name, width in (("mask1", hid), ("mask2", m)):
+            bits = _saved(out, name)
+            assert bits.dtype == np.uint8 and bits.shape == (6, -(-width // 8)), (hid, m)
+            np.testing.assert_array_equal(ad._unpacked(bits, width),
+                                          draw.random((6, width)) >= 0.3)
 
 
 def test_kernels_free_inputs_their_backward_does_not_read():

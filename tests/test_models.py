@@ -737,10 +737,12 @@ def test_lstm_embed_matrix_memory_stays_bounded():
 
 # MB: one training step over 8 pairs (16 functions, one packed group per
 # side) peaked at 1,118 MB while each MLP was five autodiff nodes, at 769-773
-# MB with each MLP one `ad.mlp` node, and reads 571 MB with each backward
-# keeping only the arrays it reads: the residual sums, the MLP outputs and the
-# embedded grid are freed once the forward has moved past them.
-MIXER_STEP_MEMORY_BOUND_MB = 670
+# MB with each MLP one `ad.mlp` node, at 563 MB with each backward keeping
+# only the arrays it reads (the residual sums, the MLP outputs and the
+# embedded grid are freed once the forward has moved past them), and reads
+# 486 MB now that each node frees its saved arrays once its backward has run,
+# gradients pass to a parent uncopied and the dropout masks are kept as bits.
+MIXER_STEP_MEMORY_BOUND_MB = 540
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
@@ -752,9 +754,11 @@ def test_mixer_training_step_memory_stays_bounded():
 
 # MB: the process holds about 130 MB before it trains. One `train()` call
 # over 4 stock families (12 functions, 36 pairs, one batch) peaked at 665 MB
-# while every forward intermediate lived as long as the graph, and reads 516
-# MB with each backward keeping only the arrays it reads.
-MIXER_TRAIN_MEMORY_BOUND_MB = 590
+# while every forward intermediate lived as long as the graph, at 507-516 MB
+# with each backward keeping only the arrays it reads, and reads 419 MB with
+# saved arrays freed as the backward runs, no first-gradient copies and
+# dropout masks kept as bits.
+MIXER_TRAIN_MEMORY_BOUND_MB = 470
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
@@ -767,9 +771,11 @@ def test_mixer_train_memory_stays_bounded():
 # MB: one training step over 48 pairs of functions of about 410 instructions
 # (each 20 stock functions end to end) peaked at 549-562 MB while the gate bias
 # was its own `xp + b` node, whose [N, 4h] output the graph held, at 434-441 MB
-# with the bias added inside `ad.lstm`, and reads 324 MB now that `ad.lstm`
-# keeps no reference to its [N, 4h] input xp.
-LSTM_STEP_MEMORY_BOUND_MB = 380
+# with the bias added inside `ad.lstm`, at 321-324 MB once `ad.lstm` kept no
+# reference to its [N, 4h] input xp, and reads 307 MB now that each node frees
+# its saved arrays once its backward has run and passes gradients on uncopied.
+# The bound sits between the two last readings, so it fails on the one before.
+LSTM_STEP_MEMORY_BOUND_MB = 315
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")

@@ -321,6 +321,25 @@ def test_one_forward_step_matches_two_per_side_forwards(monkeypatch, variant):
                                    err_msg=name)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_gradient_hand_off_keeps_training_bits(monkeypatch, variant):
+    """Kernels hand their parents gradients without copies; one seeded
+    training step (the mixer at dropout 0.1) gives the loss and parameters,
+    bit for bit, of a run in which every first gradient is a copy."""
+    corpus, vocab, _ = setup()
+    bcfg = dataclasses.replace(
+        tiny_cfg(vocab.size, variant), embed_dim=8, output_dim=16, conv_channels=16,
+        mixer_token_hidden=12, mixer_channel_hidden=40, mixer_seq_len=6, mixer_dropout=0.1)
+    cfg = TrainConfig(seed=47, batch_size=1000, negatives=2)
+    handed = train(corpus, vocab, bcfg, cfg)
+    accum = ad._accum
+    monkeypatch.setattr(ad, "_accum", lambda node, g, own=False: accum(node, g))
+    copied = train(corpus, vocab, bcfg, cfg)
+    assert handed.n_batches == 1 and handed.losses == copied.losses
+    for name, p in handed.backbone.params.items():
+        np.testing.assert_array_equal(p.data, copied.backbone.params[name].data, err_msg=name)
+
+
 def test_mixer_dropout_masks_each_distinct_record_once(monkeypatch):
     """With dropout on, every occurrence of a record in a batch gets the same
     row: one mask per distinct record per step."""
