@@ -8,33 +8,41 @@ been passed on, and the arrays its backward saved once that backward has run.
 A node holds no forward data: its gradient, its parents' nodes and a backward
 that keeps exactly the arrays it reads, as PyTorch's saved tensors do. An
 intermediate whose last Python reference goes away is freed, even while the
-graph that it fed lives on. `add`, `reshape`, `transpose`, `concat`, `sum_`
-and `embedding` keep shapes and ids only, `relu` its bool mask, `mul` and
+graph that it fed lives on. `add`, `reshape`, `concat`, `sum_` and
+`embedding` keep shapes and ids only, `relu` its bool mask, `mul` and
 `affine` the other operand, `layer_norm` its normalized rows, inverse standard
 deviations and scale, `segment_max` each first maximum's row, `lstm` its
-gate activations and states but not its input, and `mlp` and `token_conv` the
-arrays their docstrings name. Once a node's backward has run, ``backward()``
-replaces it with a spent marker, which frees those arrays at once; so a graph
-runs backward once, and a second ``backward()`` that reaches a spent node,
-from the same root or from another, raises RuntimeError before it writes any
-gradient. A kernel hands a parent its first gradient without a copy when the
-array is its own: one it just made, or a view of its own spent gradient, that
-no other parent gets. `add` copies for its second parent and `sum_` copies
-its read-only broadcast, so no two gradients share memory: Adam uses each as
-scratch.
+gate activations and states but not its input, and `norm_mlp` and
+`token_conv` the arrays their docstrings name. Once a node's backward has
+run, ``backward()`` replaces it with a spent marker, which frees those arrays
+at once; so a graph runs backward once, and a second ``backward()`` that
+reaches a spent node, from the same root or from another, raises RuntimeError
+before it writes any gradient. A kernel hands a parent its first gradient
+without a copy when the array is its own: one it just made, or a view of its
+own spent gradient, that no other parent gets. `add` copies for its second
+parent and `sum_` copies its read-only broadcast, so no two gradients share
+memory: Adam uses each as scratch.
 The sequence kernels run on functions packed end to end, and each reads the
 packing as one [B] array of per-function row counts over consecutive rows:
 `token_conv` reads [N, K] token and [N] position ids instead of a built
 [N, C] input and keeps every window inside one function, `segment_max` pools
 each function's run of output rows, and `lstm` runs a whole recurrence as one
-node, with a hand-written backward through time. `mlp` runs a mixer MLP
-(affine, GELU, dropout, affine with or without bias, dropout) as one node
-that keeps two float arrays, two dropout masks packed to bits and its input
-for its backward.
+node, with a hand-written backward through time. `norm_mlp` runs a mixer
+block's layer norm and MLP (affine, GELU, dropout, affine with or without
+bias, dropout), over the channels or over the tokens, as one node. For its
+backward it keeps what cannot be had cheaply again: the normalized rows and
+their inverse standard deviations, the pre-activation h and the two dropout
+masks packed to bits. It rebuilds the MLP's input (gamma * xhat + beta) and
+the GELU gate (`_gelu_cdf(h)`) block by block, with the forward's float
+operations in the forward's order, so its gradients are bit for bit those
+of a `layer_norm` node followed by an MLP node that kept both (Chen et al.
+2016, arXiv:1604.06174, recompute what is cheap). That halves what a
+default mixer training forward keeps: 10.9 MB per function, against 20.4 MB.
 In float32 its GELU gate is a rational erf, at about a quarter of the cost
-of scipy's erf. `layer_norm` and `mlp` do their elementwise work over blocks
-of rows that stay in cache (`_row_blocks`).
-`affine`, `layer_norm`, `mlp` and the elementwise kernels accept any leading axes.
+of scipy's erf. `layer_norm` and `norm_mlp` do their elementwise work over
+blocks of rows that stay in cache (`_row_blocks`).
+`affine`, `layer_norm`, `norm_mlp` and the elementwise kernels accept any
+leading axes.
 The lookup kernels, `embedding` and `token_conv`, share one padding rule: id
 -1, token or position, reads a zero vector and sends no gradient to any row.
 A graph stays in the dtype of its leaves: training runs in float32, the
@@ -268,7 +276,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-# The elementwise kernels (`layer_norm`, the GELU and dropout of `mlp`) run
+# The elementwise kernels (`layer_norm`, the GELU and dropout of `norm_mlp`) run
 # over blocks of rows of about this many elements, with block-sized scratch,
 # so that each of their passes reads a block from cache and not from memory.
 # Measured on the float32 GELU cdf over 1.77M elements, one BLAS thread:
@@ -422,21 +430,19 @@ def relu(x: Tensor) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift.
-    The row-local work runs over blocks of rows (`_row_blocks`), which gives
-    the bits of the whole-array formula. While recording it keeps the
-    normalized rows, their inverse standard deviations and the scale, not x;
-    otherwise the output overwrites the normalized rows."""
-    n = x.shape[-1]
-    if gamma.shape != (n,) or beta.shape != (n,):
-        raise ValueError(f"layer_norm scale/shift must be length {n}")
-    x2 = x.data.reshape(-1, n)
-    rows, dt = x2.shape[0], x2.dtype
+LN_EPS = 1e-5      # what a layer norm adds to the variance
+
+
+def _normalize(x2: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float,
+               record: bool):
+    """The layer norm of the rows of x2 [rows, n], over row blocks: (xhat,
+    inv_std, out). `out` is gamma * xhat + beta: a new array while recording,
+    xhat overwritten otherwise."""
+    rows, n = x2.shape
+    dt = x2.dtype
     blocks = _row_blocks(rows, n)
     xhat = np.empty((rows, n), dtype=dt)
     inv_std = np.empty((rows, 1), dtype=dt)
-    record = _recording(x, gamma, beta)
     out = np.empty_like(xhat) if record else xhat
     sq = _scratch(blocks, n, dt)
     for blk in blocks:
@@ -446,37 +452,70 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         np.sqrt(sb.mean(axis=-1, keepdims=True) + eps, out=istd)
         np.divide(1.0, istd, out=istd)
         xc *= istd
-        np.multiply(xc, gamma.data, out=out[blk])
-        out[blk] += beta.data
+        np.multiply(xc, gamma, out=out[blk])
+        out[blk] += beta
+    return xhat, inv_std, out
+
+
+def _normalize_backward(g2: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
+                        gamma: np.ndarray):
+    """The layer norm's backward for the gradient g2 [rows, n] of its output,
+    which the caller owns: returns the gradients of gamma and beta, and
+    overwrites g2 with x's gradient, block by block."""
+    n, dt = g2.shape[1], g2.dtype
+    g_beta = g2.sum(axis=0)                    # column sums: whole-array
+    g_gamma = (g2 * xhat).sum(axis=0)
+    blocks = _row_blocks(g2.shape[0], n)
+    dxhat, t = _scratch(blocks, n, dt), _scratch(blocks, n, dt)
+    for blk in blocks:
+        k = blk.stop - blk.start
+        d, tb, xb = dxhat[:k], t[:k], xhat[blk]
+        np.multiply(g2[blk], gamma, out=d)
+        m1 = d.mean(axis=-1, keepdims=True)
+        np.multiply(d, xb, out=tb)
+        m2 = tb.mean(axis=-1, keepdims=True)
+        np.multiply(xb, m2, out=tb)
+        d -= m1
+        d -= tb
+        np.multiply(inv_std[blk], d, out=g2[blk])
+    return g_gamma, g_beta
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale and shift.
+    The row-local work runs over blocks of rows (`_row_blocks`), which gives
+    the bits of the whole-array formula. While recording it keeps the
+    normalized rows, their inverse standard deviations and the scale, not x;
+    otherwise the output overwrites the normalized rows."""
+    n = x.shape[-1]
+    if gamma.shape != (n,) or beta.shape != (n,):
+        raise ValueError(f"layer_norm scale/shift must be length {n}")
+    record = _recording(x, gamma, beta)
+    xhat, inv_std, out = _normalize(x.data.reshape(-1, n), gamma.data, beta.data, eps, record)
     out_data = out.reshape(x.shape)
     if not record:
         return Tensor(out_data)
     xn, x_shape, gn, gd, bn = x.node, x.shape, gamma.node, gamma.data, beta.node
 
     def backward(g):
-        g2 = g.reshape(-1, n)
-        _accum(bn, g2.sum(axis=0), own=True)       # column sums: whole-array
-        _accum(gn, (g2 * xhat).sum(axis=0), own=True)
-        dxhat, t = _scratch(blocks, n, dt), _scratch(blocks, n, dt)
-        for blk in blocks:                         # x's gradient overwrites g2, block by block
-            k = blk.stop - blk.start
-            d, tb, xb = dxhat[:k], t[:k], xhat[blk]
-            np.multiply(g2[blk], gd, out=d)
-            m1 = d.mean(axis=-1, keepdims=True)
-            np.multiply(d, xb, out=tb)
-            m2 = tb.mean(axis=-1, keepdims=True)
-            np.multiply(xb, m2, out=tb)
-            d -= m1
-            d -= tb
-            np.multiply(inv_std[blk], d, out=g2[blk])
+        g2 = g.reshape(-1, n)                      # x's gradient overwrites it
+        g_gamma, g_beta = _normalize_backward(g2, xhat, inv_std, gd)
+        _accum(bn, g_beta, own=True)
+        _accum(gn, g_gamma, own=True)
         _accum(xn, g2.reshape(x_shape), own=True)
 
     return _node(out_data, (x, gamma, beta), backward)
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None, rate: float,
-        rng: np.random.Generator | None) -> Tensor:
-    """affine -> exact GELU -> dropout -> affine -> dropout over the last axis, as one node.
+def norm_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+             b2: Tensor | None, rate: float, rng: np.random.Generator | None,
+             mix_tokens: bool = False) -> Tensor:
+    """A mixer block's layer norm and MLP as one node: `layer_norm` over the
+    last axis, then affine -> exact GELU -> dropout -> affine with or without
+    bias -> dropout, over the last axis (channel mixing) or, with
+    `mix_tokens`, over the second to last (token mixing: the MLP reads the
+    normalized [..., S, C] input as [..., C, S], and its output is turned
+    back).
 
     GELU is h * cdf with cdf = 0.5 (1 + erf(h / sqrt(2))), from `_gelu_cdf`.
     Dropout is inverted: each unit is kept where rng.random() >= rate and
@@ -484,51 +523,68 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None, rate: 
     over the outputs; rate 0 draws nothing and is the identity, as on
     inference paths. The bias, the GELU and the first dropout run over blocks
     of rows of h (`_row_blocks`), and the draws follow the rows in order, so
-    they are those of one whole-array draw. While recording it keeps the
-    pre-activation h, the GELU's cdf, x's data (a transposed view is reshaped
-    again in the backward, not copied here) and the two keep-masks packed to
-    bits, one uint8 row of ceil(width / 8) bytes per row, an eighth of a bool
-    mask; the backward unpacks them a block of rows at a time and recomputes
-    the GELU output and both dropout outputs. On an
-    h of [1536, 1152] the float32 cdf took 9-11 ms, scipy's erf 39-46 ms and
-    the [1536, 960] @ [960, 1152] GEMM that makes h 27-35 ms (quartiles, one
-    BLAS thread). On inference paths the GELU overwrites h and no full-size
-    cdf is made.
+    they are those of one whole-array draw. The output is bit for bit
+    `layer_norm`'s followed by the MLP's.
 
-    x [..., n], w1 [n, k], b1 [k], w2 [k, m], b2 [m] or None (no output
-    bias) -> [..., m].
+    While recording it keeps the normalized rows and their inverse standard
+    deviations, the pre-activation h and the two keep-masks packed to bits,
+    one uint8 row of ceil(width / 8) bytes per row, an eighth of a bool mask:
+    not x, not the MLP's input gamma * xhat + beta and not the GELU's cdf.
+    The backward rebuilds the input, the cdf, the GELU output and both dropout
+    outputs a block of rows at a time, with the forward's float operations in
+    the forward's order, so the gradients are those of the two nodes it
+    replaces bit for bit. Once a block of h has given its GELU output, the
+    GELU's slope overwrites it. On an h of [1536, 1152] the float32 cdf took
+    9-11 ms, scipy's erf 39-46 ms and the [1536, 960] @ [960, 1152] GEMM that
+    makes h 27-35 ms (quartiles, one BLAS thread). On inference paths the
+    output overwrites the normalized rows, the GELU overwrites h, and no
+    full-size cdf is made.
+
+    x [..., n], gamma and beta [n], w1 [n, k] (with `mix_tokens`: x [..., s, n]
+    and w1 [s, k]), b1 [k], w2 [k, m], b2 [m] or None (no output bias)
+    -> [..., m] ([..., m, n] with `mix_tokens`).
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate and rng is None:
         raise ValueError("a training-mode mixer needs an RNG for dropout")
+    n = x.shape[-1]
+    if gamma.shape != (n,) or beta.shape != (n,):
+        raise ValueError(f"layer_norm scale/shift must be length {n}")
     for w, b in ((w1, b1), (w2, b2)):
         if w.ndim != 2 or (b is not None and b.shape != (w.shape[1],)):
             raise ValueError(f"mlp weight/bias mismatch: w {w.shape}, "
                              f"b {None if b is None else b.shape}")
-    if x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
-        raise ValueError(f"mlp widths do not chain: x {x.shape}, w1 {w1.shape}, w2 {w2.shape}")
-    lead, hid, m = x.data.shape[:-1], w1.shape[1], w2.shape[1]
+    if mix_tokens and x.ndim < 2:
+        raise ValueError(f"token mixing needs an [..., S, C] input, got {x.shape}")
+    width = x.shape[-2] if mix_tokens else n           # the axis the MLP mixes
+    if width != w1.shape[0] or w1.shape[1] != w2.shape[0]:
+        raise ValueError(f"mlp widths do not chain: x {x.shape}, w1 {w1.shape}, w2 {w2.shape}"
+                         f"{' (token mixing)' if mix_tokens else ''}")
+    hid, m = w1.shape[1], w2.shape[1]
     dt = x.data.dtype
     inv_keep = dt.type(1.0) / dt.type(1.0 - rate)      # what dropout scales a kept unit by
 
-    inputs = (x, w1, b1, w2) if b2 is None else (x, w1, b1, w2, b2)
+    inputs = (x, gamma, beta, w1, b1, w2) + (() if b2 is None else (b2,))
     record = _recording(*inputs)
-    h = x.data.reshape(-1, x.data.shape[-1]) @ w1.data
+    xhat, inv_std, u = _normalize(x.data.reshape(-1, n), gamma.data, beta.data, LN_EPS, record)
+    u = u.reshape(x.shape)
+    if mix_tokens:
+        u = np.swapaxes(u, -1, -2)
+    lead = u.shape[:-1]
+    h = u.reshape(-1, width) @ w1.data
+    del u
     blocks = _row_blocks(h.shape[0], hid)
-    # inference: the GELU overwrites h, and a block's cdf lives in scratch
-    cdf = np.empty_like(h) if record else _scratch(blocks, hid, dt)
-    a = np.empty_like(h) if record else h
+    a = np.empty_like(h) if record else h              # inference: the GELU overwrites h
     # the keep-masks as bits, a packed row per row, drawn through one block's bool scratch
     mask1 = np.empty((h.shape[0], -(-hid // 8)), dtype=np.uint8) if rate else None
     keep = _scratch(blocks, hid, bool) if rate else None
-    z, zz = _scratch(blocks, hid, dt), _scratch(blocks, hid, dt)
+    cdf, z, zz = (_scratch(blocks, hid, dt) for _ in range(3))
     for blk in blocks:
         k = blk.stop - blk.start
         hb, ab = h[blk], a[blk]
         hb += b1.data
-        cb = cdf[blk] if record else cdf[:k]
-        np.multiply(hb, _gelu_cdf(hb, cb, z[:k], zz[:k]), out=ab)
+        np.multiply(hb, _gelu_cdf(hb, cdf[:k], z[:k], zz[:k]), out=ab)
         if rate:
             mask1[blk] = _dropout(ab, rate, rng, inv_keep, keep)
     y = a @ w2.data
@@ -543,43 +599,64 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None, rate: 
         for blk in out_blocks:
             mask2[blk] = _dropout(y[blk], rate, rng, inv_keep, keep)
     out_data = y.reshape(*lead, m)
+    if mix_tokens:
+        out_data = np.swapaxes(out_data, -1, -2)
     if not record:
         return Tensor(out_data)
-    xd, w1d, w2d = x.data, w1.data, w2.data
-    xn, w1n, b1n, w2n = x.node, w1.node, b1.node, w2.node
+    x_shape, gd, bd, w1d, w2d = x.shape, gamma.data, beta.data, w1.data, w2.data
+    xn, gn, bn, w1n, b1n, w2n = x.node, gamma.node, beta.node, w1.node, b1.node, w2.node
     b2n = None if b2 is None else b2.node
 
     def backward(g):
-        g2 = g.reshape(-1, m)
-        if rate:                              # g is this node's own: dropped in place
+        # g is this node's own: dropped in place (a copy when turned back from token mixing)
+        g2 = (np.swapaxes(g, -1, -2) if mix_tokens else g).reshape(-1, m)
+        if rate:
             for blk in out_blocks:
                 _keep(g2[blk], _unpacked(mask2[blk], m), inv_keep)
         a = np.empty_like(h)
-        for blk in blocks:
-            np.multiply(h[blk], cdf[blk], out=a[blk])
+        cdf, z, zz = (_scratch(blocks, hid, dt) for _ in range(3))
+        for blk in blocks:                    # the GELU output, and its slope over h
+            k = blk.stop - blk.start
+            hb, ab, cb, sb = h[blk], a[blk], cdf[:k], z[:k]
+            np.multiply(hb, _gelu_cdf(hb, cb, sb, zz[:k]), out=ab)
             if rate:
-                _keep(a[blk], _unpacked(mask1[blk], hid), inv_keep)
-        _accum(w2n, a.T @ g2, own=True)
-        if b2n is not None:
-            _accum(b2n, g2.sum(axis=0), own=True)
-        gh = np.matmul(g2, w2d.T, out=a)      # a is spent: its buffer takes gh
-        del a, g2                 # g2 copies a non-contiguous g: not held through the w1 products
-        slope = _scratch(blocks, hid, dt)
-        for blk in blocks:
-            gb, hb, sb = gh[blk], h[blk], slope[:blk.stop - blk.start]
-            if rate:
-                _keep(gb, _unpacked(mask1[blk], hid), inv_keep)
+                _keep(ab, _unpacked(mask1[blk], hid), inv_keep)
             np.multiply(hb, -0.5, out=sb)       # cdf + h * pdf
             sb *= hb
             np.exp(sb, out=sb)
             sb *= INV_SQRT_2PI
             sb *= hb
-            sb += cdf[blk]
-            gb *= sb
-        x2 = xd.reshape(-1, xd.shape[-1])
-        _accum(w1n, x2.T @ gh, own=True)
+            sb += cb
+            np.copyto(hb, sb)
+        _accum(w2n, a.T @ g2, own=True)
+        if b2n is not None:
+            _accum(b2n, g2.sum(axis=0), own=True)
+        gh = np.matmul(g2, w2d.T, out=a)      # a is spent: its buffer takes gh
+        del a, g2                 # g2 may copy g: not held through the w1 products
+        for blk in blocks:
+            gb = gh[blk]
+            if rate:
+                _keep(gb, _unpacked(mask1[blk], hid), inv_keep)
+            gb *= h[blk]
+        u = np.empty_like(xhat)               # the MLP's input, made as the forward made it
+        for blk in _row_blocks(u.shape[0], n):
+            np.multiply(xhat[blk], gd, out=u[blk])
+            u[blk] += bd
+        u = u.reshape(x_shape)
+        if mix_tokens:
+            u = np.swapaxes(u, -1, -2)
+        _accum(w1n, u.reshape(-1, width).T @ gh, own=True)
+        del u
         _accum(b1n, gh.sum(axis=0), own=True)
-        _accum(xn, (gh @ w1d.T).reshape(xd.shape), own=True)
+        gu = (gh @ w1d.T).reshape(*lead, width)
+        del gh
+        if mix_tokens:
+            gu = np.swapaxes(gu, -1, -2)
+        gu = gu.reshape(-1, n)                # x's gradient overwrites it
+        g_gamma, g_beta = _normalize_backward(gu, xhat, inv_std, gd)
+        _accum(bn, g_beta, own=True)
+        _accum(gn, g_gamma, own=True)
+        _accum(xn, gu.reshape(x_shape), own=True)
 
     return _node(out_data, inputs, backward)
 
@@ -615,17 +692,6 @@ def reshape(x: Tensor, shape) -> Tensor:
 
     def backward(g):
         _accum(xn, g.reshape(x_shape), own=True)
-
-    return _node(out_data, (x,), backward)
-
-
-def transpose(x: Tensor, axes=None) -> Tensor:
-    out_data = np.transpose(x.data, axes)
-    inv = None if axes is None else np.argsort(axes)
-    xn = x.node
-
-    def backward(g):
-        _accum(xn, np.transpose(g, inv), own=True)
 
     return _node(out_data, (x,), backward)
 

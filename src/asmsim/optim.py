@@ -28,20 +28,27 @@ class Adam:
         them: each gradient array serves as scratch space for its own update, and
         every parameter's `grad` is None afterwards (a missing one counts as zero).
 
+        Every gradient is checked before anything is written: a non-finite one
+        raises NumericError and leaves the parameters, the moments, the step
+        count and the gradients as they were.
+
         The update is p -= lr * (m / c1) / (sqrt(v / c2) + eps), computed in that
         operation order through in-place ufuncs, so the only array a step
         allocates is one scratch buffer shared by all parameters."""
-        self.step_count += 1
-        t = self.step_count
-        c1 = 1.0 - self.beta1 ** t
-        c2 = 1.0 - self.beta2 ** t
+        t = self.step_count + 1
         scratch = np.empty(max((p.data.nbytes for p in self.params.values()), default=0),
                            dtype=np.uint8)
         for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            ok = scratch[:g.size].view(bool).reshape(g.shape)
-            if not np.isfinite(g, out=ok).all():
+            if p.grad is None:
+                continue
+            ok = scratch[:p.grad.size].view(bool).reshape(p.grad.shape)
+            if not np.isfinite(p.grad, out=ok).all():
                 raise NumericError(f"non-finite gradient for parameter '{name}' at step {t}")
+        self.step_count = t
+        c1 = 1.0 - self.beta1 ** t
+        c2 = 1.0 - self.beta2 ** t
+        for name, p in self.params.items():
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
             s = scratch[:p.data.nbytes].view(p.data.dtype).reshape(p.data.shape)
             m = self.m[name]
             v = self.v[name]
@@ -59,4 +66,3 @@ class Adam:
             s /= g
             p.data -= s
             p.grad = None
-

@@ -10,6 +10,9 @@ from scipy import sparse
 from scipy.special import erf
 
 import asmsim.autodiff as ad
+from asmsim.models import BackboneConfig, build_backbone
+from asmsim.synthetic import SynthConfig, generate
+from asmsim.tokenizer import build_vocab, encode_function
 from gradcheck import finite_diff_check
 
 TRIALS = 20
@@ -557,52 +560,187 @@ def mlp_args(rng, n, k, m, dtype):
             for shape in ((n, k), (k,), (k, m), (m,))]
 
 
+def norm_args(rng, x, k, m, dtype, mix_tokens=False):
+    """gamma, beta, w1, b1, w2, b2 for a `norm_mlp` over x with k hidden units
+    and m outputs; gamma near 1."""
+    n = x.shape[-1]
+    gamma = ad.Tensor(1.0 + 0.1 * rng.standard_normal(n), requires_grad=True, dtype=dtype)
+    beta = ad.Tensor(rng.standard_normal(n), requires_grad=True, dtype=dtype)
+    return [gamma, beta, *mlp_args(rng, x.shape[-2] if mix_tokens else n, k, m, dtype)]
+
+
+INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def transpose(x, axes):
+    """A node that permutes x's axes, as a view; the library needs none."""
+    inv = np.argsort(axes)
+    return ad._node(np.transpose(x.data, axes), (x,),
+                    lambda g: ad._accum(x.node, np.transpose(g, inv), own=True))
+
+
+def ref_mlp_node(x, w1, b1, w2, b2, rate, rng):
+    """The MLP alone as one node, on whole arrays, with the float operations of
+    the kernel that ran it before the layer norm joined it: it keeps x's data
+    and the GELU's cdf, and draws each dropout mask as one rng.random over its
+    layer's output."""
+    dt = x.dtype
+    inv_keep = dt.type(1.0) / dt.type(1.0 - rate)
+    x2 = x.data.reshape(-1, x.shape[-1])
+    h = x2 @ w1.data
+    h += b1.data
+    cdf = ref_cdf(h)
+
+    def gelu_dropped():
+        a = h * cdf
+        if rate:
+            a *= mask1
+            a *= inv_keep
+        return a
+
+    mask1 = rng.random(h.shape) >= rate if rate else None
+    y = gelu_dropped() @ w2.data
+    if b2 is not None:
+        y += b2.data
+    if rate:
+        mask2 = rng.random(y.shape) >= rate
+        y *= mask2
+        y *= inv_keep
+
+    def backward(g):
+        g2 = g.reshape(-1, y.shape[1]).copy()
+        if rate:
+            g2 *= mask2
+            g2 *= inv_keep
+        ad._accum(w2.node, gelu_dropped().T @ g2)
+        if b2 is not None:
+            ad._accum(b2.node, g2.sum(axis=0))
+        gh = g2 @ w2.data.T
+        if rate:
+            gh *= mask1
+            gh *= inv_keep
+        slope = h * -0.5                 # cdf + h * pdf
+        slope *= h
+        np.exp(slope, out=slope)
+        slope *= INV_SQRT_2PI
+        slope *= h
+        slope += cdf
+        gh *= slope
+        ad._accum(w1.node, x2.T @ gh)
+        ad._accum(b1.node, gh.sum(axis=0))
+        ad._accum(x.node, (gh @ w1.data.T).reshape(x.shape))
+
+    inputs = (x, w1, b1, w2) + (() if b2 is None else (b2,))
+    return ad._node(y.reshape(*x.shape[:-1], -1), inputs, backward)
+
+
+def unfused_norm_mlp(x, gamma, beta, w1, b1, w2, b2, rate, rng, mix_tokens=False):
+    """`layer_norm`, then the MLP as a node of its own, turned over the tokens
+    and back by transpose nodes: the graph `norm_mlp` replaces."""
+    u = ad.layer_norm(x, gamma, beta)
+    if mix_tokens:
+        u = transpose(u, (0, 2, 1))
+    out = ref_mlp_node(u, w1, b1, w2, b2, rate, rng)
+    return transpose(out, (0, 2, 1)) if mix_tokens else out
+
+
 def test_mlp_matches_numpy_reference_bitwise():
     """float32, rate 0.1, from one seed: the node's forward is bit for bit the
-    whole-array composition's with the same GELU gate, on a transposed view
-    (token mixing) and on a contiguous input (channel mixing), with and
+    whole-array composition's, a one-shot layer norm and then the MLP with
+    the same GELU gate, over the tokens and over the channels, with and
     without the output bias."""
     rng = np.random.default_rng(40)
-    base = ad.Tensor(rng.standard_normal((3, 7, 5)), requires_grad=True, dtype=np.float32)
-    for x, out_bias in itertools.product((ad.transpose(base, (0, 2, 1)), base), (True, False)):
-        params = mlp_args(rng, x.shape[-1], 9, 4, np.float32)
+    x = ad.Tensor(rng.standard_normal((3, 7, 5)), requires_grad=True, dtype=np.float32)
+    for mix_tokens, out_bias in itertools.product((True, False), (True, False)):
+        params = norm_args(rng, x, 9, 4, np.float32, mix_tokens)
         if not out_bias:
-            params[3] = None
-        out = ad.mlp(x, *params, 0.1, np.random.default_rng(41))
-        want = ref_mlp(x.data, *(None if p is None else p.data for p in params), 0.1, np.random.default_rng(41))
-        assert out.dtype == np.float32 and out.shape == x.shape[:-1] + (4,)
+            params[5] = None
+        out = ad.norm_mlp(x, *params, 0.1, np.random.default_rng(41), mix_tokens=mix_tokens)
+        gamma, beta, *mlp = (None if p is None else p.data for p in params)
+        u = ref_layer_norm(x.data, gamma, beta, x.data)[0]
+        if mix_tokens:
+            u = u.transpose(0, 2, 1)
+        want = ref_mlp(u, *mlp, 0.1, np.random.default_rng(41))
+        if mix_tokens:
+            want = want.transpose(0, 2, 1)
+        assert out.dtype == np.float32 and out.shape == want.shape
         np.testing.assert_array_equal(out.data, want)
         assert np.any(want == 0.0) and np.all(np.isfinite(want))
+
+
+@pytest.mark.parametrize("block", [None, 48])
+def test_norm_mlp_matches_unfused_reference_bitwise(block, monkeypatch):
+    """float32: the node's output and the gradients of all its inputs are bit
+    for bit those of `layer_norm` followed by the MLP as its own node, at
+    rates 0 and 0.1 from one seed, mixing channels and tokens, with and
+    without the output bias; at the default block size and at blocks of a few
+    rows, against the reference's whole arrays."""
+    if block is not None:
+        monkeypatch.setattr(ad, "_BLOCK", block)
+    rng = np.random.default_rng(40)
+    x = ad.Tensor(rng.standard_normal((3, 7, 5)) * 2 + 0.5, requires_grad=True,
+                  dtype=np.float32)
+    for rate, mix_tokens, out_bias in itertools.product((0.0, 0.1), (True, False), (True, False)):
+        params = norm_args(rng, x, 9, 4, np.float32, mix_tokens)
+        if not out_bias:
+            params[5] = None
+        leaves = [t for t in (x, *params) if t is not None]
+        proj = ad.constant(rng.standard_normal((3, 4, 5) if mix_tokens else (3, 7, 4)),
+                           dtype=np.float32)
+        results = []
+        for kernel in (ad.norm_mlp, unfused_norm_mlp):
+            for t in leaves:
+                t.grad = None
+            out = kernel(x, *params, rate, np.random.default_rng(41), mix_tokens=mix_tokens)
+            ad.sum_(out * proj).backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        case = (rate, mix_tokens, out_bias)
+        assert results[0][0].shape == proj.shape, case
+        for got, want in zip(*results):
+            assert got.dtype == np.float32 and got.shape == want.shape, case
+            np.testing.assert_array_equal(got, want, err_msg=str(case))
+        assert np.all(np.isfinite(results[1][0]))
+        assert not rate or np.any(results[1][0] == 0.0), case
+        with ad.no_grad():                 # inference, at rate 0: the same output
+            inference = ad.norm_mlp(x, *params, 0.0, None, mix_tokens=mix_tokens).data
+        if not rate:
+            np.testing.assert_array_equal(inference, results[1][0], err_msg=str(case))
 
 
 def test_mlp_deterministic_given_seed():
     rng = np.random.default_rng(42)
     x = ad.Tensor(rng.standard_normal((6, 5)), requires_grad=True, dtype=np.float64)
-    params = mlp_args(rng, 5, 8, 5, np.float64)
-    a = ad.mlp(x, *params, 0.4, np.random.default_rng(11)).data
-    b = ad.mlp(x, *params, 0.4, np.random.default_rng(11)).data
-    c = ad.mlp(x, *params, 0.4, np.random.default_rng(12)).data
+    params = norm_args(rng, x, 8, 5, np.float64)
+    a = ad.norm_mlp(x, *params, 0.4, np.random.default_rng(11)).data
+    b = ad.norm_mlp(x, *params, 0.4, np.random.default_rng(11)).data
+    c = ad.norm_mlp(x, *params, 0.4, np.random.default_rng(12)).data
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     with ad.no_grad():     # rate 0 draws nothing: the same on a dead rng and on none
-        np.testing.assert_array_equal(ad.mlp(x, *params, 0.0, None).data,
-                                      ad.mlp(x, *params, 0.0, np.random.default_rng(0)).data)
+        np.testing.assert_array_equal(ad.norm_mlp(x, *params, 0.0, None).data,
+                                      ad.norm_mlp(x, *params, 0.0, np.random.default_rng(0)).data)
 
 
 def test_mlp_rate_and_rng_validation():
     rng = np.random.default_rng(43)
     x = ad.constant(np.ones((2, 3)))
-    params = mlp_args(rng, 3, 4, 3, np.float64)
+    params = norm_args(rng, x, 4, 3, np.float64)
     for rate in (1.0, -0.1):
         with pytest.raises(ValueError, match="rate"):
-            ad.mlp(x, *params, rate, np.random.default_rng(0))
+            ad.norm_mlp(x, *params, rate, np.random.default_rng(0))
     with pytest.raises(ValueError, match="needs an RNG"):
-        ad.mlp(x, *params, 0.1, None)
+        ad.norm_mlp(x, *params, 0.1, None)
     with pytest.raises(ValueError, match="do not chain"):
-        ad.mlp(x, *mlp_args(rng, 4, 4, 3, np.float64), 0.0, None)
-    w1, b1 = params[:2]       # a bias-free second layer whose weight is not 2-D
+        ad.norm_mlp(x, *params[:2], *mlp_args(rng, 4, 4, 3, np.float64), 0.0, None)
+    with pytest.raises(ValueError, match="do not chain"):     # token mixing reads 2 rows
+        ad.norm_mlp(x, *params, 0.0, None, mix_tokens=True)
+    with pytest.raises(ValueError, match="token mixing"):
+        ad.norm_mlp(ad.constant(np.ones(3)), *params, 0.0, None, mix_tokens=True)
+    with pytest.raises(ValueError, match="scale/shift"):
+        ad.norm_mlp(x, params[0], ad.constant(np.ones(4)), *params[2:], 0.0, None)
+    gamma, beta, w1, b1 = params[:4]       # a bias-free second layer whose weight is not 2-D
     with pytest.raises(ValueError, match="weight/bias mismatch"):
-        ad.mlp(x, w1, b1, ad.constant(np.ones((4, 3, 1))), None, 0.0, None)
+        ad.norm_mlp(x, gamma, beta, w1, b1, ad.constant(np.ones((4, 3, 1))), None, 0.0, None)
 
 
 def test_deep_graph_backward_is_iterative():
@@ -636,9 +774,9 @@ def test_backward_frees_inner_gradients():
 
 def test_no_grad_builds_no_graph():
     x = ad.Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float32)
-    w1, b1, w2, b2 = mlp_args(np.random.default_rng(44), 3, 4, 2, np.float64)
+    params = norm_args(np.random.default_rng(44), x, 4, 2, np.float32)
     with ad.no_grad():
-        outs = [ad.relu(x), ad.mlp(x, w1, b1, w2, b2, 0.0, None)]
+        outs = [ad.relu(x), ad.norm_mlp(x, *params, 0.0, None)]
     for out in outs:
         assert not out.requires_grad
         assert out.node is None
@@ -648,7 +786,12 @@ def _saved_arrays(out):
     """The arrays that `out`'s backward keeps alive, a sparse matrix as its
     values. A backward that kept a Tensor would keep its data whether it
     reads it or not, so none may."""
-    found, stack = [], [cell.cell_contents for cell in out.node.backward.__closure__ or ()]
+    return _closure_arrays(out.node.backward)
+
+
+def _closure_arrays(backward):
+    """The arrays that the closure `backward` keeps alive, as `_saved_arrays`."""
+    found, stack = [], [cell.cell_contents for cell in backward.__closure__ or ()]
     while stack:
         v = stack.pop()
         assert not isinstance(v, ad.Tensor), "a backward keeps a Tensor"
@@ -689,11 +832,13 @@ def float32_kernels(rng):
         "affine": lambda: ad.affine(x, w, b),
         "relu": lambda: ad.relu(x),
         "layer_norm": lambda: ad.layer_norm(x, p32(3), p32(3)),
-        "mlp": lambda: ad.mlp(x, p32(3, 4), p32(4), p32(4, 2), p32(2), 0.3,
-                              np.random.default_rng(0)),
+        "norm_mlp": lambda: ad.norm_mlp(x, p32(3), p32(3), p32(3, 4), p32(4), p32(4, 2), p32(2),
+                                        0.3, np.random.default_rng(0)),
+        "norm_mlp_tokens": lambda: ad.norm_mlp(x, p32(3), p32(3), p32(5, 4), p32(4), p32(4, 5),
+                                               None, 0.3, np.random.default_rng(0),
+                                               mix_tokens=True),
         "concat": lambda: ad.concat([x, x], axis=2),
         "reshape": lambda: ad.reshape(x, (10, 3)),
-        "transpose": lambda: ad.transpose(x, (0, 2, 1)),
         "embedding": lambda: ad.embedding(w, np.array([0, 2])),
         "token_conv": lambda: ad.token_conv(p32(6, 1), p32(5, 1), rng.integers(0, 6, (10, 2)),
                                             np.array([0, 1, 2, -1, -1, 0, 1, 2, 3, 4]),
@@ -745,7 +890,7 @@ def test_gradients_of_a_tensor_read_twice():
         proj, wide = rng.standard_normal((3, 4)), rng.standard_normal((3, 8))
 
         def chain():
-            s = ad.transpose(t, (1, 0))
+            s = transpose(t, (1, 0))
             return ad.sum_((s + x + s) * proj)
 
         cases = {
@@ -761,15 +906,19 @@ def test_gradients_of_a_tensor_read_twice():
 
 
 def test_backward_releases_saved_arrays():
-    """Once a node's backward has run, the arrays that `layer_norm` and `mlp`
-    made and saved for it are freed, while the root and the leaves live on."""
+    """Once a node's backward has run, the arrays that `layer_norm` and
+    `norm_mlp` made and saved for it are freed, while the root and the leaves
+    live on: the normalized rows and inverse standard deviations, and for
+    `norm_mlp` also h and the two packed dropout masks, over channels or
+    tokens."""
     rng = np.random.default_rng(47)
     x, gamma, beta = p64(rng, 6, 5), p64(rng, 5), p64(rng, 5)
-    mlp_params = mlp_args(rng, 5, 7, 3, np.float64)
+    ch, tok = norm_args(rng, x, 7, 3, np.float64), norm_args(rng, x, 7, 4, np.float64, True)
     cases = {
         "layer_norm": (lambda: ad.layer_norm(x, gamma, beta), [x, gamma, beta], 2),
-        "mlp": (lambda: ad.mlp(x, *mlp_params, 0.3, np.random.default_rng(0)),
-                [x, *mlp_params], 4),
+        "norm_mlp": (lambda: ad.norm_mlp(x, *ch, 0.3, np.random.default_rng(0)), [x, *ch], 5),
+        "norm_mlp_tokens": (lambda: ad.norm_mlp(x, *tok, 0.3, np.random.default_rng(0),
+                                                mix_tokens=True), [x, *tok], 5),
     }
     for name, (make, inputs, n_made) in cases.items():
         out = make()
@@ -782,19 +931,21 @@ def test_backward_releases_saved_arrays():
 
 
 def test_mlp_keeps_dropout_masks_as_bits():
-    """mlp keeps each keep-mask packed to bits, uint8 with ceil(width / 8)
+    """norm_mlp keeps each keep-mask packed to bits, uint8 with ceil(width / 8)
     columns; unpacked, they are the bool masks the same seed draws, first
-    over the hidden units and then over the outputs."""
+    over the hidden units and then over the outputs, a row per mixed row."""
     rng = np.random.default_rng(48)
-    for hid, m in ((9, 5), (13, 17), (16, 3)):
+    for (hid, m), mix_tokens in itertools.product(((9, 5), (13, 17), (16, 3)), (False, True)):
         x = p64(rng, 2, 3, 4)
-        out = ad.mlp(x, *mlp_args(rng, 4, hid, m, np.float64), 0.3, np.random.default_rng(7))
+        rows = 8 if mix_tokens else 6
+        out = ad.norm_mlp(x, *norm_args(rng, x, hid, m, np.float64, mix_tokens), 0.3,
+                          np.random.default_rng(7), mix_tokens=mix_tokens)
         draw = np.random.default_rng(7)
         for name, width in (("mask1", hid), ("mask2", m)):
             bits = _saved(out, name)
-            assert bits.dtype == np.uint8 and bits.shape == (6, -(-width // 8)), (hid, m)
+            assert bits.dtype == np.uint8 and bits.shape == (rows, -(-width // 8)), (hid, m)
             np.testing.assert_array_equal(ad._unpacked(bits, width),
-                                          draw.random((6, width)) >= 0.3)
+                                          draw.random((rows, width)) >= 0.3)
 
 
 def test_kernels_free_inputs_their_backward_does_not_read():
@@ -805,14 +956,19 @@ def test_kernels_free_inputs_their_backward_does_not_read():
     rng = np.random.default_rng(45)
     y, gamma, beta = p64(rng, 4, 6), p64(rng, 6), p64(rng, 6)
     w_h, b = p64(rng, 2, 8), p64(rng, 8)
+    ch, tok = mlp_args(rng, 6, 5, 3, np.float64), mlp_args(rng, 4, 5, 4, np.float64)
     kernels = {
         "add": (lambda x: x + y, (4, 6)),
         "reshape": (lambda x: ad.reshape(x, (6, 4)), (4, 6)),
-        "transpose": (lambda x: ad.transpose(x, (1, 0)), (4, 6)),
         "concat": (lambda x: ad.concat([x, y], axis=1), (4, 6)),
         "sum_": (lambda x: ad.sum_(x, axis=0), (4, 6)),
         "relu": (ad.relu, (4, 6)),
         "layer_norm": (lambda x: ad.layer_norm(x, gamma, beta), (4, 6)),
+        "norm_mlp": (lambda x: ad.norm_mlp(x, gamma, beta, *ch, 0.3, np.random.default_rng(3)),
+                     (4, 6)),
+        "norm_mlp_tokens": (lambda x: ad.norm_mlp(x, gamma, beta, *tok, 0.3,
+                                                  np.random.default_rng(3), mix_tokens=True),
+                            (4, 6)),
         "embedding": (lambda x: ad.embedding(x, np.array([3, -1, 0, 3])), (4, 6)),
         "segment_max": (lambda x: ad.segment_max(x, np.array([1, 3])), (4, 6)),
         "lstm": (lambda x: ad.lstm(x, w_h, b, np.array([3, 0, 4])), (7, 8)),
@@ -833,6 +989,49 @@ def test_kernels_free_inputs_their_backward_does_not_read():
         np.testing.assert_array_equal(grads[0], grads[1], err_msg=name)
 
 
+# MB per function that one default mixer training forward keeps for its
+# backward at mixer_seq_len 32, beyond the parameters: 6.74 while each layer
+# norm kept its normalized rows and the MLP after it its input and GELU cdf,
+# 3.50 with each pre-MLP layer norm and its MLP one `norm_mlp` node (at the
+# default 256 rows: 20.4 and 10.9).
+MIXER_SAVED_MB_PER_FUNCTION = 4.0
+
+
+def test_mixer_training_graph_saved_bytes_per_function():
+    """Walks every backward closure of one mixer training forward over 12
+    stock functions: the arrays they keep, each counted once and parameters
+    aside, stay under a per-function bound. Each `norm_mlp` node keeps three
+    float arrays, the normalized rows, their inverse standard deviations and
+    h (not the MLP's input or the GELU's cdf beside them), and none of its
+    input's shape."""
+    recs = generate(SynthConfig(n_families=4, seed=1))
+    vocab = build_vocab(recs)
+    cfg = BackboneConfig("mixer", vocab.size, mixer_seq_len=32)
+    model = build_backbone(cfg, seed=0)
+    encs = [encode_function(vocab, r) for r in recs]
+    out = model.embed_batch(encs, training=True, rng=np.random.default_rng(0))
+    params = [p.data for p in model.params.values()]
+    saved, blocks, seen, stack = {}, [], set(), [out.node]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node.backward is None:
+            continue
+        seen.add(id(node))
+        stack.extend(node.parents)
+        arrays = [a for a in _closure_arrays(node.backward)
+                  if not any(np.may_share_memory(a, p) for p in params)]
+        saved.update((id(a), a) for a in arrays)
+        if node.backward.__qualname__.startswith("norm_mlp."):
+            blocks.append((node.parents[0].shape, [a for a in arrays if a.dtype.kind == "f"]))
+    per_function = sum(a.nbytes for a in saved.values()) / len(encs) / 1e6
+    assert per_function < MIXER_SAVED_MB_PER_FUNCTION
+    assert len(blocks) == 2 * cfg.mixer_layers
+    for shape, floats in blocks:
+        assert not any(a.shape == shape for a in floats), shape
+        assert len(floats) == 3, shape
+        assert sorted(a.size for a in floats)[0] == math.prod(shape[:-1]), shape   # inv_std
+
+
 # ---------------------------------------------------------------- gradient trials
 
 def test_affine_gradients():
@@ -846,20 +1045,26 @@ def test_affine_gradients():
         assert_grads_match(lambda: ad.sum_(ad.affine(x, w, b) * proj), {"x": x, "w": w, "b": b}, rng)
 
 
-def identity_mlp_args(n):
-    """Constant weights that make ad.mlp(x, ...) dropout(dropout(gelu(x)))."""
-    eye, zero = ad.constant(np.eye(n)), ad.constant(np.zeros(n))
-    return eye, zero, eye, zero
+def identity_norm_mlp_args(x, mix_tokens=False):
+    """Constant unit scale, zero shift and identity weights: ad.norm_mlp(x, ...)
+    is dropout(dropout(gelu(normalized x)))."""
+    n, k = x.shape[-1], x.shape[-2] if mix_tokens else x.shape[-1]
+    eye, zero = ad.constant(np.eye(k)), ad.constant(np.zeros(k))
+    return ad.constant(np.ones(n)), ad.constant(np.zeros(n)), eye, zero, eye, zero
 
 
 def test_elementwise_gradients():
-    """The GELU alone: ad.mlp with identity weights at rate 0."""
+    """The GELU after the layer norm: ad.norm_mlp with identity weights at
+    rate 0, over channels and over tokens."""
     rng = np.random.default_rng(11)
-    for _ in range(TRIALS):
-        x = p64(rng, rng.integers(1, 5), rng.integers(1, 5))
+    for trial in range(TRIALS):
+        mix_tokens = bool(trial % 2)
+        x = p64(rng, 2, rng.integers(2, 5), rng.integers(2, 5))
         proj = rng.standard_normal(x.shape)
-        args = identity_mlp_args(x.shape[1])
-        assert_grads_match(lambda: ad.sum_(ad.mlp(x, *args, 0.0, None) * proj), {"x": x}, rng)
+        args = identity_norm_mlp_args(x, mix_tokens)
+        assert_grads_match(
+            lambda: ad.sum_(ad.norm_mlp(x, *args, 0.0, None, mix_tokens=mix_tokens) * proj),
+            {"x": x}, rng)
 
 
 def test_relu_gradients_away_from_kink():
@@ -887,42 +1092,41 @@ def test_layer_norm_gradients():
 def test_dropout_gradients():
     """Both dropouts at rate 0.3, with identity weights so no GEMM mixes the masks."""
     rng = np.random.default_rng(14)
-    args = identity_mlp_args(3)
     for trial in range(TRIALS):
         x = p64(rng, 4, 3)
+        args = identity_norm_mlp_args(x)
         proj = rng.standard_normal((4, 3))
         seed = 1000 + trial
         assert_grads_match(
-            lambda: ad.sum_(ad.mlp(x, *args, 0.3, np.random.default_rng(seed)) * proj),
+            lambda: ad.sum_(ad.norm_mlp(x, *args, 0.3, np.random.default_rng(seed)) * proj),
             {"x": x}, rng)
 
 
 def test_mlp_gradients():
     """Every input of the node, at rate 0 and at rate 0.3 (one seeded draw per
-    call), on contiguous inputs and on transposed views, with and without the
-    output bias."""
+    call), mixing channels and mixing tokens, with and without the output
+    bias."""
     rng = np.random.default_rng(14)
     for trial in range(TRIALS):
         rate = 0.0 if trial % 2 else 0.3
-        b, s, c = rng.integers(1, 4, size=3)
+        mix_tokens = trial % 4 < 2
+        b, s, c = rng.integers(1, 4), rng.integers(1, 4), rng.integers(2, 5)
         x = p64(rng, b, s, c)
-        view = trial % 4 < 2
-        lead, n = ((b, c), s) if view else ((b, s), c)
         m = int(rng.integers(1, 5))
-        w1, b1, w2, b2 = mlp_args(rng, n, int(rng.integers(1, 6)), m, np.float64)
-        params = {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2}
+        params = dict(zip(("gamma", "beta", "w1", "b1", "w2", "b2"),
+                          norm_args(rng, x, int(rng.integers(1, 6)), m, np.float64, mix_tokens)))
         if trial % 3 == 0:              # no output bias, as in the mixer's token mixing
-            del params["b2"]
-            b2 = None
-        proj = rng.standard_normal(lead + (m,))
+            params["b2"] = None
+        proj = rng.standard_normal((b, m, c) if mix_tokens else (b, s, m))
         seed = 1000 + trial
 
         def f():
-            inp = ad.transpose(x, (0, 2, 1)) if view else x
-            out = ad.mlp(inp, w1, b1, w2, b2, rate, np.random.default_rng(seed))
+            out = ad.norm_mlp(x, *params.values(), rate, np.random.default_rng(seed),
+                              mix_tokens=mix_tokens)
             return ad.sum_(out * proj)
 
-        assert_grads_match(f, params, rng)
+        assert_grads_match(f, {"x": x, **{k: v for k, v in params.items() if v is not None}},
+                           rng)
 
 
 def test_max_pool_gradients():
@@ -1036,9 +1240,7 @@ def test_shape_op_gradients():
         proj = rng.standard_normal((2, 3, 4))
 
         def f():
-            t = ad.transpose(x, (2, 1, 0))          # [2, 4, 3]
-            t = ad.transpose(t, (0, 2, 1))          # [2, 3, 4]
-            t = ad.reshape(t, (6, 4))
+            t = ad.reshape(x, (6, 4))
             t = ad.reshape(t, (2, 3, 4))
             return ad.sum_(t * proj) + ad.mean_(x)
 

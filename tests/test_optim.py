@@ -38,6 +38,46 @@ def test_nonfinite_gradient_names_parameter():
         opt.step()
 
 
+def test_nonfinite_gradient_writes_nothing():
+    """A non-finite gradient in a later parameter fails the step before the
+    first write: every parameter, moment and gradient and the step count are
+    as they were, and the retried step with that gradient made finite is the
+    one a clean optimizer takes."""
+    def fresh():
+        ps = {"a": ad.Tensor([1.0, 2.0], requires_grad=True, dtype=np.float32),
+              "b": ad.Tensor([3.0], requires_grad=True, dtype=np.float32)}
+        opt = Adam(ps, lr=0.01)
+        for p in ps.values():                # one clean step: the moments are not zero
+            p.grad = np.full(p.shape, 0.5, dtype=np.float32)
+        opt.step()
+        return ps, opt
+
+    params, opt = fresh()
+    grads = {"a": np.array([0.25, -1.0], dtype=np.float32),
+             "b": np.array([np.nan], dtype=np.float32)}
+    for k, p in params.items():
+        p.grad = grads[k]
+    before = {k: (p.data.copy(), opt.m[k].copy(), opt.v[k].copy(), p.grad.copy())
+              for k, p in params.items()}
+    with pytest.raises(NumericError, match="'b' at step 2"):
+        opt.step()
+    assert opt.step_count == 1
+    for k, p in params.items():
+        assert p.grad is grads[k], k
+        for got, want in zip((p.data, opt.m[k], opt.v[k], p.grad), before[k]):
+            np.testing.assert_array_equal(got, want, err_msg=k)
+
+    params["b"].grad = np.array([2.0], dtype=np.float32)
+    opt.step()
+    clean, clean_opt = fresh()
+    clean["a"].grad = np.array([0.25, -1.0], dtype=np.float32)
+    clean["b"].grad = np.array([2.0], dtype=np.float32)
+    clean_opt.step()
+    assert opt.step_count == clean_opt.step_count == 2
+    for k in params:
+        assert params[k].data.tobytes() == clean[k].data.tobytes(), k
+
+
 def test_missing_gradient_treated_as_zero():
     p = ad.Tensor([2.0], requires_grad=True, dtype=np.float32)
     opt = Adam({"p": p})
