@@ -8,11 +8,12 @@ been passed on, and the arrays its backward saved once that backward has run.
 A node holds no forward data: its gradient, its parents' nodes and a backward
 that keeps exactly the arrays it reads, as PyTorch's saved tensors do. An
 intermediate whose last Python reference goes away is freed, even while the
-graph that it fed lives on. `add`, `reshape`, `concat`, `sum_` and
-`embedding` keep shapes and ids only, `relu` its bool mask, `mul` and
-`affine` the other operand, `layer_norm` its normalized rows, inverse standard
+graph that it fed lives on. `add`, `reshape`, `concat`, `mean_` and
+`embedding` keep shapes and ids only, `relu` its bool mask, `affine` its
+input and weight, `layer_norm` its normalized rows, inverse standard
 deviations and scale, `segment_max` each first maximum's row, `lstm` its
-gate activations and states but not its input, and `norm_mlp` and
+gate activations and states but not its input, `cosine_pair_loss_batch`
+both sides' rows and its [B] norms, cosines and masks, and `norm_mlp` and
 `token_conv` the arrays their docstrings name. Once a node's backward has
 run, ``backward()`` replaces it with a spent marker, which frees those arrays
 at once; so a graph runs backward once, and a second ``backward()`` that
@@ -20,7 +21,7 @@ reaches a spent node, from the same root or from another, raises RuntimeError
 before it writes any gradient. A kernel hands a parent its first gradient
 without a copy when the array is its own: one it just made, or a view of its
 own spent gradient, that no other parent gets. `add` copies for its second
-parent and `sum_` copies its read-only broadcast, so no two gradients share
+parent and `mean_` copies its read-only broadcast, so no two gradients share
 memory: Adam uses each as scratch.
 The sequence kernels run on functions packed end to end, and each reads the
 packing as one [B] array of per-function row counts over consecutive rows:
@@ -41,6 +42,8 @@ default mixer training forward keeps: 10.9 MB per function, against 20.4 MB.
 In float32 its GELU gate is a rational erf, at about a quarter of the cost
 of scipy's erf. `layer_norm` and `norm_mlp` do their elementwise work over
 blocks of rows that stay in cache (`_row_blocks`).
+`cosine_pair_loss_batch` is the training loss as one node: the pairs'
+cosine, the hinge, the mean and their gradient in closed form.
 `affine`, `layer_norm`, `norm_mlp` and the elementwise kernels accept any
 leading axes.
 The lookup kernels, `embedding` and `token_conv`, share one padding rule: id
@@ -186,37 +189,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, -_wrap(other, self.dtype))
-
-    def __rsub__(self, other):
-        return add(_wrap(other, self.dtype), -self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not a supported kernel")
-        return mul(self, 1.0 / float(other))
-
-
-def constant(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=False, dtype=dtype)
-
-
-def _wrap(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _spent(g):
@@ -366,33 +338,13 @@ def _unpacked(bits: np.ndarray, width: int) -> np.ndarray:
     return np.unpackbits(bits, axis=1, count=width).view(bool)
 
 
-def add(a, b) -> Tensor:
-    a = _wrap(a, getattr(b, "dtype", None))
-    b = _wrap(b, a.dtype)
+def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
     an, a_shape, bn, b_shape = a.node, a.shape, b.node, b.shape
 
     def backward(g):
         _accum(an, _unbroadcast(g, a_shape), own=True)
         _accum(bn, _unbroadcast(g, b_shape))      # a copy: a may hold g itself
-
-    return _node(out_data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a = _wrap(a, getattr(b, "dtype", None))
-    b = _wrap(b, a.dtype)
-    out_data = a.data * b.data
-    an, a_shape, bn, b_shape = a.node, a.shape, b.node, b.shape
-    # each side's gradient reads the other side's data
-    a_data = a.data if bn is not None else None
-    b_data = b.data if an is not None else None
-
-    def backward(g):
-        if an is not None:
-            _accum(an, _unbroadcast(g * b_data, a_shape), own=True)
-        if bn is not None:
-            _accum(bn, _unbroadcast(g * a_data, b_shape), own=True)
 
     return _node(out_data, (a, b), backward)
 
@@ -936,56 +888,72 @@ def lstm(xp: Tensor, w_h: Tensor, b: Tensor, lengths) -> Tensor:
     return _node(out_data, (xp, w_h, b), backward)
 
 
-def sum_(x: Tensor, axis=None) -> Tensor:
-    out_data = x.data.sum(axis=axis, keepdims=False)
+def mean_(x: Tensor, axis: int) -> Tensor:
+    """Mean over `axis`: the sum times 1 / extent, a scale in x's dtype."""
+    scale = x.dtype.type(1.0 / x.shape[axis])
+    out_data = x.data.sum(axis=axis) * scale
     xn, x_shape = x.node, x.shape
 
     def backward(g):
-        if axis is None:
-            _accum(xn, np.broadcast_to(g, x_shape))
-        else:
-            _accum(xn, np.broadcast_to(np.expand_dims(g, axis), x_shape))
+        _accum(xn, np.broadcast_to(np.expand_dims(g * scale, axis), x_shape))
 
-    return _node(np.asarray(out_data), (x,), backward)
+    return _node(out_data, (x,), backward)
 
 
-def mean_(x: Tensor, axis=None) -> Tensor:
-    count = x.data.size if axis is None else x.data.shape[axis]
-    return mul(sum_(x, axis=axis), 1.0 / float(count))
-
-
+DEFAULT_MARGIN = 0.9
+NORM_EPS = 1e-8    # a row whose norm is below this has cosine 0
 ZERO_NORM_MESSAGE = "cosine of a vector with near-zero norm; returning 0"
 
 
-def pairwise_cosine(u: Tensor, v: Tensor, eps: float = 1e-8) -> Tensor:
-    """Row-wise cosine similarity of u, v [B, E] -> [B], clipped to [-1, 1].
+def cosine_pair_loss_batch(e1: Tensor, e2: Tensor, labels, margin: float = DEFAULT_MARGIN) -> Tensor:
+    """The mean pair loss over a batch as one node: 1 - cos for a positive
+    pair (label +1), max(0, cos - margin) for a negative one (-1).
+    e1, e2 [B, E], labels [B] -> a scalar.
 
-    Rows where either side has norm below `eps` yield 0 with a warning.
-    Bitwise-identical rows yield exactly 1 (the true gradient there is zero).
+    cos is the rows' cosine clipped to [-1, 1]: 0, with a warning, where
+    either row's norm is below NORM_EPS, and exactly 1 for bitwise-identical
+    rows; both take no gradient. A NaN cosine makes the loss NaN. The bits of
+    seeded runs rest on the order of the float operations: the pair terms
+    are summed and then scaled by 1/B in the rows' dtype, and cos takes -g/B
+    on a positive pair, g/B on a negative above the margin and 0 elsewhere.
     """
-    if u.shape != v.shape or u.ndim != 2:
-        raise ValueError(f"pairwise_cosine needs matching [B, E] inputs, got {u.shape}, {v.shape}")
-    ud, vd = u.data, v.data
+    ys = np.asarray(labels)
+    if e1.ndim != 2 or e1.shape != e2.shape or not e1.shape[0]:
+        raise ValueError(f"the pair loss needs matching [B, E] sides, B >= 1, got {e1.shape} "
+                         f"and {e2.shape}")
+    if ys.shape != e1.shape[:1]:
+        raise ValueError(f"pair labels must be one per pair, shape {e1.shape[:1]}, got {ys.shape}")
+    if not np.all(np.isin(ys, (1, -1))):
+        raise ValueError("pair labels must be +1 or -1")
+    if not 0.0 <= margin <= 1.0:
+        raise ValueError(f"margin must be in [0, 1], got {margin}")
+    ud, vd = e1.data, e2.data
+    dt = ud.dtype
     dot = (ud * vd).sum(axis=1)
     nu = np.sqrt((ud * ud).sum(axis=1))
     nv = np.sqrt((vd * vd).sum(axis=1))
-    degenerate = (nu < eps) | (nv < eps)
+    degenerate = (nu < NORM_EPS) | (nv < NORM_EPS)
     identical = ~degenerate & np.all(ud == vd, axis=1)
     if degenerate.any():
         warnings.warn(ZERO_NORM_MESSAGE, RuntimeWarning, stacklevel=2)
     denom = np.where(degenerate, 1.0, nu * nv)
     cos = np.clip(dot / denom, -1.0, 1.0)
     cos = np.where(degenerate, 0.0, cos)
-    cos = np.where(identical, 1.0, cos).astype(ud.dtype)
-    live = (~degenerate & ~identical).astype(ud.dtype)
-    un, vn = u.node, v.node
+    cos = np.where(identical, 1.0, cos).astype(dt)
+    live = (~degenerate & ~identical).astype(dt)
+    m, inv_b = dt.type(margin), dt.type(1.0 / ys.size)
+    pos = ys > 0
+    active = ~pos & ~(cos <= m)                 # a NaN cosine counts, so the loss is NaN
+    per_pair = np.where(pos, 1.0 - cos, np.where(active, cos - m, 0.0))
+    un, vn = e1.node, e2.node
 
     def backward(g):
-        scale = (g * live / denom)[:, None]
+        g = g * inv_b
+        scale = (np.where(pos, -g, np.where(active, g, 0.0)) * live / denom)[:, None]
         cn = cos[:, None]
-        nu2 = np.where(nu < eps, 1.0, nu * nu)[:, None]
-        nv2 = np.where(nv < eps, 1.0, nv * nv)[:, None]
+        nu2 = np.where(nu < NORM_EPS, 1.0, nu * nu)[:, None]
+        nv2 = np.where(nv < NORM_EPS, 1.0, nv * nv)[:, None]
         _accum(un, scale * (vd - cn * denom[:, None] * ud / nu2), own=True)
         _accum(vn, scale * (ud - cn * denom[:, None] * vd / nv2), own=True)
 
-    return _node(cos, (u, v), backward)
+    return _node(np.asarray(per_pair.sum() * inv_b), (e1, e2), backward)

@@ -16,15 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import DEFAULT_MARGIN, cosine_pair_loss_batch
 from .corpus import CorpusIndex, make_pairs
 from .errors import DataError, NumericError
 from .manifest import write_atomic
 from .models import Backbone, BackboneConfig, build_backbone
 from .optim import Adam
 from .tokenizer import Vocabulary, encode_function
-
-DEFAULT_MARGIN = 0.9
 
 
 @dataclass
@@ -54,20 +52,6 @@ class TrainConfig:
             raise ValueError(f"margin must be in [0, 1], got {self.margin}")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-
-
-def cosine_pair_loss_batch(e1: Tensor, e2: Tensor, labels, margin: float = DEFAULT_MARGIN) -> Tensor:
-    """Mean pair loss over a batch. e1, e2 [B, E]; labels [B] of +1/-1."""
-    ys = np.asarray(labels)
-    if not np.all(np.isin(ys, (1, -1))):
-        raise ValueError("pair labels must be +1 or -1")
-    if not 0.0 <= margin <= 1.0:
-        raise ValueError(f"margin must be in [0, 1], got {margin}")
-    cos = ad.pairwise_cosine(e1, e2)
-    pos = ad.constant((ys > 0).astype(e1.data.dtype))
-    neg = ad.constant((ys < 0).astype(e1.data.dtype))
-    per_pair = pos * (1.0 - cos) + neg * ad.relu(cos - margin)
-    return ad.mean_(per_pair)
 
 
 @dataclass

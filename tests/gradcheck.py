@@ -1,6 +1,7 @@
 """The central-difference gradient checker the tests run reverse-mode
-gradients against. Import it from a test module as `from gradcheck import
-finite_diff_check` (pytest puts `tests/` on the import path)."""
+gradients against, and `project`, the scalar they run a backward from.
+Import them from a test module as `from gradcheck import finite_diff_check`
+(pytest puts `tests/` on the import path)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from asmsim import autodiff as ad
 from asmsim.autodiff import Tensor
+
+
+def project(x: Tensor, proj=1.0) -> Tensor:
+    """sum(x * proj) as one node, for a constant array `proj` that broadcasts
+    to x's shape and is taken in x's dtype: a scalar whose backward hands x
+    the gradient g * proj."""
+    proj = np.broadcast_to(np.asarray(proj, dtype=x.dtype), x.shape)
+    xn = x.node
+    return ad._node(np.asarray((x.data * proj).sum()), (x,),
+                    lambda g: ad._accum(xn, g * proj, own=True))
 
 
 @dataclass

@@ -13,7 +13,7 @@ import asmsim.autodiff as ad
 from asmsim.models import BackboneConfig, build_backbone
 from asmsim.synthetic import SynthConfig, generate
 from asmsim.tokenizer import build_vocab, encode_function
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, project
 
 TRIALS = 20
 
@@ -54,7 +54,7 @@ def ref_token_conv(table, pos_table, ids, pos, w):
 
 
 def c64(a):
-    return ad.constant(np.asarray(a, dtype=np.float64))
+    return ad.Tensor(np.asarray(a, dtype=np.float64))
 
 
 def packed(ids, pos):
@@ -191,7 +191,7 @@ def test_token_conv_matches_grid_reference(kind, dtype, rtol, atol):
     d, c_out = 2, 5
     arrays = [rng.standard_normal(s).astype(dtype)
               for s in ((7, d), (6, d), ((k + 1) * d, width, c_out))]
-    table, pos_table, w = (ad.constant(a) for a in arrays)
+    table, pos_table, w = (ad.Tensor(a) for a in arrays)
     out = grid_conv(table, pos_table, ids, pos, w)
     assert out.dtype == dtype
     np.testing.assert_allclose(out.data, ref_token_conv(*arrays[:2], ids, pos, arrays[2]),
@@ -237,33 +237,33 @@ def test_token_conv_slot_kernels_are_views_of_w():
     ids, pos = rng.integers(0, 7, size=(9, k)), np.minimum(np.arange(9), 5)
     _KernelSpy.seen = []
     out = ad.token_conv(table, pos_table, ids, pos, np.array([9]), w)
-    ad.sum_(out).backward()
+    project(out).backward()
     assert len(_KernelSpy.seen) == 2 * (k + 1)        # K + 1 slots, forward and backward
     assert all(np.shares_memory(kern, w.data) for kern in _KernelSpy.seen)
 
 
 def test_max_pool_example():
     """segment_max over one segment is the column max."""
-    out = ad.segment_max(ad.constant([[1.0, 4.0], [7.0, -2.0], [3.0, 0.5]]), [3])
+    out = ad.segment_max(ad.Tensor([[1.0, 4.0], [7.0, -2.0], [3.0, 0.5]]), [3])
     np.testing.assert_array_equal(out.data, [[7.0, 4.0]])
 
 
 def test_max_pool_respects_lengths():
     """Each segment pools over its own rows only, a one-row segment included."""
-    x = ad.constant([[1.0, 0.0], [9.0, 5.0], [2.0, 3.0], [-1.0, 8.0], [0.5, -4.0]])
+    x = ad.Tensor([[1.0, 0.0], [9.0, 5.0], [2.0, 3.0], [-1.0, 8.0], [0.5, -4.0]])
     out = ad.segment_max(x, np.array([1, 3, 1]))
     np.testing.assert_array_equal(out.data, [[1.0, 0.0], [9.0, 8.0], [0.5, -4.0]])
 
 
 def test_segment_max_rejects_bad_segments():
-    x = ad.constant(np.zeros((4, 2)))
+    x = ad.Tensor(np.zeros((4, 2)))
     for lengths in ([2, 1], [2, 3], [0, 4], [5, -1], []):
         with pytest.raises(ValueError, match="segment lengths"):
             ad.segment_max(x, np.array(lengths, dtype=np.int64))
     with pytest.raises(TypeError, match="integer"):
         ad.segment_max(x, np.array([2.0, 2.0]))
     with pytest.raises(ValueError, match=r"\[R, C\]"):
-        ad.segment_max(ad.constant(np.zeros((1, 4, 2))), np.array([4]))
+        ad.segment_max(ad.Tensor(np.zeros((1, 4, 2))), np.array([4]))
 
 
 def test_segment_max_ties_send_gradient_to_first():
@@ -274,7 +274,7 @@ def test_segment_max_ties_send_gradient_to_first():
                   requires_grad=True, dtype=np.float64)
     out = ad.segment_max(x, np.array([3, 1, 3]))
     np.testing.assert_array_equal(out.data, [[5.0, 2.0], [0.0, 0.0], [4.0, 6.0]])
-    ad.sum_(out * np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])).backward()
+    project(out, np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])).backward()
     expected = np.zeros((7, 2))
     expected[0, 0], expected[1, 1] = 1.0, 2.0
     expected[3] = [3.0, 4.0]
@@ -289,7 +289,7 @@ def test_segment_max_nan_segment():
                   requires_grad=True, dtype=np.float64)
     out = ad.segment_max(x, np.array([2, 2]))
     np.testing.assert_array_equal(out.data, [[np.nan, 2.0], [3.0, 5.0]])
-    ad.sum_(out * np.array([[1.0, 2.0], [3.0, 4.0]])).backward()
+    project(out, np.array([[1.0, 2.0], [3.0, 4.0]])).backward()
     np.testing.assert_array_equal(x.grad, [[0.0, 2.0], [0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
 
 
@@ -345,8 +345,8 @@ def test_lstm_backward_flushes_subnormal_gradients(monkeypatch):
         xp = p32(rng.standard_normal((int(lengths.sum()), 4 * hid)))
         w_h = p32(0.1 * rng.standard_normal((hid, 4 * hid)))
         b = p32(np.zeros(4 * hid))
-        proj = ad.constant(rng.standard_normal((len(lengths), hid)).astype(np.float32))
-        ad.sum_(ad.lstm(xp, w_h, b, lengths) * proj).backward()
+        proj = rng.standard_normal((len(lengths), hid)).astype(np.float32)
+        project(ad.lstm(xp, w_h, b, lengths), proj).backward()
         return [p.grad for p in (xp, w_h, b)]
 
     def subnormals(g):
@@ -401,21 +401,32 @@ def test_embedding_gradient_distinct_and_repeated_ids():
         expected = np.zeros((6, 3))
         np.add.at(expected, ids[live], proj[live])
         for _ in range(2):
-            ad.sum_(ad.embedding(table, ids) * proj).backward()
+            project(ad.embedding(table, ids), proj).backward()
             np.testing.assert_array_equal(table.grad, expected)
             np.add.at(expected, ids[live], proj[live])
 
 
 def row(values):
-    """One float64 [1, E] row, the batch of one pair side that pairwise_cosine takes."""
-    return ad.constant(np.asarray(values, dtype=np.float64).reshape(1, -1))
+    """One float64 [1, E] row that takes a gradient: a pair side of a batch of one pair."""
+    return ad.Tensor(np.asarray(values, dtype=np.float64).reshape(1, -1), requires_grad=True)
+
+
+def cosine(u, v):
+    """The pair loss's cosine of the rows u and v where it is above 0: a
+    negative pair at margin 0 costs exactly its cosine."""
+    return ad.cosine_pair_loss_batch(u, v, [-1], margin=0.0).item()
 
 
 def test_cosine_examples():
-    cos = ad.pairwise_cosine(row([1.0, 0.0]), row([1.0, 1.0]))
-    assert cos.item() == pytest.approx(0.70710678, abs=1e-8)
-    u = row([0.3, -1.2, 4.0])
-    assert ad.pairwise_cosine(u, u).item() == 1.0
+    """A 45-degree pair, and bitwise-identical rows at exactly 1 with no gradient."""
+    assert cosine(row([1.0, 0.0]), row([1.0, 1.0])) == pytest.approx(0.70710678, abs=1e-8)
+    u, v = row([0.3, -1.2, 4.0]), row([0.3, -1.2, 4.0])
+    assert cosine(u, v) == 1.0
+    loss = ad.cosine_pair_loss_batch(u, v, [1])
+    assert loss.item() == 0.0
+    loss.backward()
+    np.testing.assert_array_equal(u.grad, 0.0)
+    np.testing.assert_array_equal(v.grad, 0.0)
 
 
 def test_cosine_scale_invariance():
@@ -423,21 +434,154 @@ def test_cosine_scale_invariance():
     for _ in range(50):
         u = rng.standard_normal(8)
         v = rng.standard_normal(8)
-        c1 = ad.pairwise_cosine(row(u), row(v)).item()
-        c2 = ad.pairwise_cosine(row(1000.0 * u), row(v)).item()
-        assert abs(c1 - c2) <= 1e-12
+        for y in (1, -1):
+            c1 = ad.cosine_pair_loss_batch(row(u), row(v), [y], margin=0.0).item()
+            c2 = ad.cosine_pair_loss_batch(row(1000.0 * u), row(v), [y], margin=0.0).item()
+            assert abs(c1 - c2) <= 1e-12
 
 
 def test_cosine_zero_norm_warns_and_returns_zero():
+    """A zero row has cosine 0, so a positive pair costs 1, and takes no gradient."""
+    u, v = row(np.zeros(4)), row(np.ones(4))
     with pytest.warns(RuntimeWarning, match="norm"):
-        out = ad.pairwise_cosine(row(np.zeros(4)), row(np.ones(4)))
-    assert out.item() == 0.0
+        out = ad.cosine_pair_loss_batch(u, v, [1])
+    assert out.item() == 1.0
+    out.backward()
+    np.testing.assert_array_equal(u.grad, 0.0)
+    np.testing.assert_array_equal(v.grad, 0.0)
+
+
+def ref_pair_loss(u, v, ys, margin):
+    """float64 closed form: the mean pair loss and the gradients of both
+    sides; a row of norm below 1e-8 gives cosine 0 and identical rows give 1,
+    neither with a gradient."""
+    nu, nv = np.linalg.norm(u, axis=1), np.linalg.norm(v, axis=1)
+    degenerate = (nu < 1e-8) | (nv < 1e-8)
+    identical = ~degenerate & np.all(u == v, axis=1)
+    live = ~degenerate & ~identical
+    nu, nv = np.where(live, nu, 1.0)[:, None], np.where(live, nv, 1.0)[:, None]
+    cos = np.clip(np.einsum("be,be->b", u / nu, v / nv), -1.0, 1.0)
+    cos = np.where(live, cos, np.where(identical, 1.0, 0.0))
+    active = (ys < 0) & (cos > margin)
+    loss = np.where(ys > 0, 1.0 - cos, np.where(active, cos - margin, 0.0)).mean()
+    dcos = (np.where(ys > 0, -1.0, np.where(active, 1.0, 0.0)) * live / len(ys))[:, None]
+    c = cos[:, None]
+    return loss, dcos * (v / nv - c * u / nu) / nu, dcos * (u / nu - c * v / nv) / nv
+
+
+def test_pair_loss_matches_float64_reference():
+    """The loss and both sides' gradients to rtol 1e-10, through the gathers
+    a training step runs: functions repeated across pairs and sides, a zero
+    row (with its warning) and bitwise-identical rows."""
+    rng = np.random.default_rng(24)
+    for _ in range(TRIALS):
+        e, b = int(rng.integers(2, 6)), int(rng.integers(4, 12))
+        table = rng.standard_normal((6, e))
+        table[0] = 0.0
+        ids = rng.integers(0, 6, size=(2, b))
+        ids[:, :2] = [[3, 0], [3, 2]]           # identical rows, then a zero row
+        ys = rng.choice([1, -1], size=b)
+        margin = float(rng.uniform(0.0, 0.5))
+        emb = ad.Tensor(table, requires_grad=True)
+        with pytest.warns(RuntimeWarning, match="norm"):
+            loss = ad.cosine_pair_loss_batch(ad.embedding(emb, ids[0]), ad.embedding(emb, ids[1]),
+                                             ys, margin)
+        loss.backward()
+        want, gu, gv = ref_pair_loss(table[ids[0]], table[ids[1]], ys, margin)
+        grad = np.zeros_like(table)
+        np.add.at(grad, ids[0], gu)
+        np.add.at(grad, ids[1], gv)
+        np.testing.assert_allclose(loss.item(), want, rtol=1e-10)
+        np.testing.assert_allclose(emb.grad, grad, rtol=1e-10, atol=1e-14)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pair_loss_without_active_pairs_has_zero_gradients(dtype):
+    """Identical positives and negatives under the margin: the loss is 0 and
+    both sides' gradients are exact zeros."""
+    rng = np.random.default_rng(25)
+    u = rng.standard_normal((6, 5)).astype(dtype)
+    ys = np.array([1, -1, -1, 1, -1, -1])
+    v = np.where(ys[:, None] > 0, u, -u + 0.1 * rng.standard_normal((6, 5)).astype(dtype))
+    e1, e2 = ad.Tensor(u, requires_grad=True), ad.Tensor(v, requires_grad=True)
+    loss = ad.cosine_pair_loss_batch(e1, e2, ys)
+    assert loss.item() == 0.0
+    loss.backward()
+    for g in (e1.grad, e2.grad):
+        assert g.dtype == dtype
+        np.testing.assert_array_equal(g, 0.0)
+
+
+def generic_graph_pair_loss(u, v, ys, margin):
+    """float32 numpy, op for op, the pair loss as a graph of generic kernels:
+    the pairwise cosine, 0/1 label masks, 1 + (-1 * cos),
+    relu(cos + -1 * margin), the masked sum over pairs, the sum and its scale
+    by 1/B; then that graph's backward from a gradient of 1. Returns (loss,
+    u's gradient, v's gradient)."""
+    f = np.float32
+    dot = (u * v).sum(axis=1)
+    nu, nv = np.sqrt((u * u).sum(axis=1)), np.sqrt((v * v).sum(axis=1))
+    degenerate = (nu < 1e-8) | (nv < 1e-8)
+    identical = ~degenerate & np.all(u == v, axis=1)
+    denom = np.where(degenerate, f(1.0), nu * nv)
+    cos = np.clip(dot / denom, f(-1.0), f(1.0))
+    cos = np.where(identical, f(1.0), np.where(degenerate, f(0.0), cos))
+    live = (~degenerate & ~identical).astype(f)
+    pos, neg = (ys > 0).astype(f), (ys < 0).astype(f)
+    hinge = cos + f(margin) * f(-1.0)
+    mask = hinge > 0
+    per_pair = pos * (f(1.0) + cos * f(-1.0)) + neg * np.where(mask, hinge, f(0.0))
+    inv_b = f(1.0 / len(ys))
+    loss = per_pair.sum() * inv_b
+    g = np.full(len(ys), f(1.0) * inv_b)              # the scale's backward, broadcast by the sum's
+    g_cos = (g * pos) * f(-1.0) + (g * neg) * mask
+    scale = (g_cos * live / denom)[:, None]
+    cn, dn = cos[:, None], denom[:, None]
+    nu2 = np.where(nu < 1e-8, f(1.0), nu * nu)[:, None]
+    nv2 = np.where(nv < 1e-8, f(1.0), nv * nv)[:, None]
+    return loss, scale * (v - cn * dn * u / nu2), scale * (u - cn * dn * v / nv2)
+
+
+def test_pair_loss_float32_bits_match_the_generic_graph():
+    """float32, as training runs: the loss and both sides' gradients are bit
+    for bit those of the loss built from generic kernels, the operation order
+    that seeded runs were recorded with, over a batch with both labels,
+    negatives on both sides of the margin, a zero row and identical rows."""
+    rng = np.random.default_rng(26)
+    for margin in (0.0, 0.3, 0.9):
+        u = rng.standard_normal((64, 16)).astype(np.float32)
+        v = (0.8 * u + 0.6 * rng.standard_normal((64, 16))).astype(np.float32)
+        v[:8] *= -1.0
+        u[5], v[9] = 0.0, u[9]
+        ys = rng.choice([1, -1], size=64)
+        e1, e2 = ad.Tensor(u, requires_grad=True), ad.Tensor(v, requires_grad=True)
+        with pytest.warns(RuntimeWarning, match="norm"):
+            loss = ad.cosine_pair_loss_batch(e1, e2, ys, margin)
+        loss.backward()
+        want = generic_graph_pair_loss(u, v, ys, margin)
+        for got, ref in zip((loss.data, e1.grad, e2.grad), want):
+            assert got.dtype == np.float32 and got.shape == np.shape(ref)
+            np.testing.assert_array_equal(got, ref, err_msg=str(margin))
+
+
+def test_pair_loss_is_one_node_over_both_sides():
+    rng = np.random.default_rng(27)
+    table = p64(rng, 5, 3)
+    e1, e2 = ad.embedding(table, [0, 1, 2]), ad.embedding(table, [3, 4, 0])
+    loss = ad.cosine_pair_loss_batch(e1, e2, [1, -1, -1])
+    assert loss.shape == () and loss.node.parents == (e1.node, e2.node)
+
+
+def test_pair_loss_nan_propagates():
+    """A NaN row makes the loss NaN, on a positive pair and on a negative one."""
+    for y in (1, -1):
+        assert np.isnan(ad.cosine_pair_loss_batch(row([np.nan, 1.0]), row([1.0, 0.0]), [y]).item())
 
 
 def test_layer_norm_constant_vector_is_zero_pre_affine():
-    x = ad.constant(np.full((3, 6), 2.5), dtype=np.float64)
-    gamma = ad.constant(np.ones(6), dtype=np.float64)
-    beta = ad.constant(np.zeros(6), dtype=np.float64)
+    x = ad.Tensor(np.full((3, 6), 2.5), dtype=np.float64)
+    gamma = ad.Tensor(np.ones(6), dtype=np.float64)
+    beta = ad.Tensor(np.zeros(6), dtype=np.float64)
     out = ad.layer_norm(x, gamma, beta)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
@@ -471,7 +615,7 @@ def test_layer_norm_blocks_match_one_shot_bitwise(dtype):
         gamma, beta = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(2))
         params = [ad.Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
         out = ad.layer_norm(*params)
-        ad.sum_(out * ad.constant(g)).backward()
+        project(out, g).backward()
         with ad.no_grad():
             inference = ad.layer_norm(*params).data
         want = ref_layer_norm(x, gamma, beta, g)
@@ -484,14 +628,14 @@ def test_layer_norm_blocks_match_one_shot_bitwise(dtype):
 
 def test_relu_subgradient_zero_at_kink():
     x = ad.Tensor([0.0, -1.0, 2.0], requires_grad=True, dtype=np.float64)
-    out = ad.sum_(ad.relu(x))
+    out = project(ad.relu(x))
     out.backward()
     np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
 
 def test_concat_errors():
-    a = ad.constant(np.ones((2, 3)))
-    b = ad.constant(np.ones((2, 4)))
+    a = ad.Tensor(np.ones((2, 3)))
+    b = ad.Tensor(np.ones((2, 4)))
     with pytest.raises(ValueError, match="axis .* out of range"):
         ad.concat([a, b], axis=2)
     with pytest.raises(ValueError, match="mismatch"):
@@ -685,14 +829,13 @@ def test_norm_mlp_matches_unfused_reference_bitwise(block, monkeypatch):
         if not out_bias:
             params[5] = None
         leaves = [t for t in (x, *params) if t is not None]
-        proj = ad.constant(rng.standard_normal((3, 4, 5) if mix_tokens else (3, 7, 4)),
-                           dtype=np.float32)
+        proj = rng.standard_normal((3, 4, 5) if mix_tokens else (3, 7, 4)).astype(np.float32)
         results = []
         for kernel in (ad.norm_mlp, unfused_norm_mlp):
             for t in leaves:
                 t.grad = None
             out = kernel(x, *params, rate, np.random.default_rng(41), mix_tokens=mix_tokens)
-            ad.sum_(out * proj).backward()
+            project(out, proj).backward()
             results.append([out.data] + [t.grad for t in leaves])
         case = (rate, mix_tokens, out_bias)
         assert results[0][0].shape == proj.shape, case
@@ -723,7 +866,7 @@ def test_mlp_deterministic_given_seed():
 
 def test_mlp_rate_and_rng_validation():
     rng = np.random.default_rng(43)
-    x = ad.constant(np.ones((2, 3)))
+    x = ad.Tensor(np.ones((2, 3)))
     params = norm_args(rng, x, 4, 3, np.float64)
     for rate in (1.0, -0.1):
         with pytest.raises(ValueError, match="rate"):
@@ -735,20 +878,21 @@ def test_mlp_rate_and_rng_validation():
     with pytest.raises(ValueError, match="do not chain"):     # token mixing reads 2 rows
         ad.norm_mlp(x, *params, 0.0, None, mix_tokens=True)
     with pytest.raises(ValueError, match="token mixing"):
-        ad.norm_mlp(ad.constant(np.ones(3)), *params, 0.0, None, mix_tokens=True)
+        ad.norm_mlp(ad.Tensor(np.ones(3)), *params, 0.0, None, mix_tokens=True)
     with pytest.raises(ValueError, match="scale/shift"):
-        ad.norm_mlp(x, params[0], ad.constant(np.ones(4)), *params[2:], 0.0, None)
+        ad.norm_mlp(x, params[0], ad.Tensor(np.ones(4)), *params[2:], 0.0, None)
     gamma, beta, w1, b1 = params[:4]       # a bias-free second layer whose weight is not 2-D
     with pytest.raises(ValueError, match="weight/bias mismatch"):
-        ad.norm_mlp(x, gamma, beta, w1, b1, ad.constant(np.ones((4, 3, 1))), None, 0.0, None)
+        ad.norm_mlp(x, gamma, beta, w1, b1, ad.Tensor(np.ones((4, 3, 1))), None, 0.0, None)
 
 
 def test_deep_graph_backward_is_iterative():
     x = ad.Tensor([1.0], requires_grad=True, dtype=np.float64)
+    zero = ad.Tensor([0.0], dtype=np.float64)
     out = x
     for _ in range(5000):
-        out = out + 0.0
-    ad.sum_(out).backward()
+        out = out + zero
+    project(out).backward()
     np.testing.assert_array_equal(x.grad, [1.0])
 
 
@@ -757,12 +901,12 @@ def test_backward_frees_inner_gradients():
     a second backward from the same root, or from a second root that shares
     spent nodes, raises before it writes any gradient."""
     x = ad.Tensor([1.0, -2.0], requires_grad=True, dtype=np.float64)
-    y = x * x
-    z = ad.sum_(y * y)
-    other = ad.sum_(y * 3.0)          # a second root over the same y
+    y = x + x
+    z = project(y + y, [1.0, 3.0])
+    other = project(y, 3.0)          # a second root over the same y
     z.backward()
     assert y.grad is None and z.grad is None
-    np.testing.assert_allclose(x.grad, 4 * x.data ** 3)
+    np.testing.assert_array_equal(x.grad, [4.0, 12.0])
     grad = x.grad
     want = grad.copy()
     for root in (z, other):
@@ -826,9 +970,8 @@ def float32_kernels(rng):
 
     x, w, b = p32(2, 5, 3), p32(3, 4), p32(4)
     kernels = {
-        "add": lambda: ad.add(x, 1.0),
+        "add": lambda: ad.add(x, ad.Tensor(np.ones(3, dtype=np.float32))),
         "add_tensors": lambda: ad.add(x, p32(2, 5, 3)),
-        "mul": lambda: ad.mul(x, 0.5),
         "affine": lambda: ad.affine(x, w, b),
         "relu": lambda: ad.relu(x),
         "layer_norm": lambda: ad.layer_norm(x, p32(3), p32(3)),
@@ -845,9 +988,9 @@ def float32_kernels(rng):
                                             np.array([5, 5]), p32(3, 2, 4)),
         "segment_max": lambda: ad.segment_max(ad.reshape(x, (10, 3)), np.array([2, 1, 7])),
         "lstm": lambda: ad.lstm(p32(7, 8), p32(2, 8), p32(8), np.array([3, 4])),
-        "sum_": lambda: ad.sum_(x, axis=1),
         "mean_": lambda: ad.mean_(x, axis=1),
-        "pairwise_cosine": lambda: ad.pairwise_cosine(p32(2, 3), p32(2, 3)),
+        "cosine_pair_loss_batch": lambda: ad.cosine_pair_loss_batch(p32(3, 4), p32(3, 4),
+                                                                    [1, -1, -1], margin=0.0),
     }
     return kernels, leaves
 
@@ -870,7 +1013,7 @@ def test_gradients_share_no_memory():
             t.grad = None
         out = make()
         proj = np.random.default_rng(0).standard_normal(out.shape).astype(np.float32)
-        ad.sum_(out * proj).backward()
+        project(out, proj).backward()
         grads = [t.grad for t in leaves if t.grad is not None]
         assert grads, name
         others = [out.data] + [t.data for t in leaves]
@@ -882,8 +1025,9 @@ def test_gradients_share_no_memory():
 def test_gradients_of_a_tensor_read_twice():
     """A kernel may give a parent its own gradient uncopied, and `add` copies
     it for the second: gradients still sum right where one tensor is both
-    inputs of a node, feeds an `add` and a `mul`, or reaches an `add` twice
-    through a transposed view (float64 finite differences)."""
+    inputs of a node, feeds an `add` and a `relu` (which scales its gradient
+    in place), or reaches an `add` twice through a transposed view (float64
+    finite differences)."""
     rng = np.random.default_rng(49)
     for _ in range(TRIALS // 4):
         x, y, t = p64(rng, 3, 4), p64(rng, 3, 4), p64(rng, 4, 3)
@@ -891,13 +1035,14 @@ def test_gradients_of_a_tensor_read_twice():
 
         def chain():
             s = transpose(t, (1, 0))
-            return ad.sum_((s + x + s) * proj)
+            return project(s + x + s, proj)
 
         cases = {
-            "x + x": (lambda: ad.sum_((x + x) * proj), {"x": x}),
-            "x * x": (lambda: ad.sum_(x * x * proj), {"x": x}),
-            "concat": (lambda: ad.sum_(ad.concat([x, x], axis=1) * wide), {"x": x}),
-            "add and mul": (lambda: ad.sum_((x + y) * (x * y) * proj), {"x": x, "y": y}),
+            "x + x": (lambda: project(x + x, proj), {"x": x}),
+            "concat": (lambda: project(ad.concat([x, x], axis=1), wide), {"x": x}),
+            "pair loss": (lambda: ad.cosine_pair_loss_batch(x, x + y, [1, -1, 1], margin=0.0),
+                          {"x": x, "y": y}),
+            "add and relu": (lambda: project(ad.relu(x) + (x + y), proj), {"x": x, "y": y}),
             "transpose, add": (chain, {"t": t, "x": x}),
         }
         for name, (f, params) in cases.items():
@@ -906,26 +1051,28 @@ def test_gradients_of_a_tensor_read_twice():
 
 
 def test_backward_releases_saved_arrays():
-    """Once a node's backward has run, the arrays that `layer_norm` and
-    `norm_mlp` made and saved for it are freed, while the root and the leaves
-    live on: the normalized rows and inverse standard deviations, and for
-    `norm_mlp` also h and the two packed dropout masks, over channels or
-    tokens."""
+    """Once a node's backward has run, the arrays that `layer_norm`,
+    `norm_mlp` and the pair loss made and saved for it are freed, while the
+    root and the leaves live on: the normalized rows and inverse standard
+    deviations, for `norm_mlp` also h and the two packed dropout masks, over
+    channels or tokens, and the pair loss's norms, cosines and masks."""
     rng = np.random.default_rng(47)
-    x, gamma, beta = p64(rng, 6, 5), p64(rng, 5), p64(rng, 5)
+    x, gamma, beta, z = p64(rng, 6, 5), p64(rng, 5), p64(rng, 5), p64(rng, 6, 5)
     ch, tok = norm_args(rng, x, 7, 3, np.float64), norm_args(rng, x, 7, 4, np.float64, True)
     cases = {
         "layer_norm": (lambda: ad.layer_norm(x, gamma, beta), [x, gamma, beta], 2),
         "norm_mlp": (lambda: ad.norm_mlp(x, *ch, 0.3, np.random.default_rng(0)), [x, *ch], 5),
         "norm_mlp_tokens": (lambda: ad.norm_mlp(x, *tok, 0.3, np.random.default_rng(0),
                                                 mix_tokens=True), [x, *tok], 5),
+        "cosine_pair_loss_batch": (lambda: ad.cosine_pair_loss_batch(
+            x, z, [1, -1, -1, 1, -1, 1], margin=0.0), [x, z], 7),
     }
     for name, (make, inputs, n_made) in cases.items():
         out = make()
         made = [weakref.ref(a) for a in _saved_arrays(out)
                 if not any(np.shares_memory(a, t.data) for t in inputs)]
         assert len(made) == n_made and all(r() is not None for r in made), name
-        ad.sum_(out).backward()
+        project(out).backward()
         assert all(r() is None for r in made), name
         assert x.grad is not None
 
@@ -961,7 +1108,7 @@ def test_kernels_free_inputs_their_backward_does_not_read():
         "add": (lambda x: x + y, (4, 6)),
         "reshape": (lambda x: ad.reshape(x, (6, 4)), (4, 6)),
         "concat": (lambda x: ad.concat([x, y], axis=1), (4, 6)),
-        "sum_": (lambda x: ad.sum_(x, axis=0), (4, 6)),
+        "mean_": (lambda x: ad.mean_(x, axis=0), (4, 6)),
         "relu": (ad.relu, (4, 6)),
         "layer_norm": (lambda x: ad.layer_norm(x, gamma, beta), (4, 6)),
         "norm_mlp": (lambda x: ad.norm_mlp(x, gamma, beta, *ch, 0.3, np.random.default_rng(3)),
@@ -978,9 +1125,9 @@ def test_kernels_free_inputs_their_backward_does_not_read():
         grads = []
         for drop in (False, True):
             p.grad = None
-            x = p * 1.0                  # an intermediate: only x holds its data
+            x = p + ad.Tensor(np.zeros(shape))     # an intermediate: only x holds its data
             data = weakref.ref(x.data)
-            out = ad.sum_(kernel(x))
+            out = project(kernel(x))
             if drop:
                 del x
                 assert data() is None, name
@@ -1042,15 +1189,15 @@ def test_affine_gradients():
         w = p64(rng, n, m)
         b = p64(rng, m)
         proj = rng.standard_normal((batch, m))
-        assert_grads_match(lambda: ad.sum_(ad.affine(x, w, b) * proj), {"x": x, "w": w, "b": b}, rng)
+        assert_grads_match(lambda: project(ad.affine(x, w, b), proj), {"x": x, "w": w, "b": b}, rng)
 
 
 def identity_norm_mlp_args(x, mix_tokens=False):
     """Constant unit scale, zero shift and identity weights: ad.norm_mlp(x, ...)
     is dropout(dropout(gelu(normalized x)))."""
     n, k = x.shape[-1], x.shape[-2] if mix_tokens else x.shape[-1]
-    eye, zero = ad.constant(np.eye(k)), ad.constant(np.zeros(k))
-    return ad.constant(np.ones(n)), ad.constant(np.zeros(n)), eye, zero, eye, zero
+    eye, zero = ad.Tensor(np.eye(k)), ad.Tensor(np.zeros(k))
+    return ad.Tensor(np.ones(n)), ad.Tensor(np.zeros(n)), eye, zero, eye, zero
 
 
 def test_elementwise_gradients():
@@ -1063,7 +1210,7 @@ def test_elementwise_gradients():
         proj = rng.standard_normal(x.shape)
         args = identity_norm_mlp_args(x, mix_tokens)
         assert_grads_match(
-            lambda: ad.sum_(ad.norm_mlp(x, *args, 0.0, None, mix_tokens=mix_tokens) * proj),
+            lambda: project(ad.norm_mlp(x, *args, 0.0, None, mix_tokens=mix_tokens), proj),
             {"x": x}, rng)
 
 
@@ -1074,7 +1221,7 @@ def test_relu_gradients_away_from_kink():
         raw = np.where(np.abs(raw) < 0.05, 0.2, raw)  # keep clear of the kink for FD
         x = ad.Tensor(raw, requires_grad=True, dtype=np.float64)
         proj = rng.standard_normal(raw.shape)
-        assert_grads_match(lambda: ad.sum_(ad.relu(x) * proj), {"x": x}, rng)
+        assert_grads_match(lambda: project(ad.relu(x), proj), {"x": x}, rng)
 
 
 def test_layer_norm_gradients():
@@ -1085,7 +1232,7 @@ def test_layer_norm_gradients():
         gamma = ad.Tensor(1.0 + 0.1 * rng.standard_normal(n), requires_grad=True, dtype=np.float64)
         beta = p64(rng, n)
         proj = rng.standard_normal((rows, n))
-        assert_grads_match(lambda: ad.sum_(ad.layer_norm(x, gamma, beta) * proj),
+        assert_grads_match(lambda: project(ad.layer_norm(x, gamma, beta), proj),
                            {"x": x, "gamma": gamma, "beta": beta}, rng)
 
 
@@ -1098,7 +1245,7 @@ def test_dropout_gradients():
         proj = rng.standard_normal((4, 3))
         seed = 1000 + trial
         assert_grads_match(
-            lambda: ad.sum_(ad.norm_mlp(x, *args, 0.3, np.random.default_rng(seed)) * proj),
+            lambda: project(ad.norm_mlp(x, *args, 0.3, np.random.default_rng(seed)), proj),
             {"x": x}, rng)
 
 
@@ -1123,7 +1270,7 @@ def test_mlp_gradients():
         def f():
             out = ad.norm_mlp(x, *params.values(), rate, np.random.default_rng(seed),
                               mix_tokens=mix_tokens)
-            return ad.sum_(out * proj)
+            return project(out, proj)
 
         assert_grads_match(f, {"x": x, **{k: v for k, v in params.items() if v is not None}},
                            rng)
@@ -1138,7 +1285,7 @@ def test_max_pool_gradients():
         raw += np.arange(length)[:, None] * 1e-2  # break near-ties so FD keeps the same argmax
         x = ad.Tensor(raw, requires_grad=True, dtype=np.float64)
         proj = rng.standard_normal((1, c))
-        assert_grads_match(lambda: ad.sum_(ad.segment_max(x, np.array([length])) * proj),
+        assert_grads_match(lambda: project(ad.segment_max(x, np.array([length])), proj),
                            {"x": x}, rng)
 
 
@@ -1152,7 +1299,7 @@ def test_max_pool_ragged_gradients():
         raw = rng.standard_normal((lens.sum(), c)) + np.arange(lens.sum())[:, None] * 1e-2
         x = ad.Tensor(raw, requires_grad=True, dtype=np.float64)
         proj = rng.standard_normal((lens.size, c))
-        assert_grads_match(lambda: ad.sum_(ad.segment_max(x, lens) * proj), {"x": x}, rng)
+        assert_grads_match(lambda: project(ad.segment_max(x, lens), proj), {"x": x}, rng)
 
 
 def test_concat_gradients():
@@ -1169,7 +1316,7 @@ def test_concat_gradients():
         out_shape = list(base)
         out_shape[axis] = sum(s[axis] for s in shapes)
         proj = rng.standard_normal(out_shape)
-        assert_grads_match(lambda: ad.sum_(ad.concat(list(parts.values()), axis=axis) * proj), parts, rng)
+        assert_grads_match(lambda: project(ad.concat(list(parts.values()), axis=axis), proj), parts, rng)
 
 
 def test_embedding_gradients():
@@ -1179,7 +1326,7 @@ def test_embedding_gradients():
         table = p64(rng, v, d)
         ids = rng.integers(0, v, size=(3, 2))
         proj = rng.standard_normal((3, 2, d))
-        assert_grads_match(lambda: ad.sum_(ad.embedding(table, ids) * proj), {"table": table}, rng)
+        assert_grads_match(lambda: project(ad.embedding(table, ids), proj), {"table": table}, rng)
 
 
 def test_conv1d_gradients():
@@ -1192,8 +1339,8 @@ def test_conv1d_gradients():
             params = {"table": p64(rng, 7, d), "pos_table": p64(rng, 6, d),
                       "w": p64(rng, (k + 1) * d, width, c_out)}
             proj = rng.standard_normal((ids.shape[0], ids.shape[1] - width + 1, c_out))
-            assert_grads_match(lambda: ad.sum_(grid_conv(
-                params["table"], params["pos_table"], ids, pos, params["w"]) * proj),
+            assert_grads_match(lambda: project(grid_conv(
+                params["table"], params["pos_table"], ids, pos, params["w"]), proj),
                 params, rng)
 
 
@@ -1203,11 +1350,12 @@ def test_lstm_gradients():
     for _ in range(TRIALS // 4):
         xp, w_h, b = lstm_case(rng, LSTM_LENGTHS)
         proj = rng.standard_normal((len(LSTM_LENGTHS), w_h.shape[0]))
-        assert_grads_match(lambda: ad.sum_(ad.lstm(xp, w_h, b, LSTM_LENGTHS) * proj),
+        assert_grads_match(lambda: project(ad.lstm(xp, w_h, b, LSTM_LENGTHS), proj),
                            {"xp": xp, "w_h": w_h, "b": b}, rng)
 
 
 def test_cosine_gradients():
+    """One positive pair: the loss is 1 - cos."""
     rng = np.random.default_rng(20)
     done = 0
     while done < TRIALS:
@@ -1219,36 +1367,51 @@ def test_cosine_gradients():
             continue
         u = ad.Tensor(u_raw[None], requires_grad=True, dtype=np.float64)
         v = ad.Tensor(v_raw[None], requires_grad=True, dtype=np.float64)
-        assert_grads_match(lambda: ad.sum_(ad.pairwise_cosine(u, v)), {"u": u, "v": v}, rng)
+        assert_grads_match(lambda: ad.cosine_pair_loss_batch(u, v, [1]), {"u": u, "v": v}, rng)
         done += 1
 
 
 def test_pairwise_cosine_gradients():
+    """Batches of both labels, negatives on both sides of the margin, kept
+    clear of the hinge's kink."""
     rng = np.random.default_rng(21)
-    for _ in range(TRIALS):
-        b, e = int(rng.integers(1, 4)), int(rng.integers(2, 6))
-        u = ad.Tensor(rng.standard_normal((b, e)) + 0.5, requires_grad=True, dtype=np.float64)
-        v = ad.Tensor(rng.standard_normal((b, e)) - 0.5, requires_grad=True, dtype=np.float64)
-        proj = rng.standard_normal(b)
-        assert_grads_match(lambda: ad.sum_(ad.pairwise_cosine(u, v) * proj), {"u": u, "v": v}, rng)
+    done = 0
+    while done < TRIALS:
+        b, e = int(rng.integers(1, 5)), int(rng.integers(2, 6))
+        u_raw = rng.standard_normal((b, e))
+        v_raw = rng.uniform(-1.0, 1.0, (b, 1)) * u_raw + 0.5 * rng.standard_normal((b, e))
+        margin = float(rng.uniform(0.0, 0.5))
+        cos = np.einsum("be,be->b", u_raw, v_raw) / (
+            np.linalg.norm(u_raw, axis=1) * np.linalg.norm(v_raw, axis=1))
+        if np.any(np.abs(cos - margin) < 0.05) or np.any(np.abs(cos) > 0.99):
+            continue
+        u = ad.Tensor(u_raw, requires_grad=True)
+        v = ad.Tensor(v_raw, requires_grad=True)
+        ys = rng.choice([1, -1], size=b)
+        assert_grads_match(lambda: ad.cosine_pair_loss_batch(u, v, ys, margin),
+                           {"u": u, "v": v}, rng)
+        done += 1
 
 
 def test_shape_op_gradients():
+    """reshape twice, and mean_ over each axis in turn."""
     rng = np.random.default_rng(22)
-    for _ in range(TRIALS):
+    for trial in range(TRIALS):
         x = p64(rng, 3, 4, 2)
+        axis = trial % 3
         proj = rng.standard_normal((2, 3, 4))
+        mean_proj = rng.standard_normal(np.delete(x.shape, axis))
 
         def f():
             t = ad.reshape(x, (6, 4))
             t = ad.reshape(t, (2, 3, 4))
-            return ad.sum_(t * proj) + ad.mean_(x)
+            return project(t, proj) + project(ad.mean_(x, axis), mean_proj)
 
         assert_grads_match(f, {"x": x}, rng)
 
 
 def test_matmul_and_arith_gradients():
-    """Scaling, subtraction and tensor add and mul, broadcasting over rows."""
+    """Tensor add, broadcasting over rows, with one tensor on both sides."""
     rng = np.random.default_rng(23)
     for _ in range(TRIALS):
         n, m = (int(v) for v in rng.integers(1, 5, size=2))
@@ -1257,9 +1420,6 @@ def test_matmul_and_arith_gradients():
         proj = rng.standard_normal((n, m))
 
         def f():
-            t = a * 2.0 - 1.0
-            t = t + c  # broadcast over rows
-            t = t * c
-            return ad.sum_(t * proj)
+            return project(a + c + a, proj)  # c broadcasts over rows
 
         assert_grads_match(f, {"a": a, "c": c}, rng)

@@ -21,6 +21,7 @@ from asmsim.models import (
     Backbone, BackboneConfig, build_backbone, load_checkpoint, save_checkpoint,
 )
 from asmsim.tokenizer import EncodedFunction, PAD_ID, Vocabulary
+from gradcheck import project
 
 
 def small_cfg(variant, **kw):
@@ -392,7 +393,7 @@ def test_float32_mixer_never_calls_scipy_erf(monkeypatch):
     encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
     model = build_backbone(cfg, seed=19)
     out = model.embed_batch(encs, training=True, rng=np.random.default_rng(20))
-    ad.sum_(out * rng.standard_normal(out.shape).astype(np.float32)).backward()
+    project(out, rng.standard_normal(out.shape).astype(np.float32)).backward()
     assert all(p.grad is not None for p in model.params.values())
     with pytest.raises(AssertionError, match="erf called"):    # the spy is live
         build_backbone(cfg, seed=19, dtype=np.float64).embed_batch(encs)
@@ -447,7 +448,7 @@ def test_textcnn_never_builds_the_grid(monkeypatch):
     model = build_backbone(cfg, seed=18)
     rng = np.random.default_rng(19)
     encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
-    ad.sum_(model.embed_batch(encs, training=True, rng=rng)).backward()
+    project(model.embed_batch(encs, training=True, rng=rng)).backward()
     assert model.params["conv0.w"].grad is not None
     assert model.embed_matrix(encs).shape == (len(encs), cfg.output_dim)
 
@@ -467,7 +468,7 @@ def test_textcnn_relu_runs_on_pooled_features(monkeypatch):
     model = build_backbone(cfg, seed=18)
     rng = np.random.default_rng(19)
     encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
-    ad.sum_(model.embed_batch(encs, training=True, rng=rng)).backward()
+    project(model.embed_batch(encs, training=True, rng=rng)).backward()
     assert model.params["conv0.b"].grad is not None
     assert model.embed_matrix(encs).shape == (len(encs), cfg.output_dim)
 
@@ -483,7 +484,7 @@ def test_lstm_never_builds_the_rows(monkeypatch):
     model = build_backbone(cfg, seed=18)
     rng = np.random.default_rng(19)
     encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
-    ad.sum_(model.embed_batch(encs, training=True, rng=rng)).backward()
+    project(model.embed_batch(encs, training=True, rng=rng)).backward()
     assert all(p.grad is not None for p in model.params.values())
     assert model.embed_matrix(encs).shape == (len(encs), cfg.output_dim)
 
@@ -506,7 +507,7 @@ def test_lstm_reads_its_weights_in_place(monkeypatch):
         monkeypatch.setattr(ad, name, guard(getattr(ad, name)))
     rng = np.random.default_rng(19)
     encs = [enc(rng, s, cfg) for s in MIXED_LENGTHS]
-    ad.sum_(model.embed_batch(encs, training=True, rng=rng)).backward()
+    project(model.embed_batch(encs, training=True, rng=rng)).backward()
     assert all(model.params[k].grad is not None for k in ("w_x", "w_h", "b"))
 
 
@@ -563,7 +564,7 @@ def test_lstm_graph_does_not_grow_with_length(monkeypatch):
     counts = []
     for length in (5, 300):
         made.clear()
-        ad.sum_(model.embed_batch([enc(rng, length, cfg)], training=True, rng=rng)).backward()
+        project(model.embed_batch([enc(rng, length, cfg)], training=True, rng=rng)).backward()
         counts.append(len(made))
     assert counts[0] == counts[1]
 
@@ -596,7 +597,7 @@ def test_textcnn_pack_groups_match_one_group_and_single_functions(monkeypatch):
             for p in model.params.values():
                 p.grad = None
             out = model.embed_batch(encs, training=True)
-            ad.sum_(out * np.linspace(-1.0, 1.0, out.size).reshape(out.shape)).backward()
+            project(out, np.linspace(-1.0, 1.0, out.size).reshape(out.shape)).backward()
             return out.data, {n: p.grad.copy() for n, p in model.params.items()}
 
         with monkeypatch.context() as m:
@@ -969,7 +970,7 @@ def test_checkpoint_loaded_model_trains_and_resaves_byte_stable(tmp_path):
     save_checkpoint(path, build_backbone(cfg, seed=28), tiny_vocab())
     stepped = []
     for model in (build_backbone(cfg, seed=28), load_checkpoint(path)[0]):
-        ad.sum_(model.embed_batch(encs)).backward()
+        project(model.embed_batch(encs)).backward()
         Adam(model.params).step()
         stepped.append(model)
     assert stepped[0].fingerprint() == stepped[1].fingerprint()
@@ -1045,7 +1046,7 @@ def test_backbone_gradients_match_finite_differences():
 
         def f():
             out = model.embed_batch(encs, training=True, rng=np.random.default_rng(33))
-            return ad.sum_(out * proj)
+            return project(out, proj)
 
         report = finite_diff_check(f, model.params, rel_tolerance=1e-4, rng=rng,
                                    max_coords_per_param=6)
@@ -1061,7 +1062,7 @@ def test_every_parameter_block_gets_a_gradient_above_rounding():
     for cfg in all_variants():
         model = build_backbone(dataclasses.replace(cfg, mixer_dropout=0.0), seed=35)
         out = model.embed_batch([enc(rng, s, cfg) for s in MIXED_LENGTHS], training=True)
-        ad.sum_(out * rng.standard_normal(out.shape).astype(np.float32)).backward()
+        project(out, rng.standard_normal(out.shape).astype(np.float32)).backward()
         peaks = {name: np.abs(p.grad).max() for name, p in model.params.items()}
         floor = 1e-4 * np.median(list(peaks.values()))
         assert {name for name, g in peaks.items() if g < floor} == set(), cfg.variant

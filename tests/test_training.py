@@ -14,7 +14,7 @@ from asmsim.errors import DataError, NumericError
 from asmsim.models import VARIANTS, BackboneConfig, build_backbone
 from asmsim.tokenizer import PAD_ID, build_vocab, encode_function
 from asmsim.train import TrainConfig, cosine_pair_loss_batch, train, write_loss_csv
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, project
 
 
 def vec(v):
@@ -61,6 +61,18 @@ def test_label_and_margin_validation():
         cosine_pair_loss_batch(vec([1.0]), vec([1.0]), [1], margin=1.5)
     with pytest.raises(ValueError, match="labels"):
         cosine_pair_loss_batch(vec([[1.0]]), vec([[1.0]]), [2])
+    # one label per pair: neither broadcast from one nor read as a column
+    four = ad.Tensor(np.arange(12.0).reshape(4, 3))
+    for labels in ([1], [[1], [-1], [1], [1]], [1, -1, 1], [1, -1, 1, 1, 1], 1):
+        with pytest.raises(ValueError, match="one per pair"):
+            cosine_pair_loss_batch(four, four, labels)
+    for other in (np.ones((3, 3)), np.ones((4, 2)), np.ones(12), np.ones((4, 3, 1))):
+        with pytest.raises(ValueError, match=r"matching \[B, E\] sides"):
+            cosine_pair_loss_batch(four, ad.Tensor(other), [1, -1, 1, 1])
+    with pytest.raises(ValueError, match=r"matching \[B, E\] sides"):
+        cosine_pair_loss_batch(ad.Tensor(np.ones(4)), ad.Tensor(np.ones(4)), [1, -1, 1, 1])
+    with pytest.raises(ValueError, match=r"B >= 1"):          # no pairs: no mean
+        cosine_pair_loss_batch(ad.Tensor(np.ones((0, 3))), ad.Tensor(np.ones((0, 3))), [])
 
 
 def test_batch_loss_is_mean_of_singles():
@@ -69,7 +81,7 @@ def test_batch_loss_is_mean_of_singles():
     e2 = rng.standard_normal((6, 5))
     ys = np.array([1, -1, 1, -1, -1, 1])
     batch = cosine_pair_loss_batch(
-        ad.constant(e1, dtype=np.float64), ad.constant(e2, dtype=np.float64), ys, margin=0.5)
+        ad.Tensor(e1, dtype=np.float64), ad.Tensor(e2, dtype=np.float64), ys, margin=0.5)
     singles = [cosine_pair_loss_batch(vec(e1[i]), vec(e2[i]), ys[i:i + 1], margin=0.5).item()
                for i in range(6)]
     assert batch.item() == pytest.approx(np.mean(singles), rel=1e-12)
@@ -399,7 +411,7 @@ def test_pad_row_stays_zero_through_training(variant):
                             max_positions=bcfg.max_positions) for r in corpus.records]
     assert all((e.token_ids == PAD_ID).any() for e in encs)
     out = result.backbone.embed_batch(encs, training=True, rng=np.random.default_rng(52))
-    ad.sum_(out).backward()
+    project(out).backward()
     assert table.grad.any()
     np.testing.assert_array_equal(table.grad[PAD_ID], 0.0)
 
