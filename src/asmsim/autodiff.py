@@ -26,7 +26,11 @@ memory: Adam uses each as scratch.
 The sequence kernels run on functions packed end to end, and each reads the
 packing as one [B] array of per-function row counts over consecutive rows:
 `token_conv` reads [N, K] token and [N] position ids instead of a built
-[N, C] input and keeps every window inside one function, `segment_max` pools
+[N, C] input and keeps every window inside one function; one call serves
+several kernels, which share its index (each slot's distinct ids and their
+vectors, and one sparse product per kernel width, with no entries for
+padding), and the graph keeps one copy of it for all of them until the last
+of their backwards has run; `segment_max` pools
 each function's run of output rows, and `lstm` runs a whole recurrence as one
 node, with a hand-written backward through time. `norm_mlp` runs a mixer
 block's layer norm and MLP (affine, GELU, dropout, affine with or without
@@ -56,9 +60,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 from scipy.special import erf, expit
 
@@ -670,88 +676,120 @@ def embedding(table: Tensor, ids) -> Tensor:
     return _node(out_data, (table,), backward)
 
 
-def token_conv(table: Tensor, pos_table: Tensor, ids, pos, lengths, w: Tensor) -> Tensor:
-    """Valid, stride-1, bias-free convolution over rows assembled from table lookups.
+def token_conv(table: Tensor, pos_table: Tensor, ids, pos, lengths, ws) -> Iterator[Tensor]:
+    """Valid, stride-1, bias-free convolutions over rows assembled from table
+    lookups, one per kernel of `ws`, all reading one shared index.
 
     Input row n is the concatenation of table[ids[n, 0]], ...,
     table[ids[n, K-1]] and pos_table[pos[n]], with a zero vector wherever a
     token id or the position is -1 (padding); no gradient reaches a table
     row from a -1. Function b is the next `lengths[b]` input rows, at least W
-    of them, and gives lengths[b] - W + 1 output rows, one per window of W
-    rows inside it: no window crosses from one function into the next. The
-    rows are never built: each of the K + 1 slots projects its distinct ids
-    through its slice of the kernel once, and each output sums its
-    (K + 1) * W projected rows in one sparse product. The kernel is stored
-    [C_in, W, C_out], so each slot's [d, W * C_out] slice is a view of w, and
-    so is its gradient's. While recording it keeps the sparse product and
-    each slot's distinct ids and their vectors.
+    of them for every kernel, and gives lengths[b] - W + 1 output rows, one
+    per window of W rows inside it: no window crosses from one function into
+    the next. The rows are never built. The call checks the ids, positions
+    and lengths, and finds each of the K + 1 slots' distinct ids and gathers
+    their vectors, once for all kernels. Each kernel projects those vectors
+    through its slot slices, and each of its outputs sums its projected rows
+    in one sparse product, built once per kernel width. That product has no
+    entry for a -1 id, whose projected rows are zero; the -1 stays a zero row
+    among its slot's distinct ids, so every GEMM keeps its shape and its
+    bits. A kernel is stored [C_in, W, C_out], so each slot's
+    [d, W * C_out] slice is a view of w, and so is its gradient's.
+
+    The outputs come from the returned generator in the order of `ws`, each
+    made when it is asked for, so a caller that pools each before asking for
+    the next holds one at a time. While recording, the graph keeps one copy
+    of the shared state for all of them: each slot's distinct ids and their
+    vectors, and one sparse product per width.
 
     table [V, d], pos_table [P, d], ids int [N, K], pos int [N],
-    lengths int [B], w [(K + 1) * d, W, C_out] -> [sum(lengths - W + 1), C_out].
+    lengths int [B], each w [(K + 1) * d, W, C_out]
+    -> per w, [sum(lengths - W + 1), C_out].
     """
     ids, pos, lens = np.asarray(ids), np.asarray(pos), np.asarray(lengths)
+    ws = list(ws)
     if any(a.dtype.kind not in "iu" for a in (ids, pos, lens)):
         raise TypeError("token_conv ids, positions and lengths must be integers")
     if ids.ndim != 2 or pos.shape != ids.shape[:1] or lens.ndim != 1:
         raise ValueError(f"token_conv needs ids [N, K], pos [N] and lengths [B], "
                          f"got {ids.shape}, {pos.shape} and {lens.shape}")
-    if w.ndim != 3:
-        raise ValueError(f"token_conv kernel must be [C_in, W, C_out], got {w.shape}")
-    c_in, width, c_out = w.shape
+    if not ws:
+        raise ValueError("token_conv needs at least one kernel")
     n, k = ids.shape
     d = table.shape[1]
-    if pos_table.shape[1] != d or c_in != (k + 1) * d:
-        raise ValueError(f"token_conv channel mismatch: {k} tokens and a position of width "
-                         f"{d} against a kernel of {c_in} input channels")
-    if lens.size == 0 or lens.min() < width or lens.sum() != n:
-        raise ValueError(f"token_conv lengths must be >= the kernel width {width} "
+    for w in ws:
+        if w.ndim != 3:
+            raise ValueError(f"token_conv kernel must be [C_in, W, C_out], got {w.shape}")
+        if pos_table.shape[1] != d or w.shape[0] != (k + 1) * d:
+            raise ValueError(f"token_conv channel mismatch: {k} tokens and a position of width "
+                             f"{d} against a kernel of {w.shape[0]} input channels")
+    widest = max(w.shape[1] for w in ws)
+    if lens.size == 0 or lens.min() < widest or lens.sum() != n:
+        raise ValueError(f"token_conv lengths must be >= the kernel width {widest} "
                          f"and sum to {n} rows")
     if ids.size and (ids.min() < -1 or ids.max() >= table.shape[0]):
         raise ValueError(f"token id out of range [-1, {table.shape[0]})")
     if pos.size and (pos.min() < -1 or pos.max() >= pos_table.shape[0]):
         raise ValueError(f"position out of range [-1, {pos_table.shape[0]})")
-    # output row r of function b starts b * (W - 1) rows past r: each earlier
-    # function has W - 1 rows where no window starts
-    starts = np.arange(n - lens.size * (width - 1))
-    starts += np.repeat(np.arange(lens.size) * (width - 1), lens - (width - 1))
-    rows = starts[:, None] + np.arange(width)          # [R, W] input rows of each window
-    kernels = w.data.reshape(k + 1, d, width * c_out)   # slot s's kernel, a view
-    slots = [(table, ids[:, s]) for s in range(k)] + [(pos_table, pos)]
-    saved, projs, cols = [], [], []     # saved: per slot, its table's node, distinct ids, vectors
-    n_proj = 0
-    for s, (tab, sid) in enumerate(slots):
+    # per slot: its table's node, its distinct ids (sorted, so a -1 comes
+    # first), their vectors and the first of its rows among all slots' ids
+    slots = []
+    at = np.empty((n, k + 1), dtype=np.intp)    # [n, s]: slot s of row n, as a distinct-id row
+    n_uniq = 0
+    for s, (tab, sid) in enumerate([(table, ids[:, s]) for s in range(k)] + [(pos_table, pos)]):
         uniq, inv = np.unique(sid, return_inverse=True)
-        inv = inv.reshape(sid.shape)       # numpy releases disagree on the inverse's shape
         v = tab.data[uniq]
         v[uniq < 0] = 0.0                  # id -1: padding
-        # projected rows (id, offset), each a C_out vector
-        projs.append((v @ kernels[s]).reshape(-1, c_out))
-        cols.append((n_proj + inv[rows] * width + np.arange(width)).astype(np.int32))
-        saved.append((tab.node, uniq, v))
-        n_proj += uniq.size * width
-    n_rows, per_row = starts.size, (k + 1) * width
-    proj = np.concatenate(projs)
-    picks = sparse.csr_matrix(        # output row -> the projected rows it sums
-        (np.ones(n_rows * per_row, dtype=proj.dtype), np.concatenate(cols, axis=1).reshape(-1),
-         np.arange(0, n_rows * per_row + 1, per_row, dtype=np.int32)),
-        shape=(n_rows, n_proj))
-    out_data = picks @ proj
-    wn, w_shape = w.node, w.shape
+        at[:, s] = n_uniq + inv.reshape(-1)     # numpy releases disagree on the inverse's shape
+        slots.append((tab.node, uniq, v, n_uniq))
+        n_uniq += uniq.size
+    live = np.concatenate([uniq >= 0 for _, uniq, _, _ in slots])   # per distinct-id row
 
-    def backward(g):
-        gproj = picks.T @ g
-        gw = np.empty(kernels.shape, dtype=gproj.dtype)     # w's gradient, per slot
-        lo = 0
-        for s, (tn, uniq, v) in enumerate(saved):
-            gp = gproj[lo:lo + uniq.size * width].reshape(uniq.size, width * c_out)
-            lo += uniq.size * width
-            np.matmul(v.T, gp, out=gw[s])
-            if tn is not None:
-                live = uniq >= 0
-                _zeroed_grad(tn)[uniq[live]] += (gp @ kernels[s].T)[live]
-        _accum(wn, gw.reshape(w_shape), own=True)
+    def index(width):
+        """The sparse product from a width's projected rows (distinct-id row,
+        offset) to the output rows that sum them."""
+        # output row r of function b starts b * (W - 1) rows past r: each
+        # earlier function has W - 1 rows where no window starts
+        starts = np.arange(n - lens.size * (width - 1))
+        starts += np.repeat(np.arange(lens.size) * (width - 1), lens - (width - 1))
+        taps = sliding_window_view(at, width, axis=0)[starts]   # [R, K + 1, W]
+        keep = live[taps]
+        cols = (taps * width + np.arange(width))[keep].astype(np.int32)
+        ptr = np.zeros(starts.size + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=(1, 2)), out=ptr[1:])
+        return sparse.csr_matrix(
+            (np.ones(cols.size, dtype=np.result_type(table.data, pos_table.data)), cols, ptr),
+            shape=(starts.size, n_uniq * width))
 
-    return _node(out_data, (table, pos_table, w), backward)
+    picks = {width: index(width) for width in {w.shape[1] for w in ws}}
+
+    def bank(w):
+        _, width, c_out = w.shape
+        pw = picks[width]
+        kernels = w.data.reshape(k + 1, d, width * c_out)   # slot s's kernel, a view
+        # projected rows (distinct-id row, offset), each a C_out vector
+        proj = np.empty((n_uniq * width, c_out),
+                        dtype=np.result_type(table.data, pos_table.data, w.data))
+        for s, (_, uniq, v, row) in enumerate(slots):
+            np.matmul(v, kernels[s], out=proj[row * width:(row + uniq.size) * width]
+                      .reshape(uniq.size, width * c_out))
+        out_data = pw @ proj
+        wn, w_shape = w.node, w.shape
+
+        def backward(g):
+            gproj = pw.T @ g
+            gw = np.empty(kernels.shape, dtype=gproj.dtype)     # w's gradient, per slot
+            for s, (tn, uniq, v, row) in enumerate(slots):
+                gp = gproj[row * width:(row + uniq.size) * width].reshape(uniq.size, width * c_out)
+                np.matmul(v.T, gp, out=gw[s])
+                if tn is not None:
+                    pad = int(uniq[0] < 0)
+                    _zeroed_grad(tn)[uniq[pad:]] += (gp @ kernels[s].T)[pad:]
+            _accum(wn, gw.reshape(w_shape), own=True)
+
+        return _node(out_data, (table, pos_table, w), backward)
+
+    return (bank(w) for w in ws)
 
 
 def segment_max(x: Tensor, lengths) -> Tensor:

@@ -185,7 +185,10 @@ class Backbone:
         if ids.max() >= self.cfg.vocab_size:
             raise DataError(f"token id {int(ids.max())} exceeds vocabulary size "
                             f"{self.cfg.vocab_size}: vocabulary/model mismatch")
-        if np.concatenate([e.position_ids for e in encs]).max() >= self.cfg.max_positions:
+        pos = np.concatenate([e.position_ids for e in encs])
+        if pos.min() < 0:
+            raise DataError(f"negative position id {int(pos.min())}")
+        if pos.max() >= self.cfg.max_positions:
             raise DataError("position id exceeds the model's position table")
         rows = self._rows(encs)
         cuts, total = [0], 0
@@ -222,9 +225,13 @@ class Backbone:
 class TextCNN(Backbone):
     """Width-5 and width-3 convolution banks, global max-pool, one projection.
 
-    Each bank is one bias-free `token_conv` over the packed token and position
-    ids, and one `segment_max` over each function's output rows. Its kernel is
-    stored [C_in, W, C_out], the layout `token_conv` reads without a copy.
+    Each bank is one bias-free convolution over the packed token and position
+    ids, and one `segment_max` over each function's output rows. All banks
+    come from one `token_conv` call, so a packed group finds its distinct ids,
+    gathers their vectors and builds each width's window index once for all
+    six banks, and the graph keeps one copy of them; each bank's output is
+    pooled and dropped before the next is made. A kernel is stored
+    [C_in, W, C_out], the layout `token_conv` reads without a copy.
     Its bias and ReLU are non-decreasing, so they commute with the max-pool,
     rounding included: they run after it, on [B, C], not on every position.
     """
@@ -250,13 +257,15 @@ class TextCNN(Backbone):
 
     def _head(self, ids, pos, rows, training, rng):
         """Each function max-pools over its own output rows."""
-        tables = self.params["token_table"], self.params["pos_table"]
+        p = self.params
+        convs = ad.token_conv(p["token_table"], p["pos_table"], ids, pos, rows,
+                              [p[f"conv{i}.w"] for i in range(len(self.cfg.conv_widths))])
         pooled = []
-        for i, width in enumerate(self.cfg.conv_widths):
-            conv = ad.token_conv(*tables, ids, pos, rows, self.params[f"conv{i}.w"])
+        for i, (width, conv) in enumerate(zip(self.cfg.conv_widths, convs)):
             peak = ad.segment_max(conv, rows - (width - 1))
-            pooled.append(ad.relu(peak + self.params[f"conv{i}.b"]))
-        return ad.affine(ad.concat(pooled, axis=1), self.params["fc.w"], self.params["fc.b"])
+            del conv
+            pooled.append(ad.relu(peak + p[f"conv{i}.b"]))
+        return ad.affine(ad.concat(pooled, axis=1), p["fc.w"], p["fc.b"])
 
 
 class LSTMNet(Backbone):
@@ -287,8 +296,8 @@ class LSTMNet(Backbone):
         return np.array([e.n_instructions for e in encs])
 
     def _head(self, ids, pos, rows, training, rng):
-        xp = ad.token_conv(self.params["token_table"], self.params["pos_table"], ids, pos,
-                           rows, self.params["w_x"])
+        xp, = ad.token_conv(self.params["token_table"], self.params["pos_table"], ids, pos,
+                            rows, [self.params["w_x"]])
         return ad.lstm(xp, self.params["w_h"], self.params["b"], rows)
 
 

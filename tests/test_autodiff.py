@@ -67,7 +67,7 @@ def packed(ids, pos):
 def grid_conv(table, pos_table, ids, pos, w):
     """token_conv over B functions of L rows each -> [B, L - W + 1, C_out]."""
     bsz, length = pos.shape
-    out = ad.token_conv(table, pos_table, *packed(ids, pos), w)
+    out, = ad.token_conv(table, pos_table, *packed(ids, pos), [w])
     return ad.reshape(out, (bsz, length - w.shape[1] + 1, -1))
 
 
@@ -112,7 +112,8 @@ def test_conv1d_shape_errors():
     w = c64(np.ones((6, 2, 3)))
 
     def call(ids=ids, pos=pos, lengths=lengths, w=w, pos_table=pos_table):
-        return ad.token_conv(table, pos_table, ids, pos, lengths, w)
+        out, = ad.token_conv(table, pos_table, ids, pos, lengths, [w])
+        return out
 
     assert call().shape == (3, 3)
     assert call(lengths=np.array([2, 2])).shape == (2, 3)     # one window in each function
@@ -207,8 +208,8 @@ def test_token_conv_ragged_windows_stay_inside_each_function():
     lengths = (4, 2, 7)
     ids = [rng.integers(0, 7, size=(n, k)) for n in lengths]
     pos = [np.arange(n) for n in lengths]
-    out = ad.token_conv(*(c64(a) for a in arrays[:2]), np.concatenate(ids),
-                        np.concatenate(pos), np.array(lengths), c64(arrays[2]))
+    out, = ad.token_conv(*(c64(a) for a in arrays[:2]), np.concatenate(ids),
+                         np.concatenate(pos), np.array(lengths), [c64(arrays[2])])
     expected = np.concatenate([ref_token_conv(*arrays[:2], i[None], p[None], arrays[2])[0]
                                for i, p in zip(ids, pos)])
     np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
@@ -236,10 +237,148 @@ def test_token_conv_slot_kernels_are_views_of_w():
     w.data = w.data.view(_KernelSpy)
     ids, pos = rng.integers(0, 7, size=(9, k)), np.minimum(np.arange(9), 5)
     _KernelSpy.seen = []
-    out = ad.token_conv(table, pos_table, ids, pos, np.array([9]), w)
+    out, = ad.token_conv(table, pos_table, ids, pos, np.array([9]), [w])
     project(out).backward()
     assert len(_KernelSpy.seen) == 2 * (k + 1)        # K + 1 slots, forward and backward
     assert all(np.shares_memory(kern, w.data) for kern in _KernelSpy.seen)
+
+
+SHARED_WIDTHS = (5, 5, 5, 5, 3, 3)
+
+
+def _shared_case(rng, kind):
+    """(table [V, d], pos_table [P, d], ids [N, K], pos [N], lengths [B]) as
+    float32 arrays and packed ids: a `_lookup_case`, each function padded with
+    -1 rows up to the widest of SHARED_WIDTHS, or, for "wide_slot", 2,400
+    rows whose second slot holds -1 among more than 800 distinct ids, where
+    one row more or less in a GEMM's inner dimension moves its BLAS panels."""
+    if kind == "wide_slot":
+        ids = rng.integers(0, 2000, size=(1, 2400, 3))
+        ids[0, rng.random(2400) < 0.3, 1] = -1
+        assert np.unique(ids[0, :, 1]).size > 800
+        pos = np.minimum(np.arange(2400), 511)[None]
+    else:
+        ids, pos, _, _ = _lookup_case(rng, kind)
+        short = max(SHARED_WIDTHS) - pos.shape[1]
+        if short > 0:
+            ids = np.pad(ids, ((0, 0), (0, short), (0, 0)), constant_values=-1)
+            pos = np.pad(pos, ((0, 0), (0, short)), constant_values=-1)
+    d = 16
+    table = rng.standard_normal((ids.max() + 1, d)).astype(np.float32)
+    pos_table = rng.standard_normal((pos.max() + 1, d)).astype(np.float32)
+    return (table, pos_table, *packed(ids, pos))
+
+
+def per_kernel_conv(table, pos_table, ids, pos, lengths, w, g):
+    """One kernel's convolution, its own index built for it, with a -1 id's
+    zero rows kept in the sparse sums (how each bank ran before the banks
+    shared an index). Returns the output and, for the output gradient g, the
+    gradients of w, table and pos_table."""
+    k, (_, width, c_out), d = ids.shape[1], w.shape, table.shape[1]
+    starts = np.arange(ids.shape[0] - lengths.size * (width - 1))
+    starts += np.repeat(np.arange(lengths.size) * (width - 1), lengths - (width - 1))
+    rows = starts[:, None] + np.arange(width)
+    kernels = w.reshape(k + 1, d, width * c_out)
+    saved, projs, cols, n_proj = [], [], [], 0
+    for s, (tab, sid) in enumerate([(table, ids[:, s]) for s in range(k)] + [(pos_table, pos)]):
+        uniq, inv = np.unique(sid, return_inverse=True)
+        v = tab[uniq]
+        v[uniq < 0] = 0.0
+        projs.append((v @ kernels[s]).reshape(-1, c_out))
+        cols.append((n_proj + inv.reshape(-1)[rows] * width + np.arange(width)).astype(np.int32))
+        saved.append((uniq, v))
+        n_proj += uniq.size * width
+    per_row = (k + 1) * width
+    picks = sparse.csr_matrix(
+        (np.ones(starts.size * per_row, dtype=w.dtype), np.concatenate(cols, axis=1).reshape(-1),
+         np.arange(0, starts.size * per_row + 1, per_row, dtype=np.int32)),
+        shape=(starts.size, n_proj))
+    gproj = picks.T @ g
+    gw = np.empty(kernels.shape, dtype=w.dtype)
+    gtabs = [np.zeros_like(table), np.zeros_like(pos_table)]
+    lo = 0
+    for s, (uniq, v) in enumerate(saved):
+        gp = gproj[lo:lo + uniq.size * width].reshape(uniq.size, width * c_out)
+        lo += uniq.size * width
+        np.matmul(v.T, gp, out=gw[s])
+        live = uniq >= 0
+        gtabs[s == k][uniq[live]] += (gp @ kernels[s].T)[live]
+    return picks @ np.concatenate(projs), gw.reshape(w.shape), *gtabs
+
+
+@pytest.mark.parametrize("kind", TOKEN_CONV_CASES + ("wide_slot",))
+def test_token_conv_shared_banks_match_each_kernel_alone_bitwise(kind):
+    """One token_conv over kernels of widths 5, 5, 5, 5, 3 and 3 gives each
+    output, and the gradients of its kernel and of both tables through it,
+    bit for bit as that kernel run alone and as `per_kernel_conv`, in
+    float32; a backward through all the outputs at once gives each kernel the
+    same gradient and each table the sum of the banks'."""
+    rng = np.random.default_rng(len(kind))
+    table, pos_table, ids, pos, lengths = _shared_case(rng, kind)
+    c_in = (ids.shape[1] + 1) * table.shape[1]
+    kernels = [rng.standard_normal((c_in, w, 20)).astype(np.float32) for w in SHARED_WIDTHS]
+    projs = [rng.standard_normal((lengths.sum() - lengths.size * (w - 1), 20))
+             for w in SHARED_WIDTHS]
+
+    def run(banks, roots):
+        """A fresh graph over the kernels `banks`: their outputs, and the
+        gradients of both tables and of each kernel after one backward from
+        the outputs of `roots`."""
+        leaves = [ad.Tensor(a.copy(), requires_grad=True)
+                  for a in (table, pos_table, *(kernels[i] for i in banks))]
+        outs = dict(zip(banks, ad.token_conv(*leaves[:2], ids, pos, lengths, leaves[2:])))
+        loss = project(outs[roots[0]], projs[roots[0]])
+        for i in roots[1:]:
+            loss = loss + project(outs[i], projs[i])
+        loss.backward()
+        return {i: o.data for i, o in outs.items()}, [leaf.grad for leaf in leaves]
+
+    every = list(range(len(SHARED_WIDTHS)))
+    shared, _ = run(every, [0])
+    alone = {}
+    for i in every:
+        out, alone[i] = run([i], [i])
+        assert out[i].dtype == np.float32
+        assert out[i].tobytes() == shared[i].tobytes(), i
+    for i in every:
+        _, grads = run(every, [i])
+        ref_out, ref_w, *ref_tables = per_kernel_conv(table, pos_table, ids, pos, lengths,
+                                                      kernels[i], projs[i].astype(np.float32))
+        assert shared[i].tobytes() == ref_out.tobytes(), i
+        for got, want, ref in zip(grads[:2] + grads[2 + i:3 + i], alone[i], ref_tables + [ref_w]):
+            assert got.tobytes() == want.tobytes() == ref.tobytes(), i
+    _, grads = run(every, every)
+    for i in every:
+        assert grads[2 + i].tobytes() == alone[i][2].tobytes(), i
+    for t in (0, 1):
+        want = sum(alone[i][t] for i in every)
+        np.testing.assert_allclose(grads[t], want, rtol=1e-5, atol=1e-6 * np.abs(want).max())
+
+
+def test_token_conv_leaves_padding_out_of_its_sums(monkeypatch):
+    """The sparse product of each width holds one entry per live (not -1)
+    token or position in each window and none for a -1."""
+    rng = np.random.default_rng(8)
+    table, pos_table, ids, pos, lengths = _shared_case(rng, "pad_sentinel")
+    picks = []
+    real = sparse.csr_matrix.__matmul__
+
+    def spy(self, other):
+        picks.append(self)
+        return real(self, other)
+
+    c_in = (ids.shape[1] + 1) * table.shape[1]
+    kernels = [ad.Tensor(np.ones((c_in, w, 2), dtype=np.float32)) for w in (5, 3)]
+    monkeypatch.setattr(sparse.csr_matrix, "__matmul__", spy)
+    list(ad.token_conv(ad.Tensor(table), ad.Tensor(pos_table), ids, pos, lengths, kernels))
+    monkeypatch.undo()
+    live = np.concatenate([ids, pos[:, None]], axis=1) >= 0
+    ends = np.cumsum(lengths)
+    for width, pw in zip((5, 3), picks):
+        want = [live[lo + t:lo + t + width].sum()
+                for lo, hi in zip(ends - lengths, ends) for t in range(hi - lo - width + 1)]
+        np.testing.assert_array_equal(np.diff(pw.indptr), want)
+        assert np.all(pw.data == 1.0)
 
 
 def test_max_pool_example():
@@ -983,9 +1122,10 @@ def float32_kernels(rng):
         "concat": lambda: ad.concat([x, x], axis=2),
         "reshape": lambda: ad.reshape(x, (10, 3)),
         "embedding": lambda: ad.embedding(w, np.array([0, 2])),
-        "token_conv": lambda: ad.token_conv(p32(6, 1), p32(5, 1), rng.integers(0, 6, (10, 2)),
-                                            np.array([0, 1, 2, -1, -1, 0, 1, 2, 3, 4]),
-                                            np.array([5, 5]), p32(3, 2, 4)),
+        "token_conv": lambda: next(ad.token_conv(p32(6, 1), p32(5, 1),
+                                                 rng.integers(0, 6, (10, 2)),
+                                                 np.array([0, 1, 2, -1, -1, 0, 1, 2, 3, 4]),
+                                                 np.array([5, 5]), [p32(3, 2, 4)])),
         "segment_max": lambda: ad.segment_max(ad.reshape(x, (10, 3)), np.array([2, 1, 7])),
         "lstm": lambda: ad.lstm(p32(7, 8), p32(2, 8), p32(8), np.array([3, 4])),
         "mean_": lambda: ad.mean_(x, axis=1),

@@ -937,6 +937,28 @@ def test_command_opens_each_input_once_and_hashes_no_file(workdir, tmp_path, mon
         assert entry["sha256"] == manifest.file_sha256(entry["path"])
 
 
+@pytest.mark.parametrize("command", list(_OUTPUTS))
+def test_manifest_records_the_host(workdir, tmp_path, monkeypatch, command):
+    """Beside its timestamp every manifest records what the artifact's bits
+    depend on: the BLAS build numpy reports, the BLAS thread settings of the
+    environment and the CPU model."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    where = _inputs(workdir, tmp_path / "run")
+    assert main(_argv(command, where)) == 0
+    doc = json.loads((where / f"{_OUTPUTS[command][0]}.manifest.json").read_text())
+    assert "created_utc" in doc
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    host = doc["host"]
+    assert host["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert host["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+    assert isinstance(host["cpu"], str) and host["cpu"]
+    if os.path.exists("/proc/cpuinfo"):
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            models = [line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")]
+        assert not models or host["cpu"] == models[0]
+
+
 # ------------------------------------------------------------------ artifact writes
 
 def _full_disk_from(monkeypatch, where, writer):

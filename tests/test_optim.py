@@ -1,10 +1,13 @@
 """Adam behavior and the gradient checker's own error detection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import asmsim.autodiff as ad
 from asmsim.errors import NumericError
+from asmsim.models import BackboneConfig, build_backbone
 from asmsim.optim import Adam
 from gradcheck import finite_diff_check, project
 
@@ -146,6 +149,74 @@ def test_step_matches_the_out_of_place_update_bitwise():
         for k, p in params.items():
             assert p.data.dtype == np.float32 and p.data.tobytes() == x[k].tobytes(), (t, k)
             assert p.grad is None
+
+
+def whole_array_step(x, m, v, g, t, lr, b1, b2, eps):
+    """One update over whole arrays, in place, in the step's operation order
+    (how it ran before it was blocked); g serves as scratch."""
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    s = np.empty_like(x)
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=s)
+    v *= b2
+    g *= g
+    g *= 1.0 - b2
+    v += g
+    np.divide(m, c1, out=s)
+    s *= lr
+    np.divide(v, c2, out=g)
+    np.sqrt(g, out=g)
+    g += eps
+    s /= g
+    x -= s
+
+
+def test_blocked_step_matches_the_whole_array_step_bitwise():
+    """Four float32 steps over parameters larger than a block (along a long
+    first axis, and in one wide row per leading index), a 0-d one and a small
+    one, with one parameter's gradient missing at one step, equal
+    `whole_array_step` bit for bit."""
+    rng = np.random.default_rng(12)
+    shapes = {"tall": (300_001,), "wide": (70, 5, 192), "big_rows": (3, 70_000),
+              "scalar": (), "small": (4, 3)}
+    params = {k: ad.Tensor(rng.standard_normal(s), requires_grad=True, dtype=np.float32)
+              for k, s in shapes.items()}
+    lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
+    x = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros_like(a) for k, a in x.items()}
+    v = {k: np.zeros_like(a) for k, a in x.items()}
+    opt = Adam(params, lr=lr, betas=(b1, b2), eps=eps)
+    for t in range(1, 5):
+        for k, p in params.items():
+            missing = (t, k) == (2, "wide")
+            g = np.zeros_like(x[k]) if missing else \
+                rng.standard_normal(x[k].shape).astype(np.float32)
+            p.grad = None if missing else g.copy()
+            whole_array_step(x[k], m[k], v[k], g, t, lr, b1, b2, eps)
+        opt.step()
+        for k, p in params.items():
+            assert p.data.tobytes() == x[k].tobytes(), (t, k)
+            assert opt.m[k].tobytes() == m[k].tobytes() and opt.v[k].tobytes() == v[k].tobytes()
+            assert p.grad is None
+
+
+def test_step_allocates_no_parameter_sized_array():
+    """One step on a default textcnn (6.09M parameters, the largest a 4.4 MB
+    kernel) allocates under 1 MB: block-sized scratch, and a zeroed block for
+    a parameter without a gradient."""
+    model = build_backbone(BackboneConfig("textcnn", 97), seed=0)
+    opt = Adam(model.params)
+    rng = np.random.default_rng(3)
+    for name, p in model.params.items():
+        if name != "fc.w":
+            p.grad = rng.standard_normal(p.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_invalid_lr_rejected():
